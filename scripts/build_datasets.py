@@ -9,13 +9,12 @@ gets a sibling manifest; reruns with the same seed are byte-identical.
 
 import argparse
 import os
-import random
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from traceforge import pipeline  # noqa: E402
-from traceforge.core import TaskKind  # noqa: E402
+from traceforge.tasks import TASKS  # noqa: E402
 
 TRACE_DEPTHS = (0, 1, 5, 10)
 
@@ -33,12 +32,13 @@ def main() -> int:
 
     os.makedirs(args.out, exist_ok=True)
 
-    for task in sorted(pipeline._INSTANCE_BUILDERS, key=lambda t: t.value):
+    generated = [t for t, spec in TASKS.items() if spec.build_instance]
+    for task in sorted(generated, key=lambda t: t.value):
         path = os.path.join(args.out, f"{task.value}_instances.jsonl")
         manifest = pipeline.emit_instances(task, args.instances, args.seed, path)
         print(f"{path}  {manifest.count} instances  sha256={manifest.sha256[:12]}")
 
-    for task in pipeline.TRACED_TASKS:
+    for task in (t for t, spec in TASKS.items() if spec.build_traced):
         for k in TRACE_DEPTHS:
             path = os.path.join(args.out, f"{task.value}_k{k}.jsonl")
             manifest = pipeline.emit_sft(task, args.records, k, args.seed,
@@ -48,20 +48,8 @@ def main() -> int:
 
     source = os.path.join(args.out, "countdown_k1.jsonl")
     target = os.path.join(args.out, "countdown_k1_shuffled.jsonl")
-    records = pipeline.load_records(source)
-    shuffled = pipeline.emit_shuffled(records, random.Random(args.seed))
-    digest = pipeline.write_records(shuffled, target)
-    manifest = pipeline.DatasetManifest(
-        schema_version=pipeline.SCHEMA_VERSION,
-        task=TaskKind.COUNTDOWN.value,
-        count=len(shuffled),
-        backtracks=None,
-        master_seed=args.seed,
-        sha256=digest,
-        prompt_template=None,
-    )
-    pipeline._write_manifest(target, manifest)
-    print(f"{target}  {len(shuffled)} records  sha256={digest[:12]}")
+    manifest = pipeline.write_shuffled(source, target, args.seed)
+    print(f"{target}  {manifest.count} records  sha256={manifest.sha256[:12]}")
     return 0
 
 

@@ -22,11 +22,11 @@ from .core import (
     NoSolutionError,
     ProblemInstance,
     TaskKind,
-    derive_seed,
 )
 from .search import (
     SearchTree,
     TraceVerbalizer,
+    build_with_retries,
     linearize,
     select_detours,
     solution_path,
@@ -391,8 +391,7 @@ class _Arc1dVerbalizer(TraceVerbalizer):
 
 
 def make_trace(task: Arc1dTask, k: int, rng: random.Random,
-               config: Arc1dConfig = DEFAULT_CONFIG,
-               require_exact: bool = True):
+               config: Arc1dConfig = DEFAULT_CONFIG):
     """Trace the rule search with exactly ``k`` wrong attempts.
 
     Every detour tries one inconsistent rule and abandons it, so k is
@@ -403,27 +402,20 @@ def make_trace(task: Arc1dTask, k: int, rng: random.Random,
     tree, rule = heuristic_solve(task, config)
     path = solution_path(tree)
     plan = select_detours(tree, path, k, rng, max_depth=1)
-    if plan.shortfall and require_exact:
-        raise GenerationError(
-            f"task hosts {len(plan.detours)} of {k} requested detours"
-        )
     answer = render_grid(rule.apply(task.test_input))
-    trace = linearize(tree, path, plan.detours, _Arc1dVerbalizer(answer, task))
-    if plan.shortfall:
-        trace.meta["detour_shortfall"] = plan.shortfall
-    return trace
+    return linearize(tree, path, plan.exact(), _Arc1dVerbalizer(answer, task))
 
 
 # --- answer checking ---------------------------------------------------------
 
 def parse_answer(text: str) -> Optional[tuple]:
-    """Whitespace-separated color digits; anything else fails."""
+    """Whitespace-separated ASCII color digits; anything else fails."""
     tokens = text.strip().split()
     if not tokens:
         return None
     out = []
     for tok in tokens:
-        if tok.isdigit() and len(tok) == 1:
+        if len(tok) == 1 and "0" <= tok <= "9":
             out.append(int(tok))
         else:
             return None
@@ -434,9 +426,12 @@ def expected_output(task: Arc1dTask) -> tuple:
     return task.hidden_rule.apply(task.test_input)
 
 
-def verify(task: Arc1dTask, answer: str) -> bool:
-    parsed = parse_answer(answer)
-    return parsed is not None and parsed == expected_output(task)
+def check(instance: ProblemInstance, text: str):
+    """(parseable, correct): correct when the grid is the expected output."""
+    parsed = parse_answer(text)
+    if parsed is None:
+        return False, False
+    return True, parsed == tuple(instance.meta["expected"])
 
 
 # --- instances ---------------------------------------------------------------
@@ -485,16 +480,7 @@ def build_instance(instance_id: int, seed: int,
 
 def build_traced(instance_id: int, seed: int, k: int,
                  config: Arc1dConfig = DEFAULT_CONFIG):
-    for attempt in range(config.max_trace_retries):
-        rng = random.Random(derive_seed(seed, attempt))
-        task = generate(rng, config)
-        try:
-            trace = make_trace(task, k, rng, config)
-        except GenerationError:
-            continue
-        trace.meta["instance_id"] = instance_id
-        return _instance(instance_id, seed, task), trace
-    raise GenerationError(
-        f"no arc1d task hosting {k} backtracks after "
-        f"{config.max_trace_retries} attempts (seed {seed:#018x})"
-    )
+    """A task whose trace carries exactly k wrong attempts: (instance, trace)."""
+    task, trace = build_with_retries("arc1d", instance_id, seed, k, config,
+                                     generate, make_trace)
+    return _instance(instance_id, seed, task), trace

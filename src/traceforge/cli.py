@@ -12,14 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from . import pipeline, reward
 from .core import GenerationError, MultipleSolutionsError, NoSolutionError, TaskKind
+from .tasks import TASKS
 
-GENERATE_TASKS = sorted(t.value for t in pipeline._INSTANCE_BUILDERS)
-TRACE_TASKS = sorted(t.value for t in pipeline.TRACED_TASKS)
+GENERATE_TASKS = sorted(t.value for t, spec in TASKS.items() if spec.build_instance)
+TRACE_TASKS = sorted(t.value for t, spec in TASKS.items() if spec.build_traced)
 ALL_TASKS = sorted(t.value for t in TaskKind)
 
 
@@ -91,23 +91,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_shuffle(args) -> int:
-    seed = _seed_from(args)
-    records = pipeline.load_records(args.in_path)
-    shuffled = pipeline.emit_shuffled(records, random.Random(seed))
-    digest = pipeline.write_records(shuffled, args.out)
-    tasks = {r.task.value for r in shuffled}
-    manifest = pipeline.DatasetManifest(
-        schema_version=pipeline.SCHEMA_VERSION,
-        task=tasks.pop() if len(tasks) == 1 else "mixed",
-        count=len(shuffled),
-        backtracks=None,
-        master_seed=seed,
-        sha256=digest,
-        prompt_template=None,
-    )
-    pipeline._write_manifest(args.out, manifest)
-    print(f"wrote {len(shuffled)} shuffled records to {args.out}")
-    print(f"sha256 {digest}")
+    manifest = pipeline.write_shuffled(args.in_path, args.out, _seed_from(args))
+    print(f"wrote {manifest.count} shuffled records to {args.out}")
+    print(f"sha256 {manifest.sha256}")
     return 0
 
 
@@ -134,7 +120,7 @@ def _cmd_score(args) -> int:
             },
             ensure_ascii=False,
         ))
-    pipeline._write_lines(args.out, lines)
+    pipeline.write_lines(args.out, lines)
     print(f"scored {len(lines)} completions to {args.out}")
     return 0
 

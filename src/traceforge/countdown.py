@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,12 +23,12 @@ from .core import (
     NoSolutionError,
     ProblemInstance,
     TaskKind,
-    derive_seed,
 )
 from .search import (
     Detour,
     SearchTree,
     TraceVerbalizer,
+    build_with_retries,
     linearize,
     select_detours,
     solution_path,
@@ -560,13 +561,11 @@ class _CountdownVerbalizer(TraceVerbalizer):
 
 
 def make_trace(puzzle: CountdownPuzzle, k: int, rng: random.Random,
-               config: CountdownConfig = DEFAULT_CONFIG,
-               require_exact: bool = True):
+               config: CountdownConfig = DEFAULT_CONFIG):
     """Solve and linearize with exactly ``k`` backtracks.
 
-    When the puzzle's tree cannot host k dead detours, raises
-    GenerationError if ``require_exact`` (callers resample a fresh puzzle),
-    otherwise returns the trace with the shortfall recorded in its meta.
+    Raises GenerationError when the puzzle's tree cannot host k dead
+    detours (callers resample a fresh puzzle).
     """
     tree, expr = solve_dfs(puzzle, config)
     path = solution_path(tree)
@@ -575,20 +574,18 @@ def make_trace(puzzle: CountdownPuzzle, k: int, rng: random.Random,
         tree, path, k, rng,
         extend_fn=_make_extend(config, puzzle.target, memo),
     )
-    if plan.shortfall and require_exact:
-        raise GenerationError(
-            f"puzzle hosts {len(plan.detours)} of {k} requested detours"
-        )
-    trace = linearize(tree, path, plan.detours,
-                      _CountdownVerbalizer(expr.render(puzzle.numbers)))
-    if plan.shortfall:
-        trace.meta["detour_shortfall"] = plan.shortfall
-    return trace
+    return linearize(tree, path, plan.exact(),
+                     _CountdownVerbalizer(expr.render(puzzle.numbers)))
 
 
 # --- answer checking ---------------------------------------------------------
 
 _AST_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+
+
+# ASCII digits, operators, parentheses and whitespace; this also rules out
+# "=", underscores in literals, and hex/octal/binary prefixes
+_EXPRESSION_CHARS = re.compile(r"[0-9+\-*/()\s]+", re.ASCII)
 
 
 class _BadExpression(Exception):
@@ -598,12 +595,13 @@ class _BadExpression(Exception):
 def parse_answer(text: str):
     """Parse an arithmetic expression into (value, number multiset).
 
-    Only binary + - * / over positive integer literals are accepted; an
-    equals sign, names, unary operators or anything else fails the parse.
-    Returns None when the text is not a valid expression.
+    Only binary + - * / over positive integer literals written with ASCII
+    digits are accepted; an equals sign, names, unary operators or anything
+    else fails the parse. Returns None when the text is not a valid
+    expression.
     """
     text = text.strip()
-    if not text or "=" in text:
+    if not _EXPRESSION_CHARS.fullmatch(text):
         return None
     try:
         node = ast.parse(text, mode="eval").body
@@ -638,17 +636,17 @@ def parse_answer(text: str):
     return value, used
 
 
-def verify(puzzle: CountdownPuzzle, answer: str) -> bool:
-    """True iff the answer evaluates to the target using each puzzle
-    number at most once."""
-    parsed = parse_answer(answer)
+def check(instance: ProblemInstance, text: str):
+    """(parseable, correct): correct when the expression evaluates to the
+    target using each puzzle number at most once."""
+    parsed = parse_answer(text)
     if parsed is None:
-        return False
+        return False, False
     value, used = parsed
-    if value != puzzle.target:
-        return False
-    available = Counter(puzzle.numbers)
-    return all(available[num] >= cnt for num, cnt in used.items())
+    if value != int(instance.meta["target"]):
+        return True, False
+    available = Counter(instance.meta["numbers"])
+    return True, all(available[num] >= cnt for num, cnt in used.items())
 
 
 # --- instances ---------------------------------------------------------------
@@ -690,16 +688,8 @@ def build_traced(instance_id: int, seed: int, k: int,
     Resamples (with seeds derived from the instance seed) when a sampled
     puzzle cannot host k dead detours. Returns (instance, trace).
     """
-    for attempt in range(config.max_trace_retries):
-        rng = random.Random(derive_seed(seed, attempt))
-        puzzle, _ = generate(rng, config)
-        try:
-            trace = make_trace(puzzle, k, rng, config)
-        except (GenerationError, NoSolutionError):
-            continue
-        trace.meta["instance_id"] = instance_id
-        return _instance(instance_id, seed, puzzle, trace.answer), trace
-    raise GenerationError(
-        f"no countdown puzzle hosting {k} backtracks after "
-        f"{config.max_trace_retries} attempts (seed {seed:#018x})"
+    puzzle, trace = build_with_retries(
+        "countdown", instance_id, seed, k, config,
+        lambda rng, cfg: generate(rng, cfg)[0], make_trace,
     )
+    return _instance(instance_id, seed, puzzle, trace.answer), trace

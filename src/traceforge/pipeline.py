@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from . import arc1d, countdown, sudoku, xtasks
 from .core import (
     ProblemInstance,
     SftRecord,
@@ -26,41 +26,12 @@ from .core import (
     render_sft_record,
 )
 from .reward import RewardConfig, score
+from .tasks import TASKS
 
 SCHEMA_VERSION = 1
 
 # marker phrase counted when a completion arrives without its trace
 _MARKER_PHRASE = "Wait, this doesn't lead to the correct solution."
-
-TRACED_TASKS = (TaskKind.COUNTDOWN, TaskKind.SUDOKU, TaskKind.ARC1D)
-
-_TRACED_BUILDERS = {
-    TaskKind.COUNTDOWN: countdown.build_traced,
-    TaskKind.SUDOKU: sudoku.build_traced,
-    TaskKind.ARC1D: arc1d.build_traced,
-}
-
-_INSTANCE_BUILDERS = {
-    TaskKind.COUNTDOWN: countdown.build_instance,
-    TaskKind.SUDOKU: sudoku.build_instance,
-    TaskKind.ARC1D: arc1d.build_instance,
-    TaskKind.GEOMETRY_ANGLE: xtasks.build_angle_instance,
-    TaskKind.GEOMETRY_ORTHOCENTER: xtasks.build_orthocenter_instance,
-    TaskKind.GEOMETRY_INCIRCLE: xtasks.build_incircle_instance,
-    TaskKind.COLOR_CUBE: xtasks.build_cube_instance,
-    TaskKind.SELF_REFERENCE: xtasks.build_selfref_instance,
-}
-
-PROMPT_TEMPLATES = {
-    TaskKind.COUNTDOWN: countdown.PROMPT_TEMPLATE,
-    TaskKind.SUDOKU: sudoku.PROMPT_TEMPLATE,
-    TaskKind.ARC1D: arc1d.PROMPT_HEADER,
-    TaskKind.GEOMETRY_ANGLE: xtasks.ANGLE_PROMPT,
-    TaskKind.GEOMETRY_ORTHOCENTER: xtasks.ORTHOCENTER_PROMPT,
-    TaskKind.GEOMETRY_INCIRCLE: xtasks.INCIRCLE_PROMPT,
-    TaskKind.COLOR_CUBE: xtasks.CUBE_PROMPT,
-    TaskKind.SELF_REFERENCE: xtasks.SELFREF_PROMPT,
-}
 
 
 @dataclass(frozen=True)
@@ -95,7 +66,7 @@ def manifest_path_for(data_path) -> str:
     return f"{data_path}.manifest.json"
 
 
-def _write_lines(path, lines) -> str:
+def write_lines(path, lines) -> str:
     """Write newline-terminated lines as UTF-8, returning the SHA-256."""
     blob = "".join(line + "\n" for line in lines).encode("utf-8")
     with open(path, "wb") as fh:
@@ -103,9 +74,22 @@ def _write_lines(path, lines) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _write_manifest(data_path, manifest: DatasetManifest) -> None:
-    with open(manifest_path_for(data_path), "w", encoding="utf-8") as fh:
+def _write_dataset(out_path, lines, task: str, backtracks: Optional[int],
+                   master_seed: int,
+                   prompt_template: Optional[str]) -> DatasetManifest:
+    """Write a data file and its sibling manifest; returns the manifest."""
+    manifest = DatasetManifest(
+        schema_version=SCHEMA_VERSION,
+        task=task,
+        count=len(lines),
+        backtracks=backtracks,
+        master_seed=master_seed,
+        sha256=write_lines(out_path, lines),
+        prompt_template=prompt_template,
+    )
+    with open(manifest_path_for(out_path), "w", encoding="utf-8") as fh:
         fh.write(manifest.to_json())
+    return manifest
 
 
 # --- record serialization ----------------------------------------------------
@@ -149,7 +133,7 @@ def load_records(path) -> list:
 
 
 def write_records(records, path) -> str:
-    return _write_lines(path, [record_to_json(r) for r in records])
+    return write_lines(path, [record_to_json(r) for r in records])
 
 
 def instance_to_json(instance: ProblemInstance) -> str:
@@ -188,69 +172,53 @@ def load_instances(path) -> list:
     return instances
 
 
-def write_instances(instances, path) -> str:
-    return _write_lines(path, [instance_to_json(i) for i in instances])
-
-
 # --- building ----------------------------------------------------------------
 
-def build_instances(task: TaskKind, count: int, master_seed: int,
-                    config=None) -> list:
+def build_instances(task: TaskKind, count: int, master_seed: int) -> list:
     """Instances for any generator-backed task, ids 0..count-1."""
-    builder = _INSTANCE_BUILDERS.get(task)
+    builder = TASKS[task].build_instance
     if builder is None:
         raise ValueError(f"task {task.value} has no generator (verifier only)")
     if count < 1:
         raise ValueError("count must be positive")
-    out = []
-    for i in range(count):
-        seed = derive_seed(master_seed, i)
-        if config is None:
-            out.append(builder(i, seed))
-        else:
-            out.append(builder(i, seed, config))
-    return out
+    return [builder(i, derive_seed(master_seed, i)) for i in range(count)]
 
 
-def build_record(task: TaskKind, instance_id: int, master_seed: int, k: int,
-                 config=None) -> SftRecord:
+def build_record(task: TaskKind, instance_id: int, master_seed: int,
+                 k: int) -> SftRecord:
     """One traced SFT record, fully determined by (master seed, id, k)."""
-    builder = _TRACED_BUILDERS.get(task)
+    builder = TASKS[task].build_traced
     if builder is None:
         raise ValueError(f"task {task.value} does not support traces")
     seed = derive_seed(master_seed, instance_id)
-    if config is None:
-        instance, trace = builder(instance_id, seed, k)
-    else:
-        instance, trace = builder(instance_id, seed, k, config)
+    instance, trace = builder(instance_id, seed, k)
     return render_sft_record(instance, trace)
 
 
-def _record_chunk(task_value, ids, master_seed, k, config):
+def _record_chunk(task_value, ids, master_seed, k):
     task = TaskKind(task_value)
-    return [(i, record_to_json(build_record(task, i, master_seed, k, config)))
+    return [(i, record_to_json(build_record(task, i, master_seed, k)))
             for i in ids]
 
 
 def build_records(task: TaskKind, count: int, master_seed: int, k: int,
-                  workers: int = 1, config=None) -> list:
+                  workers: int = 1) -> list:
     """JSON lines for ``count`` records, id order, any worker count."""
-    if task not in _TRACED_BUILDERS:
+    if TASKS[task].build_traced is None:
         raise ValueError(f"task {task.value} does not support traces")
     if count < 1:
         raise ValueError("count must be positive")
     if k < 0:
         raise ValueError("backtrack count must be >= 0")
     if workers <= 1:
-        return [record_to_json(build_record(task, i, master_seed, k, config))
+        return [record_to_json(build_record(task, i, master_seed, k))
                 for i in range(count)]
     chunk = max(1, -(-count // (workers * 4)))
     pieces = [list(range(lo, min(lo + chunk, count)))
               for lo in range(0, count, chunk)]
     results = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_record_chunk, task.value, ids, master_seed,
-                               k, config)
+        futures = [pool.submit(_record_chunk, task.value, ids, master_seed, k)
                    for ids in pieces]
         for fut in futures:
             results.extend(fut.result())
@@ -259,38 +227,20 @@ def build_records(task: TaskKind, count: int, master_seed: int, k: int,
 
 
 def emit_sft(task: TaskKind, count: int, k: int, master_seed: int, out_path,
-             workers: int = 1, config=None) -> DatasetManifest:
+             workers: int = 1) -> DatasetManifest:
     """Write a traced dataset plus its manifest; returns the manifest."""
-    lines = build_records(task, count, master_seed, k, workers, config)
-    digest = _write_lines(out_path, lines)
-    manifest = DatasetManifest(
-        schema_version=SCHEMA_VERSION,
-        task=task.value,
-        count=count,
-        backtracks=k,
-        master_seed=master_seed,
-        sha256=digest,
-        prompt_template=PROMPT_TEMPLATES.get(task),
-    )
-    _write_manifest(out_path, manifest)
-    return manifest
+    lines = build_records(task, count, master_seed, k, workers)
+    return _write_dataset(out_path, lines, task.value, k, master_seed,
+                          TASKS[task].prompt_template)
 
 
-def emit_instances(task: TaskKind, count: int, master_seed: int, out_path,
-                   config=None) -> DatasetManifest:
-    instances = build_instances(task, count, master_seed, config)
-    digest = _write_lines(out_path, [instance_to_json(i) for i in instances])
-    manifest = DatasetManifest(
-        schema_version=SCHEMA_VERSION,
-        task=task.value,
-        count=count,
-        backtracks=None,
-        master_seed=master_seed,
-        sha256=digest,
-        prompt_template=PROMPT_TEMPLATES.get(task),
-    )
-    _write_manifest(out_path, manifest)
-    return manifest
+def emit_instances(task: TaskKind, count: int, master_seed: int,
+                   out_path) -> DatasetManifest:
+    """Write an instance file plus its manifest; returns the manifest."""
+    lines = [instance_to_json(i)
+             for i in build_instances(task, count, master_seed)]
+    return _write_dataset(out_path, lines, task.value, None, master_seed,
+                          TASKS[task].prompt_template)
 
 
 # --- shuffling ---------------------------------------------------------------
@@ -322,6 +272,17 @@ def emit_shuffled(records, rng) -> list:
             correctness_label=None,
         ))
     return out
+
+
+def write_shuffled(in_path, out_path, seed: int) -> DatasetManifest:
+    """Write the records of ``in_path`` with deranged completions (see
+    :func:`emit_shuffled`) plus a manifest. The manifest's task is the
+    records' single task, or "mixed"."""
+    shuffled = emit_shuffled(load_records(in_path), random.Random(seed))
+    tasks = {r.task.value for r in shuffled}
+    return _write_dataset(out_path, [record_to_json(r) for r in shuffled],
+                          tasks.pop() if len(tasks) == 1 else "mixed",
+                          None, seed, None)
 
 
 # --- scoring-driven splits ---------------------------------------------------

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import arc1d, countdown, sudoku, xtasks
-from .core import ProblemInstance, TaskKind, extract_tags
+from .core import ProblemInstance, extract_tags
+from .tasks import TASKS
 
 CORRECT = "correct"
 INCORRECT = "incorrect"
@@ -48,52 +48,7 @@ class ScoreBreakdown:
 
 def check_answer(instance: ProblemInstance, answer_text: str):
     """(parseable, correct) of an answer string under the task's grammar."""
-    task = instance.task
-    if task == TaskKind.COUNTDOWN:
-        puzzle = countdown.puzzle_from_instance(instance)
-        if countdown.parse_answer(answer_text) is None:
-            return False, False
-        return True, countdown.verify(puzzle, answer_text)
-    if task == TaskKind.SUDOKU:
-        parsed = sudoku.parse_answer(answer_text)
-        if parsed is None:
-            return False, False
-        solution = tuple(int(ch) for ch in instance.meta["solution"])
-        return True, parsed == solution
-    if task == TaskKind.ARC1D:
-        parsed = arc1d.parse_answer(answer_text)
-        if parsed is None:
-            return False, False
-        return True, parsed == tuple(instance.meta["expected"])
-    if task == TaskKind.GEOMETRY_ANGLE:
-        if xtasks.parse_angle(answer_text) is None:
-            return False, False
-        return True, xtasks.verify_angle(instance.ground_truth, answer_text)
-    if task == TaskKind.GEOMETRY_ORTHOCENTER:
-        if xtasks.parse_point(answer_text) is None:
-            return False, False
-        return True, xtasks.verify_point(instance.ground_truth, answer_text)
-    if task == TaskKind.GEOMETRY_INCIRCLE:
-        if xtasks.parse_radius(answer_text) is None:
-            return False, False
-        return True, xtasks.verify_radius(instance.ground_truth, answer_text)
-    if task in (TaskKind.COLOR_CUBE, TaskKind.ZEBRA):
-        if not answer_text.strip():
-            return False, False
-        verify = (xtasks.cube_verify if task == TaskKind.COLOR_CUBE
-                  else xtasks.zebra_verify)
-        return True, verify(instance.ground_truth, answer_text)
-    if task == TaskKind.SELF_REFERENCE:
-        try:
-            value = int(answer_text.strip())
-        except ValueError:
-            return False, False
-        return True, value == int(instance.ground_truth)
-    if task == TaskKind.LIST_FUNCTIONS:
-        if xtasks.parse_number_list(answer_text) is None:
-            return False, False
-        return True, xtasks.listfunc_verify(instance.ground_truth, answer_text)
-    raise ValueError(f"no verifier for task {task!r}")
+    return TASKS[instance.task].check(instance, answer_text)
 
 
 def score(instance: ProblemInstance, completion: str,
@@ -131,20 +86,7 @@ def pass_at_1(breakdowns) -> float:
 
 # --- evaluation table --------------------------------------------------------
 
-# short column names; the three geometry subtasks pool into one column
-TASK_COLUMNS = {
-    TaskKind.GEOMETRY_ANGLE: "AG",
-    TaskKind.GEOMETRY_ORTHOCENTER: "AG",
-    TaskKind.GEOMETRY_INCIRCLE: "AG",
-    TaskKind.COUNTDOWN: "CD",
-    TaskKind.ARC1D: "ARC",
-    TaskKind.SUDOKU: "SDK",
-    TaskKind.COLOR_CUBE: "CCR",
-    TaskKind.ZEBRA: "ZP",
-    TaskKind.LIST_FUNCTIONS: "LF",
-    TaskKind.SELF_REFERENCE: "SR",
-}
-
+# the columns of ``TaskSpec.column``, in table order
 COLUMN_ORDER = ("AG", "CD", "ARC", "SDK", "CCR", "ZP", "LF", "SR")
 
 
@@ -166,7 +108,7 @@ def evaluate(instances, completions,
     hits: dict = {}
     totals: dict = {}
     for inst in instances:
-        column = TASK_COLUMNS[inst.task]
+        column = TASKS[inst.task].column
         totals[column] = totals.get(column, 0) + 1
         text = completions.get(inst.id)
         if text is None:

@@ -17,9 +17,11 @@ from typing import Callable, Optional
 from .core import (
     BacktrackMarker,
     Conclusion,
+    GenerationError,
     NoSolutionError,
     ReasoningTrace,
     Step,
+    derive_seed,
 )
 
 # Template for every backtrack. The observation sentence is task-specific;
@@ -115,6 +117,15 @@ class DetourPlan:
     @property
     def shortfall(self) -> int:
         return self.requested - len(self.detours)
+
+    def exact(self) -> list:
+        """The detours, or GenerationError when fewer than requested were
+        found (callers resample a fresh puzzle)."""
+        if self.shortfall:
+            raise GenerationError(
+                f"tree hosts {len(self.detours)} of {self.requested} requested detours"
+            )
+        return self.detours
 
 
 ExtendFn = Callable[[SearchTree, int, set, random.Random], Optional[list]]
@@ -277,4 +288,31 @@ def strip_detours(trace: ReasoningTrace) -> ReasoningTrace:
         answer=trace.answer,
         backtracks=0,
         meta=dict(trace.meta),
+    )
+
+
+def build_with_retries(task: str, instance_id: int, seed: int, k: int, config,
+                       sample: Callable, make_trace: Callable):
+    """Sample puzzles until one yields a trace with exactly ``k`` backtracks.
+
+    Attempt ``a`` draws from ``random.Random(derive_seed(seed, a))``:
+    ``sample(rng, config)`` makes a puzzle, then ``make_trace(puzzle, k,
+    rng, config)`` linearizes it, raising GenerationError or
+    NoSolutionError when the puzzle cannot host ``k`` detours. Gives up
+    after ``config.max_trace_retries`` attempts with a GenerationError
+    naming the task, id, k and seed. Returns (puzzle, trace), with the
+    instance id stamped into the trace's meta.
+    """
+    for attempt in range(config.max_trace_retries):
+        rng = random.Random(derive_seed(seed, attempt))
+        puzzle = sample(rng, config)
+        try:
+            trace = make_trace(puzzle, k, rng, config)
+        except (GenerationError, NoSolutionError):
+            continue
+        trace.meta["instance_id"] = instance_id
+        return puzzle, trace
+    raise GenerationError(
+        f"{task} id {instance_id}: no puzzle hosting k={k} backtracks after "
+        f"{config.max_trace_retries} attempts (seed {seed:#018x})"
     )

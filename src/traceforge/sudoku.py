@@ -15,16 +15,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    GenerationError,
     MultipleSolutionsError,
     NoSolutionError,
     ProblemInstance,
     TaskKind,
-    derive_seed,
 )
 from .search import (
     SearchTree,
     TraceVerbalizer,
+    build_with_retries,
     linearize,
     select_detours,
     solution_path,
@@ -422,27 +421,18 @@ class _SudokuVerbalizer(TraceVerbalizer):
 
 
 def make_trace(puzzle: SudokuPuzzle, k: int, rng: random.Random,
-               config: SudokuConfig = DEFAULT_CONFIG,
-               require_exact: bool = True):
+               config: SudokuConfig = DEFAULT_CONFIG):
     """Linearize the solve into a trace with exactly ``k`` backtracks.
 
     Detours can only branch where the chosen cell had several candidates;
     heavily constrained puzzles may not host ``k`` of them, in which case
-    this raises GenerationError (or records the shortfall in trace meta
-    when ``require_exact`` is false) and callers resample.
+    this raises GenerationError and callers resample.
     """
     tree, solution = solve_dfs(puzzle, config)
     path = solution_path(tree)
     plan = select_detours(tree, path, k, rng, extend_fn=_extend_sudoku(config))
-    if plan.shortfall and require_exact:
-        raise GenerationError(
-            f"puzzle hosts {len(plan.detours)} of {k} requested detours"
-        )
-    trace = linearize(tree, path, plan.detours,
-                      _SudokuVerbalizer(render_grid(solution), tree))
-    if plan.shortfall:
-        trace.meta["detour_shortfall"] = plan.shortfall
-    return trace
+    return linearize(tree, path, plan.exact(),
+                     _SudokuVerbalizer(render_grid(solution), tree))
 
 
 # --- answer checking ---------------------------------------------------------
@@ -472,9 +462,12 @@ def parse_answer(text: str) -> Optional[tuple]:
     return tuple(out)
 
 
-def verify(puzzle: SudokuPuzzle, answer: str) -> bool:
-    parsed = parse_answer(answer)
-    return parsed is not None and parsed == puzzle.solution
+def check(instance: ProblemInstance, text: str):
+    """(parseable, correct): correct when the grid is the unique solution."""
+    parsed = parse_answer(text)
+    if parsed is None:
+        return False, False
+    return True, parsed == tuple(int(ch) for ch in instance.meta["solution"])
 
 
 # --- instances ---------------------------------------------------------------
@@ -512,16 +505,7 @@ def build_instance(instance_id: int, seed: int,
 
 def build_traced(instance_id: int, seed: int, k: int,
                  config: SudokuConfig = DEFAULT_CONFIG):
-    for attempt in range(config.max_trace_retries):
-        rng = random.Random(derive_seed(seed, attempt))
-        puzzle = generate(rng, config)
-        try:
-            trace = make_trace(puzzle, k, rng, config)
-        except GenerationError:
-            continue
-        trace.meta["instance_id"] = instance_id
-        return _instance(instance_id, seed, puzzle), trace
-    raise GenerationError(
-        f"no sudoku puzzle hosting {k} backtracks after "
-        f"{config.max_trace_retries} attempts (seed {seed:#018x})"
-    )
+    """A puzzle whose trace carries exactly k backtracks: (instance, trace)."""
+    puzzle, trace = build_with_retries("sudoku", instance_id, seed, k, config,
+                                       generate, make_trace)
+    return _instance(instance_id, seed, puzzle), trace

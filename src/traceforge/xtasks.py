@@ -160,12 +160,13 @@ def format_radius(value: float, config: GeometryConfig = GEOMETRY_CONFIG) -> str
     return round_half_away(value, config.decimals_point)
 
 
-_ANGLE_RE = re.compile(r"^(-?\d+\.\d{2})°$")
+# digits are ASCII only: Unicode \d would let other scripts' digits through
+_ANGLE_RE = re.compile(r"^(-?[0-9]+\.[0-9]{2})°$")
 # coordinates separated by ", " or "," or " ", always inside parentheses
 _POINT_RE = re.compile(
-    r"^\((-?\d+\.\d{3})(?:, |,| )(-?\d+\.\d{3})\)$"
+    r"^\((-?[0-9]+\.[0-9]{3})(?:, |,| )(-?[0-9]+\.[0-9]{3})\)$"
 )
-_RADIUS_RE = re.compile(r"^(-?\d+\.\d{3})$")
+_RADIUS_RE = re.compile(r"^(-?[0-9]+\.[0-9]{3})$")
 
 
 def parse_angle(text: str) -> Optional[str]:
@@ -183,22 +184,29 @@ def parse_radius(text: str) -> Optional[str]:
     return m.group(1) if m else None
 
 
-def verify_angle(truth: str, answer: str) -> bool:
-    got = parse_angle(answer)
-    return got is not None and _decimal_eq(got, truth.rstrip("°"))
-
-
-def verify_point(truth: str, answer: str) -> bool:
-    got = parse_point(answer)
+def check_angle(instance: ProblemInstance, text: str):
+    """(parseable, correct) of a geometry_angle answer."""
+    got = parse_angle(text)
     if got is None:
-        return False
-    want = parse_point(truth)
-    return (_decimal_eq(got[0], want[0]) and _decimal_eq(got[1], want[1]))
+        return False, False
+    return True, _decimal_eq(got, instance.ground_truth.rstrip("°"))
 
 
-def verify_radius(truth: str, answer: str) -> bool:
-    got = parse_radius(answer)
-    return got is not None and _decimal_eq(got, truth)
+def check_point(instance: ProblemInstance, text: str):
+    """(parseable, correct) of a geometry_orthocenter answer."""
+    got = parse_point(text)
+    if got is None:
+        return False, False
+    want = parse_point(instance.ground_truth)
+    return True, _decimal_eq(got[0], want[0]) and _decimal_eq(got[1], want[1])
+
+
+def check_radius(instance: ProblemInstance, text: str):
+    """(parseable, correct) of a geometry_incircle answer."""
+    got = parse_radius(text)
+    if got is None:
+        return False, False
+    return True, _decimal_eq(got, instance.ground_truth)
 
 
 def _triangle_text(tri: Triangle) -> str:
@@ -361,10 +369,6 @@ def cube_prompt(problem: CubeProblem) -> str:
                               query=problem.query, **named)
 
 
-def cube_verify(truth: str, answer: str) -> bool:
-    return answer.strip().lower() == truth.strip().lower()
-
-
 def build_cube_instance(instance_id: int, seed: int,
                         config: CubeConfig = CUBE_CONFIG) -> ProblemInstance:
     rng = random.Random(seed)
@@ -468,11 +472,15 @@ SELFREF_PROMPT = (
 )
 
 
-def selfref_verify(truth: int, answer: str) -> bool:
-    try:
-        return int(answer.strip()) == truth
-    except ValueError:
-        return False
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def check_selfref(instance: ProblemInstance, text: str):
+    """(parseable, correct) of a self_reference answer: one integer."""
+    got = text.strip()
+    if not _INTEGER_RE.fullmatch(got):
+        return False, False
+    return True, int(got) == int(instance.ground_truth)
 
 
 def build_selfref_instance(instance_id: int, seed: int) -> ProblemInstance:
@@ -490,19 +498,29 @@ def build_selfref_instance(instance_id: int, seed: int) -> ProblemInstance:
     )
 
 
-# --- verifier-only tasks -----------------------------------------------------
+# --- name answers (color cube, zebra) ----------------------------------------
 
-def zebra_verify(truth: str, answer: str) -> bool:
-    """Case-insensitive name match."""
-    got = answer.strip().lower()
-    return bool(got) and got == truth.strip().lower()
+def check_name(instance: ProblemInstance, text: str):
+    """(parseable, correct) of a color or person name, case-insensitive."""
+    got = text.strip().lower()
+    if not got:
+        return False, False
+    return True, got == instance.ground_truth.strip().lower()
+
+
+# --- list functions (verifier only) ------------------------------------------
+
+# the characters of an int or float literal written with ASCII digits and
+# no underscores; int() and float() then check the structure
+_NUMBER_CHARS = re.compile(r"[0-9+\-.eE]+")
 
 
 def parse_number_list(text: str) -> Optional[tuple]:
     """Bracketed numbers split on commas and/or whitespace.
 
     Accepts "[1 2 3]", "[1, 2, 3]" and "[1,2,3]"; the brackets are
-    mandatory. Returns None when the text is not a bracketed number list.
+    mandatory and the digits ASCII. Returns None when the text is not a
+    bracketed number list.
     """
     t = text.strip()
     if not (t.startswith("[") and t.endswith("]")):
@@ -514,6 +532,8 @@ def parse_number_list(text: str) -> Optional[tuple]:
     for tok in re.split(r"[\s,]+", inner):
         if not tok:
             continue
+        if not _NUMBER_CHARS.fullmatch(tok):
+            return None
         try:
             out.append(int(tok))
         except ValueError:
@@ -524,11 +544,15 @@ def parse_number_list(text: str) -> Optional[tuple]:
     return tuple(out)
 
 
-def listfunc_verify(truth, answer: str) -> bool:
-    got = parse_number_list(answer)
+def check_list(instance: ProblemInstance, text: str):
+    """(parseable, correct) of a list_functions answer.
+
+    The ground truth is list text, or a JSON list in externally supplied
+    instances.
+    """
+    got = parse_number_list(text)
     if got is None:
-        return False
+        return False, False
+    truth = instance.ground_truth
     want = parse_number_list(truth) if isinstance(truth, str) else tuple(truth)
-    if want is None or len(got) != len(want):
-        return False
-    return all(a == b for a, b in zip(got, want))
+    return True, got == want

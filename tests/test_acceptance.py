@@ -269,7 +269,7 @@ def test_solver_oracle_agreement():
     for i in range(500):
         inst = countdown.build_instance(i, derive_seed(SEED_ORACLE, i))
         puzzle = countdown.puzzle_from_instance(inst)
-        assert countdown.verify(puzzle, inst.ground_truth)
+        assert countdown.check(inst, inst.ground_truth) == (True, True)
         assert countdown_solvable(puzzle.numbers, puzzle.target)
 
     for i in range(200):

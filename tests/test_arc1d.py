@@ -170,8 +170,7 @@ def test_trace_k_at_pool_size_is_rejected():
 
 def test_trace_answer_is_expected_output():
     inst, trace = a1.build_traced(0, derive_seed(53, 0), 5)
-    task = a1.task_from_instance(inst)
-    assert a1.verify(task, trace.answer)
+    assert a1.check(inst, trace.answer) == (True, True)
     assert trace.answer == inst.ground_truth
 
 
@@ -213,14 +212,17 @@ def test_parse_answer_accepts_digit_runs():
     assert a1.parse_answer("  3 3\n") == (3, 3)
 
 
-@pytest.mark.parametrize("text", ["", "1, 2, 3", "12 3", "1 a 2", "[1 2]"])
+# "²" passes str.isdigit but not int(); "１" is a full-width digit
+@pytest.mark.parametrize("text", ["", "1, 2, 3", "12 3", "1 a 2", "[1 2]",
+                                  "²", "1 １"])
 def test_parse_answer_rejects(text):
     assert a1.parse_answer(text) is None
 
 
 def test_verify_checks_exact_grid():
-    task = next(iter(sample_tasks(1)))
+    inst = a1.build_instance(0, derive_seed(606, 0))
+    task = a1.task_from_instance(inst)
     good = a1.render_grid(a1.expected_output(task))
-    assert a1.verify(task, good)
-    assert not a1.verify(task, good + " 0")
-    assert not a1.verify(task, a1.render_grid(task.test_input))
+    assert a1.check(inst, good) == (True, True)
+    assert a1.check(inst, good + " 0") == (True, False)
+    assert a1.check(inst, a1.render_grid(task.test_input)) == (True, False)

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from traceforge import countdown as cd
 from traceforge.core import (
     BacktrackMarker,
+    GenerationError,
     NoSolutionError,
+    ProblemInstance,
     Step,
+    TaskKind,
     derive_seed,
     render_completion,
 )
@@ -22,6 +25,19 @@ def sample_puzzles(n, master=4242, config=cd.DEFAULT_CONFIG):
     for i in range(n):
         rng = random.Random(derive_seed(master, i))
         yield cd.generate(rng, config)
+
+
+def instance_of(puzzle):
+    """A bare instance carrying what ``cd.check`` reads."""
+    return ProblemInstance(
+        id=0, task=TaskKind.COUNTDOWN, prompt="", ground_truth="", seed=0,
+        meta={"numbers": list(puzzle.numbers), "target": puzzle.target},
+    )
+
+
+def correct(puzzle, text):
+    parseable, right = cd.check(instance_of(puzzle), text)
+    return parseable and right
 
 
 # --- generation --------------------------------------------------------------
@@ -148,7 +164,7 @@ def test_solve_dfs_answer_is_verified_solution():
     for puzzle, _ in sample_puzzles(30):
         _, expr = cd.solve_dfs(puzzle)
         assert expr.value(puzzle.numbers) == puzzle.target
-        assert cd.verify(puzzle, expr.render(puzzle.numbers))
+        assert correct(puzzle, expr.render(puzzle.numbers))
 
 
 def test_solve_dfs_tree_has_full_sibling_level():
@@ -247,6 +263,8 @@ def test_parse_answer_fraction_intermediates_allowed():
         "__import__('os')",
         "True + 1",
         "2 + ",
+        "1_0 + 3",
+        "0x10 + 3",
     ],
 )
 def test_parse_answer_rejects(text):
@@ -255,15 +273,19 @@ def test_parse_answer_rejects(text):
 
 def test_verify_checks_multiset_usage():
     puzzle = cd.CountdownPuzzle((5, 5, 3), 13)
-    assert cd.verify(puzzle, "5 + 5 + 3")
-    assert not cd.verify(puzzle, "5 + 5 + 5 - 2")  # third 5 not available
-    assert not cd.verify(puzzle, "5 + 5 + 4")  # no 4 in the puzzle
-    assert not cd.verify(puzzle, "5 + 5 + 2")  # wrong value
+    assert cd.check(instance_of(puzzle), "5 + 5 + 3") == (True, True)
+    # third 5 not available
+    assert cd.check(instance_of(puzzle), "5 + 5 + 5 - 2") == (True, False)
+    # no 4 in the puzzle
+    assert cd.check(instance_of(puzzle), "5 + 5 + 4") == (True, False)
+    # wrong value
+    assert cd.check(instance_of(puzzle), "5 + 5 + 2") == (True, False)
+    assert cd.check(instance_of(puzzle), "5 + 5 = 10") == (False, False)
 
 
 def test_verify_allows_subset_of_numbers():
     puzzle = cd.CountdownPuzzle((9, 4, 7, 2), 13)
-    assert cd.verify(puzzle, "9 + 4")
+    assert correct(puzzle, "9 + 4")
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,8 +316,7 @@ def test_trace_marker_count_is_exact(k):
 def test_trace_answer_verifies():
     for i in range(10):
         inst, trace = cd.build_traced(i, derive_seed(21, i), 5)
-        puzzle = cd.puzzle_from_instance(inst)
-        assert cd.verify(puzzle, trace.answer)
+        assert cd.check(inst, trace.answer) == (True, True)
         assert inst.ground_truth == trace.answer
 
 
@@ -358,3 +379,13 @@ def test_trace_completion_is_well_formed():
     tags = extract_tags(render_completion(trace))
     assert tags.well_formed
     assert tags.answer == trace.answer
+
+
+def test_retry_exhaustion_names_task_id_k_and_seed():
+    seed = derive_seed(9, 7)
+    config = cd.CountdownConfig(max_trace_retries=1)
+    with pytest.raises(GenerationError) as err:
+        cd.build_traced(7, seed, 1000, config)
+    message = str(err.value)
+    for part in ("countdown", "id 7", "k=1000", f"{seed:#018x}"):
+        assert part in message

@@ -4,7 +4,12 @@ import pytest
 from helpers import selfref_consistent_count
 
 from traceforge import xtasks as xt
-from traceforge.core import TaskKind, derive_seed
+from traceforge.core import ProblemInstance, TaskKind, derive_seed
+
+
+def with_truth(task, ground_truth):
+    return ProblemInstance(id=0, task=task, prompt="",
+                           ground_truth=ground_truth, seed=0)
 
 # --- color cube: rotation table properties -----------------------------------
 
@@ -135,10 +140,11 @@ def test_cube_prompt_mentions_every_rotation():
 
 
 def test_cube_verify_is_case_insensitive():
-    assert xt.cube_verify("red", "red")
-    assert xt.cube_verify("red", " RED ")
-    assert not xt.cube_verify("red", "blue")
-    assert not xt.cube_verify("red", "")
+    red = with_truth(TaskKind.COLOR_CUBE, "red")
+    assert xt.check_name(red, "red") == (True, True)
+    assert xt.check_name(red, " RED ") == (True, True)
+    assert xt.check_name(red, "blue") == (True, False)
+    assert xt.check_name(red, "") == (False, False)
 
 
 def test_cube_instance_round_trips():
@@ -213,20 +219,26 @@ def test_selfref_instance_round_trips():
 
 
 def test_selfref_verify():
-    assert xt.selfref_verify(3, "3")
-    assert xt.selfref_verify(3, " 3\n")
-    assert not xt.selfref_verify(3, "4")
-    assert not xt.selfref_verify(3, "three")
+    three = with_truth(TaskKind.SELF_REFERENCE, "3")
+    assert xt.check_selfref(three, "3") == (True, True)
+    assert xt.check_selfref(three, " 3\n") == (True, True)
+    assert xt.check_selfref(three, "4") == (True, False)
+    assert xt.check_selfref(three, "three") == (False, False)
+    # int() would accept both: an Arabic-Indic digit and an underscore
+    assert xt.check_selfref(three, "٣") == (False, False)
+    ten = with_truth(TaskKind.SELF_REFERENCE, "10")
+    assert xt.check_selfref(ten, "1_0") == (False, False)
 
 
 # --- verifier-only tasks -----------------------------------------------------
 
 
 def test_zebra_verify():
-    assert xt.zebra_verify("Peter", "peter")
-    assert xt.zebra_verify("Peter", " PETER ")
-    assert not xt.zebra_verify("Peter", "Paul")
-    assert not xt.zebra_verify("Peter", "")
+    peter = with_truth(TaskKind.ZEBRA, "Peter")
+    assert xt.check_name(peter, "peter") == (True, True)
+    assert xt.check_name(peter, " PETER ") == (True, True)
+    assert xt.check_name(peter, "Paul") == (True, False)
+    assert xt.check_name(peter, "") == (False, False)
 
 
 def test_parse_number_list_variants():
@@ -239,15 +251,19 @@ def test_parse_number_list_variants():
     assert xt.parse_number_list("[-3, 4]") == (-3, 4)
 
 
-@pytest.mark.parametrize("text", ["1 2 3", "[1 2", "1 2]", "[a b]", "", "(1 2)"])
+@pytest.mark.parametrize("text", ["1 2 3", "[1 2", "1 2]", "[a b]", "", "(1 2)",
+                                  "[1_0]", "[１]", "[nan]"])
 def test_parse_number_list_rejects(text):
     assert xt.parse_number_list(text) is None
 
 
 def test_listfunc_verify():
-    assert xt.listfunc_verify("[1, 2, 3]", "[1 2 3]")
-    assert xt.listfunc_verify([1, 2, 3], "[1, 2, 3]")
-    assert xt.listfunc_verify((1.5,), "[1.5]")
-    assert not xt.listfunc_verify([1, 2], "[1, 2, 3]")
-    assert not xt.listfunc_verify([1, 2, 3], "1 2 3")
-    assert not xt.listfunc_verify([1, 2, 3], "[1, 2, 4]")
+    def check(truth, text):
+        return xt.check_list(with_truth(TaskKind.LIST_FUNCTIONS, truth), text)
+
+    assert check("[1, 2, 3]", "[1 2 3]") == (True, True)
+    assert check([1, 2, 3], "[1, 2, 3]") == (True, True)
+    assert check((1.5,), "[1.5]") == (True, True)
+    assert check([1, 2], "[1, 2, 3]") == (True, False)
+    assert check([1, 2, 3], "1 2 3") == (False, False)
+    assert check([1, 2, 3], "[1, 2, 4]") == (True, False)

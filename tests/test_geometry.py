@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceforge import xtasks as xt
-from traceforge.core import TaskKind, derive_seed
+from traceforge.core import ProblemInstance, TaskKind, derive_seed
+
+
+def with_truth(task, ground_truth):
+    return ProblemInstance(id=0, task=task, prompt="",
+                           ground_truth=ground_truth, seed=0)
 
 # --- decimal formatting ------------------------------------------------------
 
@@ -142,7 +147,8 @@ def test_incircle_radius_times_semiperimeter_is_area():
 def test_parse_angle_strict():
     assert xt.parse_angle("36.87°") == "36.87"
     assert xt.parse_angle(" 90.00° ") == "90.00"
-    for bad in ("36.87", "36.9°", "36.870°", "abc°", "°", "36,87°"):
+    # the last is 90.00° in Arabic-Indic digits
+    for bad in ("36.87", "36.9°", "36.870°", "abc°", "°", "36,87°", "٩٠.٠٠°"):
         assert xt.parse_angle(bad) is None
 
 
@@ -150,32 +156,35 @@ def test_parse_point_separator_variants():
     for text in ("(1.500, -2.000)", "(1.500,-2.000)", "(1.500 -2.000)"):
         assert xt.parse_point(text) == ("1.500", "-2.000")
     for bad in ("1.500, -2.000", "(1.50, 2.00)", "(1.500; 2.000)",
-                "(1.500, 2.000", "(1.5000, 2.0000)"):
+                "(1.500, 2.000", "(1.5000, 2.0000)", "(١.٥٠٠, 2.000)"):
         assert xt.parse_point(bad) is None
 
 
 def test_parse_radius_strict():
     assert xt.parse_radius("0.732") == "0.732"
-    for bad in ("0.73", "0.7321", "r=0.732", ""):
+    for bad in ("0.73", "0.7321", "r=0.732", "", "٠.٧٣٢"):
         assert xt.parse_radius(bad) is None
 
 
 def test_verify_angle_decimal_equality():
-    assert xt.verify_angle("90.00°", "90.00°")
-    assert not xt.verify_angle("90.00°", "90.01°")
-    assert not xt.verify_angle("90.00°", "90")
+    right = with_truth(TaskKind.GEOMETRY_ANGLE, "90.00°")
+    assert xt.check_angle(right, "90.00°") == (True, True)
+    assert xt.check_angle(right, "90.01°") == (True, False)
+    assert xt.check_angle(right, "90") == (False, False)
 
 
 def test_verify_point_decimal_equality():
-    assert xt.verify_point("(0.000, 1.250)", "(0.000, 1.250)")
-    assert xt.verify_point("(0.000, 1.250)", "(0.000,1.250)")
-    assert xt.verify_point("(0.000, 1.250)", "(-0.000, 1.250)")
-    assert not xt.verify_point("(0.000, 1.250)", "(0.001, 1.250)")
+    point = with_truth(TaskKind.GEOMETRY_ORTHOCENTER, "(0.000, 1.250)")
+    assert xt.check_point(point, "(0.000, 1.250)") == (True, True)
+    assert xt.check_point(point, "(0.000,1.250)") == (True, True)
+    assert xt.check_point(point, "(-0.000, 1.250)") == (True, True)
+    assert xt.check_point(point, "(0.001, 1.250)") == (True, False)
 
 
 def test_verify_radius():
-    assert xt.verify_radius("1.000", "1.000")
-    assert not xt.verify_radius("1.000", "1.001")
+    radius = with_truth(TaskKind.GEOMETRY_INCIRCLE, "1.000")
+    assert xt.check_radius(radius, "1.000") == (True, True)
+    assert xt.check_radius(radius, "1.001") == (True, False)
 
 
 # --- instances ---------------------------------------------------------------
@@ -187,7 +196,7 @@ def test_angle_instance_round_trips():
     tri = xt.Triangle(*(tuple(p) for p in inst.meta["vertices"]))
     truth = xt.format_angle(xt.angle_at(tri, inst.meta["vertex"]))
     assert inst.ground_truth == truth
-    assert xt.verify_angle(inst.ground_truth, inst.ground_truth)
+    assert xt.check_angle(inst, inst.ground_truth) == (True, True)
     name = xt.VERTEX_NAMES[inst.meta["vertex"]]
     assert f"vertex {name}" in inst.prompt
 
@@ -197,7 +206,7 @@ def test_orthocenter_instance_round_trips():
     tri = xt.Triangle(*(tuple(p) for p in inst.meta["vertices"]))
     x, y = xt.orthocenter(tri)
     assert inst.ground_truth == xt.format_point(x, y)
-    assert xt.verify_point(inst.ground_truth, inst.ground_truth)
+    assert xt.check_point(inst, inst.ground_truth) == (True, True)
 
 
 def test_incircle_instance_round_trips():

@@ -7,6 +7,7 @@ from helpers import wrap
 
 from traceforge import countdown, pipeline
 from traceforge.core import SftRecord, TaskKind
+from traceforge.tasks import TASKS
 from traceforge.pipeline import (
     build_instances,
     build_record,
@@ -71,6 +72,11 @@ def test_record_files_round_trip(tmp_path):
 
 
 # --- builders -----------------------------------------------------------------
+
+
+def test_task_table_has_one_entry_per_kind():
+    assert list(TASKS) == list(TaskKind)
+    assert all(spec.kind == kind for kind, spec in TASKS.items())
 
 
 def test_build_instances_ids_and_seeds():

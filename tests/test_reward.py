@@ -120,6 +120,11 @@ def test_arc1d_answer_grammar():
     flipped = " ".join(reversed(inst.ground_truth.split()))
     want = INCORRECT if flipped != inst.ground_truth else CORRECT
     assert score(inst, wrap(flipped)).category == want
+    # "²" passes str.isdigit but not int(); full-width digits are not ASCII
+    assert score(inst, wrap("²")).category == INCORRECT_FORMAT
+    full_width = inst.ground_truth.translate(
+        {ord(d): 0xFF10 + int(d) for d in "0123456789"})
+    assert score(inst, wrap(full_width)).category == INCORRECT_FORMAT
 
 
 def test_geometry_angle_answer_grammar():
