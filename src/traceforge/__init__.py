@@ -15,7 +15,7 @@ from .core import (
     render_completion,
     render_sft_record,
 )
-from .reward import RewardConfig, ScoreBreakdown, classify, pass_at_1, score
+from .reward import ScoreBreakdown, classify, pass_at_1, score
 from .search import DetourPlan, SearchTree, select_detours, solution_path, strip_detours
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "NoSolutionError",
     "ProblemInstance",
     "ReasoningTrace",
-    "RewardConfig",
     "ScoreBreakdown",
     "SftRecord",
     "TaggedOutput",

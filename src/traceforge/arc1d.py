@@ -25,13 +25,11 @@ from .core import (
 )
 from .search import (
     SearchTree,
-    TraceVerbalizer,
     build_with_retries,
     linearize,
     select_detours,
     solution_path,
 )
-from .countdown import CONCLUSION
 
 PROMPT_HEADER = (
     "Find the rule that turns each input grid into its output grid, "
@@ -184,15 +182,9 @@ class Arc1dTask:
     hidden_rule: TransformRule
 
 
-@dataclass(frozen=True)
-class Arc1dConfig:
-    length_range: tuple = (8, 24)
-    pairs_range: tuple = (2, 4)
-    max_generate_attempts: int = 500
-    max_trace_retries: int = 50
-
-
-DEFAULT_CONFIG = Arc1dConfig()
+LENGTH_RANGE = (8, 24)
+PAIRS_RANGE = (2, 4)
+MAX_GENERATE_ATTEMPTS = 500
 
 
 # --- input sampling ----------------------------------------------------------
@@ -264,13 +256,12 @@ def consistent_rules(pairs):
             if all(r.apply(i) == tuple(o) for i, o in pairs)]
 
 
-def generate(rng: random.Random,
-             config: Arc1dConfig = DEFAULT_CONFIG) -> Arc1dTask:
+def generate(rng: random.Random) -> Arc1dTask:
     """Sample a task whose examples identify the hidden rule uniquely."""
-    for _ in range(config.max_generate_attempts):
+    for _ in range(MAX_GENERATE_ATTEMPTS):
         rule = RULE_POOL[rng.randrange(len(RULE_POOL))]
-        length = rng.randint(*config.length_range)
-        n_pairs = rng.randint(*config.pairs_range)
+        length = rng.randint(*LENGTH_RANGE)
+        n_pairs = rng.randint(*PAIRS_RANGE)
         pairs = []
         ok = True
         for _ in range(n_pairs):
@@ -320,7 +311,7 @@ def _first_mismatch(rule, pairs):
     return None
 
 
-def heuristic_solve(task: Arc1dTask, config: Arc1dConfig = DEFAULT_CONFIG):
+def heuristic_solve(task: Arc1dTask):
     """Try pool rules in plausibility order; build the tree of attempts.
 
     Plausibility is cell agreement with the first example pair, ties broken
@@ -373,37 +364,31 @@ def heuristic_solve(task: Arc1dTask, config: Arc1dConfig = DEFAULT_CONFIG):
 
 # --- traces ------------------------------------------------------------------
 
-class _Arc1dVerbalizer(TraceVerbalizer):
-    def __init__(self, answer: str, task: Arc1dTask):
-        self.answer = answer
-        self._task = task
-
-    def observation(self, detour, wrong_nodes) -> str:
-        rule = wrong_nodes[-1].payload
-        hit = _first_mismatch(rule, self._task.train_pairs)
-        if hit is None:
-            return f"The rule '{rule.description}' does not fit the examples."
-        m, _, out = hit
-        return f"The expected output for example {m} is {render_grid(out)}."
-
-    def conclusion(self) -> str:
-        return CONCLUSION
+def _observe(task: Arc1dTask, wrong_nodes) -> str:
+    """Why a detour is dead: the first example its rule gets wrong."""
+    rule = wrong_nodes[-1].payload
+    hit = _first_mismatch(rule, task.train_pairs)
+    if hit is None:
+        return f"The rule '{rule.description}' does not fit the examples."
+    m, _, out = hit
+    return f"The expected output for example {m} is {render_grid(out)}."
 
 
-def make_trace(task: Arc1dTask, k: int, rng: random.Random,
-               config: Arc1dConfig = DEFAULT_CONFIG):
+def make_trace(task: Arc1dTask, k: int, rng: random.Random):
     """Trace the rule search with exactly ``k`` wrong attempts.
 
-    Every detour tries one inconsistent rule and abandons it, so k is
-    capped by the pool size minus the hidden rule.
+    Every detour tries one inconsistent rule and abandons it; attempt
+    nodes have no children, so a detour is one wrong node and k is capped
+    by the pool size minus the hidden rule.
     """
     if k >= len(RULE_POOL):
         raise ValueError(f"at most {len(RULE_POOL) - 1} detours are possible, got {k}")
-    tree, rule = heuristic_solve(task, config)
+    tree, rule = heuristic_solve(task)
     path = solution_path(tree)
-    plan = select_detours(tree, path, k, rng, max_depth=1)
+    plan = select_detours(tree, path, k, rng)
     answer = render_grid(rule.apply(task.test_input))
-    return linearize(tree, path, plan.exact(), _Arc1dVerbalizer(answer, task))
+    return linearize(tree, path, plan.exact(), answer,
+                     lambda det, wrong: _observe(task, wrong))
 
 
 # --- answer checking ---------------------------------------------------------
@@ -472,15 +457,13 @@ def task_from_instance(instance: ProblemInstance) -> Arc1dTask:
     )
 
 
-def build_instance(instance_id: int, seed: int,
-                   config: Arc1dConfig = DEFAULT_CONFIG) -> ProblemInstance:
+def build_instance(instance_id: int, seed: int) -> ProblemInstance:
     rng = random.Random(seed)
-    return _instance(instance_id, seed, generate(rng, config))
+    return _instance(instance_id, seed, generate(rng))
 
 
-def build_traced(instance_id: int, seed: int, k: int,
-                 config: Arc1dConfig = DEFAULT_CONFIG):
+def build_traced(instance_id: int, seed: int, k: int):
     """A task whose trace carries exactly k wrong attempts: (instance, trace)."""
-    task, trace = build_with_retries("arc1d", instance_id, seed, k, config,
+    task, trace = build_with_retries("arc1d", instance_id, seed, k,
                                      generate, make_trace)
     return _instance(instance_id, seed, task), trace

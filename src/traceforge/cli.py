@@ -102,14 +102,13 @@ def _cmd_score(args) -> int:
     _check_instances_task(instances, args.task)
     completions = _load_completions(args.completions)
     by_id = {inst.id: inst for inst in instances}
-    config = reward.RewardConfig(gated=not args.ungated)
     lines = []
     for item in completions:
         iid = int(item["instance_id"])
         inst = by_id.get(iid)
         if inst is None:
             raise ValueError(f"completion references unknown instance {iid}")
-        b = reward.score(inst, item["completion"], config)
+        b = reward.score(inst, item["completion"], gated=not args.ungated)
         lines.append(json.dumps(
             {
                 "instance_id": iid,

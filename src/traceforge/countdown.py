@@ -25,16 +25,14 @@ from .core import (
     TaskKind,
 )
 from .search import (
+    MAX_DETOUR_DEPTH,
     Detour,
     SearchTree,
-    TraceVerbalizer,
     build_with_retries,
     linearize,
     select_detours,
     solution_path,
 )
-
-CONCLUSION = "This matches the problem statement. This is the solution."
 
 PROMPT_TEMPLATE = (
     "Using the numbers {numbers}, create an expression that equals {target}. "
@@ -49,18 +47,11 @@ class CountdownPuzzle:
     target: int
 
 
-@dataclass(frozen=True)
-class CountdownConfig:
-    count_range: tuple = (4, 6)        # how many numbers a puzzle offers
-    value_range: tuple = (1, 99)
-    target_range: tuple = (10, 999)
-    node_budget: int = 200_000         # DFS states before giving up
-    max_detour_depth: int = 2
-    max_generate_attempts: int = 500
-    max_trace_retries: int = 50
-
-
-DEFAULT_CONFIG = CountdownConfig()
+COUNT_RANGE = (4, 6)        # how many numbers a puzzle offers
+VALUE_RANGE = (1, 99)
+TARGET_RANGE = (10, 999)
+NODE_BUDGET = 200_000       # DFS states before giving up
+MAX_GENERATE_ATTEMPTS = 500
 
 
 @dataclass(frozen=True)
@@ -166,29 +157,10 @@ def _apply_move(values, move):
     return nxt
 
 
-def reachable(values, target, memo=None) -> bool:
+def reachable(values, target) -> bool:
     """Exact reachability of ``target`` from a value multiset."""
-    if memo is None:
-        memo = {}
-
-    def go(vals):
-        if target in vals:
-            return True
-        if len(vals) < 2:
-            return False
-        key = tuple(sorted(vals))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = False
-        for move in legal_moves(vals):
-            if move[5] == target or go(_apply_move(vals, move)):
-                out = True
-                break
-        memo[key] = out
-        return out
-
-    return go(list(values))
+    return (target in values
+            or _find_solution(list(values), target, float("inf")) is not None)
 
 
 # --- generation --------------------------------------------------------------
@@ -213,18 +185,17 @@ def _random_combine(rng: random.Random, items) -> None:
     items.append((value, ArithExpr.combine(op, lhs, rhs)))
 
 
-def generate(rng: random.Random,
-             config: CountdownConfig = DEFAULT_CONFIG):
+def generate(rng: random.Random):
     """Sample a puzzle together with a witness expression.
 
     The witness proves solvability; the solver is still free to find a
     different (canonical) solution. Targets that already appear among the
     puzzle numbers are rejected so no puzzle is solvable with zero moves.
     """
-    lo_t, hi_t = config.target_range
-    for _ in range(config.max_generate_attempts):
-        n = rng.randint(*config.count_range)
-        numbers = tuple(rng.randint(*config.value_range) for _ in range(n))
+    lo_t, hi_t = TARGET_RANGE
+    for _ in range(MAX_GENERATE_ATTEMPTS):
+        n = rng.randint(*COUNT_RANGE)
+        numbers = tuple(rng.randint(*VALUE_RANGE) for _ in range(n))
         ops = rng.randint(1, n - 1)
         chosen = rng.sample(range(n), ops + 1)
         items = [(numbers[i], ArithExpr.leaf(i)) for i in chosen]
@@ -458,8 +429,7 @@ def _find_solution(values, target, budget):
     return None
 
 
-def solve_dfs(puzzle: CountdownPuzzle,
-              config: CountdownConfig = DEFAULT_CONFIG):
+def solve_dfs(puzzle: CountdownPuzzle):
     """Solve by exhaustive DFS; returns the search tree and the solution.
 
     The tree holds the root-to-solution path plus every sibling move at
@@ -475,7 +445,7 @@ def solve_dfs(puzzle: CountdownPuzzle,
         tree.add_node("", is_solution=True, payload=tuple(values))
         return tree, ArithExpr.leaf(values.index(target))
     try:
-        steps = _find_solution(values, target, config.node_budget)
+        steps = _find_solution(values, target, NODE_BUDGET)
     except _BudgetExhausted:
         raise NoSolutionError(
             f"search budget exhausted on {puzzle.numbers} -> {target}"
@@ -511,7 +481,7 @@ def solve_dfs(puzzle: CountdownPuzzle,
 
 # --- traces ------------------------------------------------------------------
 
-def _make_extend(config: CountdownConfig, target: int, memo: dict):
+def _make_extend(target: int):
     """Detour extension: walk a wrong branch, then insist it is dead.
 
     A candidate wrong branch is accepted only when no value along it equals
@@ -528,7 +498,7 @@ def _make_extend(config: CountdownConfig, target: int, memo: dict):
             wrong = [cand]
             values = list(tree.nodes[cand].payload)
             cursor = cand
-            while len(wrong) < config.max_detour_depth and len(values) >= 2:
+            while len(wrong) < MAX_DETOUR_DEPTH and len(values) >= 2:
                 moves = [m for m in legal_moves(values) if m[5] != target]
                 if not moves:
                     break
@@ -541,41 +511,30 @@ def _make_extend(config: CountdownConfig, target: int, memo: dict):
                     payload=tuple(values),
                 )
                 wrong.append(cursor)
-            if not reachable(values, target, memo):
+            if not reachable(values, target):
                 return wrong
         return None
 
     return extend
 
 
-class _CountdownVerbalizer(TraceVerbalizer):
-    def __init__(self, answer: str):
-        self.answer = answer
-
-    def observation(self, detour: Detour, wrong_nodes) -> str:
-        end_values = wrong_nodes[-1].payload
-        return f"{end_values[-1]} is not the correct answer."
-
-    def conclusion(self) -> str:
-        return CONCLUSION
+def _observe(detour: Detour, wrong_nodes) -> str:
+    end_values = wrong_nodes[-1].payload
+    return f"{end_values[-1]} is not the correct answer."
 
 
-def make_trace(puzzle: CountdownPuzzle, k: int, rng: random.Random,
-               config: CountdownConfig = DEFAULT_CONFIG):
+def make_trace(puzzle: CountdownPuzzle, k: int, rng: random.Random):
     """Solve and linearize with exactly ``k`` backtracks.
 
     Raises GenerationError when the puzzle's tree cannot host k dead
     detours (callers resample a fresh puzzle).
     """
-    tree, expr = solve_dfs(puzzle, config)
+    tree, expr = solve_dfs(puzzle)
     path = solution_path(tree)
-    memo: dict = {}
-    plan = select_detours(
-        tree, path, k, rng,
-        extend_fn=_make_extend(config, puzzle.target, memo),
-    )
-    return linearize(tree, path, plan.exact(),
-                     _CountdownVerbalizer(expr.render(puzzle.numbers)))
+    plan = select_detours(tree, path, k, rng,
+                          extend_fn=_make_extend(puzzle.target))
+    return linearize(tree, path, plan.exact(), expr.render(puzzle.numbers),
+                     _observe)
 
 
 # --- answer checking ---------------------------------------------------------
@@ -586,6 +545,9 @@ _AST_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 # ASCII digits, operators, parentheses and whitespace; this also rules out
 # "=", underscores in literals, and hex/octal/binary prefixes
 _EXPRESSION_CHARS = re.compile(r"[0-9+\-*/()\s]+", re.ASCII)
+# Most operators an answer may use: far more than a puzzle's numbers need,
+# and few enough that ast.parse and the evaluator never recurse out
+MAX_ANSWER_OPERATORS = 64
 
 
 class _BadExpression(Exception):
@@ -598,10 +560,12 @@ def parse_answer(text: str):
     Only binary + - * / over positive integer literals written with ASCII
     digits are accepted; an equals sign, names, unary operators or anything
     else fails the parse. Returns None when the text is not a valid
-    expression.
+    expression, or uses more than MAX_ANSWER_OPERATORS operators: each
+    operator is one level the parser and the evaluator may recurse.
     """
     text = text.strip()
-    if not _EXPRESSION_CHARS.fullmatch(text):
+    if (not _EXPRESSION_CHARS.fullmatch(text)
+            or sum(map(text.count, "+-*/")) > MAX_ANSWER_OPERATORS):
         return None
     try:
         node = ast.parse(text, mode="eval").body
@@ -673,23 +637,21 @@ def puzzle_from_instance(instance: ProblemInstance) -> CountdownPuzzle:
                            int(instance.meta["target"]))
 
 
-def build_instance(instance_id: int, seed: int,
-                   config: CountdownConfig = DEFAULT_CONFIG) -> ProblemInstance:
+def build_instance(instance_id: int, seed: int) -> ProblemInstance:
     rng = random.Random(seed)
-    puzzle, _ = generate(rng, config)
-    _, expr = solve_dfs(puzzle, config)
+    puzzle, _ = generate(rng)
+    _, expr = solve_dfs(puzzle)
     return _instance(instance_id, seed, puzzle, expr.render(puzzle.numbers))
 
 
-def build_traced(instance_id: int, seed: int, k: int,
-                 config: CountdownConfig = DEFAULT_CONFIG):
+def build_traced(instance_id: int, seed: int, k: int):
     """Generate a puzzle whose trace carries exactly k backtracks.
 
     Resamples (with seeds derived from the instance seed) when a sampled
     puzzle cannot host k dead detours. Returns (instance, trace).
     """
     puzzle, trace = build_with_retries(
-        "countdown", instance_id, seed, k, config,
-        lambda rng, cfg: generate(rng, cfg)[0], make_trace,
+        "countdown", instance_id, seed, k,
+        lambda rng: generate(rng)[0], make_trace,
     )
     return _instance(instance_id, seed, puzzle, trace.answer), trace

@@ -25,13 +25,11 @@ from .core import (
     derive_seed,
     render_sft_record,
 )
-from .reward import RewardConfig, score
+from .reward import score
+from .search import MARKER_PHRASE
 from .tasks import TASKS
 
 SCHEMA_VERSION = 1
-
-# marker phrase counted when a completion arrives without its trace
-_MARKER_PHRASE = "Wait, this doesn't lead to the correct solution."
 
 
 @dataclass(frozen=True)
@@ -288,11 +286,10 @@ def write_shuffled(in_path, out_path, seed: int) -> DatasetManifest:
 # --- scoring-driven splits ---------------------------------------------------
 
 def count_markers(completion: str) -> int:
-    return completion.count(_MARKER_PHRASE)
+    return completion.count(MARKER_PHRASE)
 
 
-def split_by_correctness(instances, completions,
-                         config: Optional[RewardConfig] = None) -> dict:
+def split_by_correctness(instances, completions) -> dict:
     """Bucket completions by reward category.
 
     ``instances`` is a list of ProblemInstance; ``completions`` a list of
@@ -307,7 +304,7 @@ def split_by_correctness(instances, completions,
         if inst is None:
             raise ValueError(f"completion references unknown instance {iid}")
         completion = item["completion"]
-        breakdown = score(inst, completion, config)
+        breakdown = score(inst, completion)
         buckets[breakdown.category].append(SftRecord(
             instance_id=inst.id,
             task=inst.task,

@@ -16,7 +16,6 @@ parse).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import ProblemInstance, extract_tags
 from .tasks import TASKS
@@ -28,14 +27,8 @@ INCORRECT_FORMAT = "incorrect_format"
 CATEGORIES = (CORRECT, INCORRECT, INCORRECT_FORMAT)
 
 
-@dataclass(frozen=True)
-class RewardConfig:
-    format_points: float = 0.1
-    answer_points: float = 0.9
-    gated: bool = True  # answer points require well-formed tags
-
-
-DEFAULT_REWARD = RewardConfig()
+FORMAT_POINTS = 0.1
+ANSWER_POINTS = 0.9
 
 
 @dataclass(frozen=True)
@@ -52,17 +45,19 @@ def check_answer(instance: ProblemInstance, answer_text: str):
 
 
 def score(instance: ProblemInstance, completion: str,
-          config: Optional[RewardConfig] = None) -> ScoreBreakdown:
-    """Score one completion against its instance."""
-    cfg = config or DEFAULT_REWARD
+          gated: bool = True) -> ScoreBreakdown:
+    """Score one completion against its instance.
+
+    With ``gated`` the answer points require well-formed tags.
+    """
     tags = extract_tags(completion)
-    format_score = cfg.format_points if tags.well_formed else 0.0
+    format_score = FORMAT_POINTS if tags.well_formed else 0.0
     parseable = False
     right = False
     if tags.answer is not None:
         parseable, right = check_answer(instance, tags.answer.strip())
-    eligible = tags.well_formed if cfg.gated else True
-    answer_score = cfg.answer_points if (right and eligible) else 0.0
+    eligible = tags.well_formed or not gated
+    answer_score = ANSWER_POINTS if (right and eligible) else 0.0
     if tags.well_formed and parseable:
         category = CORRECT if right else INCORRECT
     else:
@@ -71,9 +66,8 @@ def score(instance: ProblemInstance, completion: str,
                           format_score + answer_score, category)
 
 
-def classify(instance: ProblemInstance, completion: str,
-             config: Optional[RewardConfig] = None) -> str:
-    return score(instance, completion, config).category
+def classify(instance: ProblemInstance, completion: str) -> str:
+    return score(instance, completion).category
 
 
 def pass_at_1(breakdowns) -> float:
@@ -90,8 +84,7 @@ def pass_at_1(breakdowns) -> float:
 COLUMN_ORDER = ("AG", "CD", "ARC", "SDK", "CCR", "ZP", "LF", "SR")
 
 
-def evaluate(instances, completions,
-             config: Optional[RewardConfig] = None) -> dict:
+def evaluate(instances, completions) -> dict:
     """Pass rate per evaluation column.
 
     ``completions`` maps instance id -> completion text (or is a list of
@@ -113,7 +106,7 @@ def evaluate(instances, completions,
         text = completions.get(inst.id)
         if text is None:
             continue
-        if score(inst, text, config).category == CORRECT:
+        if score(inst, text).category == CORRECT:
             hits[column] = hits.get(column, 0) + 1
     return {col: hits.get(col, 0) / totals[col]
             for col in COLUMN_ORDER if col in totals}

@@ -24,12 +24,25 @@ from .core import (
     derive_seed,
 )
 
+# Opening of every backtrack; counting it recovers a completion's
+# backtrack count when the trace itself is not at hand.
+MARKER_PHRASE = "Wait, this doesn't lead to the correct solution."
+
 # Template for every backtrack. The observation sentence is task-specific;
 # the surrounding wording is fixed so traces are uniform across tasks.
 BACKTRACK_TEMPLATE = (
-    "Wait, this doesn't lead to the correct solution. {observation} "
+    MARKER_PHRASE + " {observation} "
     "Let me go back to step {step} and keep thinking from there."
 )
+
+# Closing sentence of every trace.
+CONCLUSION = "This matches the problem statement. This is the solution."
+
+# Puzzles sampled per traced record before giving up.
+MAX_TRACE_RETRIES = 50
+
+# Most wrong steps one detour walks down its branch.
+MAX_DETOUR_DEPTH = 2
 
 
 @dataclass
@@ -132,8 +145,9 @@ ExtendFn = Callable[[SearchTree, int, set, random.Random], Optional[list]]
 
 
 def default_extend(tree: SearchTree, branch_id: int, excluded: set,
-                   rng: random.Random, max_depth: int = 2) -> Optional[list]:
-    """Pick an unused non-solution child and walk down up to ``max_depth``.
+                   rng: random.Random) -> Optional[list]:
+    """Pick an unused non-solution child and walk down up to
+    ``MAX_DETOUR_DEPTH`` nodes.
 
     Returns the wrong-path node ids, or None when every child of the
     branch point is excluded or a solution.
@@ -146,7 +160,7 @@ def default_extend(tree: SearchTree, branch_id: int, excluded: set,
     first = candidates[rng.randrange(len(candidates))]
     wrong = [first]
     cursor = tree.nodes[first]
-    while len(wrong) < max_depth:
+    while len(wrong) < MAX_DETOUR_DEPTH:
         nxt = [c for c in cursor.children if not tree.nodes[c].is_solution]
         if not nxt:
             break
@@ -157,8 +171,7 @@ def default_extend(tree: SearchTree, branch_id: int, excluded: set,
 
 
 def select_detours(tree: SearchTree, path: list, k: int, rng: random.Random,
-                   extend_fn: Optional[ExtendFn] = None,
-                   max_depth: int = 2) -> DetourPlan:
+                   extend_fn: ExtendFn = default_extend) -> DetourPlan:
     """Choose up to ``k`` detours along the solution path.
 
     Branch points are drawn uniformly without replacement from the path
@@ -172,8 +185,6 @@ def select_detours(tree: SearchTree, path: list, k: int, rng: random.Random,
     """
     if k < 0:
         raise ValueError(f"detour count must be >= 0, got {k}")
-    if extend_fn is None:
-        extend_fn = lambda t, b, e, r: default_extend(t, b, e, r, max_depth)
 
     positions = list(range(1, len(path) - 1))
     used_first: dict[int, set] = {p: set() for p in positions}
@@ -204,33 +215,16 @@ def select_detours(tree: SearchTree, path: list, k: int, rng: random.Random,
     return DetourPlan(detours, k)
 
 
-class TraceVerbalizer:
-    """Task hooks for turning tree nodes into trace text.
-
-    Subclasses override ``observation`` (why the wrong branch is
-    abandoned) and ``conclusion``; ``step_text`` defaults to the node's
-    stored state text.
-    """
-
-    answer: str = ""
-
-    def step_text(self, node: SearchNode) -> str:
-        return node.state_text
-
-    def observation(self, detour: Detour, wrong_nodes: list) -> str:
-        raise NotImplementedError
-
-    def conclusion(self) -> str:
-        raise NotImplementedError
-
-
-def linearize(tree: SearchTree, path: list, detours: list,
-              verbalizer: TraceVerbalizer) -> ReasoningTrace:
+def linearize(tree: SearchTree, path: list, detours: list, answer: str,
+              observe: Callable[[Detour, list], str]) -> ReasoningTrace:
     """Interleave the solution path with detours into an event sequence.
 
-    Each detour is inserted immediately after its branch-point step: the
-    wrong steps continue the numbering, the backtrack marker names the
-    branch-point step, and numbering resumes from there. Malformed detour
+    Each node's step text is its stored state text. Each detour is
+    inserted immediately after its branch-point step: the wrong steps
+    continue the numbering, the backtrack marker names the branch-point
+    step and carries ``observe(detour, wrong_nodes)``, the task's reason
+    for abandoning the branch, and numbering resumes from there. The trace
+    ends with ``CONCLUSION`` and carries ``answer``. Malformed detour
     references (branch point not on the path at the stated position, or a
     wrong path that does not start at a child of the branch point) raise
     ValueError.
@@ -250,21 +244,21 @@ def linearize(tree: SearchTree, path: list, detours: list,
     events: list = []
     for pos in range(1, len(path)):
         node = tree.nodes[path[pos]]
-        events.append(Step(pos, verbalizer.step_text(node)))
+        events.append(Step(pos, node.state_text))
         for det in by_position.get(pos, ()):  # noqa: B020 - insertion order
             wrong_nodes = [tree.nodes[i] for i in det.wrong_path]
             widx = pos
             for wnode in wrong_nodes:
                 widx += 1
-                events.append(Step(widx, verbalizer.step_text(wnode)))
+                events.append(Step(widx, wnode.state_text))
             marker = BACKTRACK_TEMPLATE.format(
-                observation=verbalizer.observation(det, wrong_nodes), step=pos,
+                observation=observe(det, wrong_nodes), step=pos,
             )
             events.append(BacktrackMarker(pos, marker))
-    events.append(Conclusion(verbalizer.conclusion()))
+    events.append(Conclusion(CONCLUSION))
     return ReasoningTrace(
         events=tuple(events),
-        answer=verbalizer.answer,
+        answer=answer,
         backtracks=len(detours),
     )
 
@@ -291,28 +285,28 @@ def strip_detours(trace: ReasoningTrace) -> ReasoningTrace:
     )
 
 
-def build_with_retries(task: str, instance_id: int, seed: int, k: int, config,
+def build_with_retries(task: str, instance_id: int, seed: int, k: int,
                        sample: Callable, make_trace: Callable):
     """Sample puzzles until one yields a trace with exactly ``k`` backtracks.
 
     Attempt ``a`` draws from ``random.Random(derive_seed(seed, a))``:
-    ``sample(rng, config)`` makes a puzzle, then ``make_trace(puzzle, k,
-    rng, config)`` linearizes it, raising GenerationError or
-    NoSolutionError when the puzzle cannot host ``k`` detours. Gives up
-    after ``config.max_trace_retries`` attempts with a GenerationError
-    naming the task, id, k and seed. Returns (puzzle, trace), with the
-    instance id stamped into the trace's meta.
+    ``sample(rng)`` makes a puzzle, then ``make_trace(puzzle, k, rng)``
+    linearizes it, raising GenerationError or NoSolutionError when the
+    puzzle cannot host ``k`` detours. Gives up after
+    ``MAX_TRACE_RETRIES`` attempts with a GenerationError naming the task,
+    id, k and seed. Returns (puzzle, trace), with the instance id stamped
+    into the trace's meta.
     """
-    for attempt in range(config.max_trace_retries):
+    for attempt in range(MAX_TRACE_RETRIES):
         rng = random.Random(derive_seed(seed, attempt))
-        puzzle = sample(rng, config)
+        puzzle = sample(rng)
         try:
-            trace = make_trace(puzzle, k, rng, config)
+            trace = make_trace(puzzle, k, rng)
         except (GenerationError, NoSolutionError):
             continue
         trace.meta["instance_id"] = instance_id
         return puzzle, trace
     raise GenerationError(
         f"{task} id {instance_id}: no puzzle hosting k={k} backtracks after "
-        f"{config.max_trace_retries} attempts (seed {seed:#018x})"
+        f"{MAX_TRACE_RETRIES} attempts (seed {seed:#018x})"
     )

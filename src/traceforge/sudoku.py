@@ -21,14 +21,13 @@ from .core import (
     TaskKind,
 )
 from .search import (
+    MAX_DETOUR_DEPTH,
     SearchTree,
-    TraceVerbalizer,
     build_with_retries,
     linearize,
     select_detours,
     solution_path,
 )
-from .countdown import CONCLUSION
 
 ROW_OF = tuple(i // 9 for i in range(81))
 COL_OF = tuple(i % 9 for i in range(81))
@@ -50,15 +49,8 @@ class SudokuPuzzle:
     blanks: int
 
 
-@dataclass(frozen=True)
-class SudokuConfig:
-    blank_range: tuple = (30, 60)
-    max_detour_depth: int = 2
-    max_trace_retries: int = 50
-    fill_restart_steps: int = 20_000  # backtrack cap before a fresh fill
-
-
-DEFAULT_CONFIG = SudokuConfig()
+BLANK_RANGE = (30, 60)
+FILL_RESTART_STEPS = 20_000  # backtrack cap before a fresh fill
 
 
 def _prepare(grid):
@@ -189,8 +181,7 @@ def solve_grid(grid) -> Optional[tuple]:
     return tuple(out)
 
 
-def generate_full(rng: random.Random,
-                  config: SudokuConfig = DEFAULT_CONFIG) -> tuple:
+def generate_full(rng: random.Random) -> tuple:
     """A uniformly scrambled complete grid via randomized backtracking."""
     while True:
         grid = [0] * 81
@@ -204,7 +195,7 @@ def generate_full(rng: random.Random,
             if i == 81:
                 return True
             steps += 1
-            if steps > config.fill_restart_steps:
+            if steps > FILL_RESTART_STEPS:
                 return False
             r, c, b = ROW_OF[i], COL_OF[i], BOX_OF[i]
             m = FULL & ~(rows[r] | cols[c] | boxes[b])
@@ -233,8 +224,7 @@ def generate_full(rng: random.Random,
             return tuple(grid)
 
 
-def dig_holes(solution, blanks: int, rng: random.Random,
-              config: SudokuConfig = DEFAULT_CONFIG) -> SudokuPuzzle:
+def dig_holes(solution, blanks: int, rng: random.Random) -> SudokuPuzzle:
     """Remove givens from a complete grid, keeping the solution unique.
 
     A cell may be blanked only if no alternative digit there admits any
@@ -244,7 +234,7 @@ def dig_holes(solution, blanks: int, rng: random.Random,
     be removed the puzzle reports the achieved count in its ``blanks``
     field rather than failing.
     """
-    lo, hi = config.blank_range
+    lo, hi = BLANK_RANGE
     if not lo <= blanks <= hi:
         raise ValueError(f"blank count {blanks} outside allowed range {lo}..{hi}")
     grid = list(solution)
@@ -262,14 +252,13 @@ def dig_holes(solution, blanks: int, rng: random.Random,
     return SudokuPuzzle(tuple(grid), tuple(solution), removed)
 
 
-def generate(rng: random.Random,
-             config: SudokuConfig = DEFAULT_CONFIG) -> SudokuPuzzle:
-    full = generate_full(rng, config)
-    blanks = rng.randint(*config.blank_range)
-    return dig_holes(full, blanks, rng, config)
+def generate(rng: random.Random) -> SudokuPuzzle:
+    full = generate_full(rng)
+    blanks = rng.randint(*BLANK_RANGE)
+    return dig_holes(full, blanks, rng)
 
 
-def from_givens(grid, config: SudokuConfig = DEFAULT_CONFIG) -> SudokuPuzzle:
+def from_givens(grid) -> SudokuPuzzle:
     """Wrap an untrusted givens grid, proving it has exactly one solution."""
     solved = solve_grid(grid)
     if solved is None:
@@ -281,8 +270,7 @@ def from_givens(grid, config: SudokuConfig = DEFAULT_CONFIG) -> SudokuPuzzle:
 
 # --- solving into a tree -----------------------------------------------------
 
-def solve_dfs(puzzle: SudokuPuzzle, config: SudokuConfig = DEFAULT_CONFIG,
-              validate: bool = False):
+def solve_dfs(puzzle: SudokuPuzzle):
     """Build the search tree for a puzzle's unique solution.
 
     The tree mirrors a plain backtracking solver: empty cells in row-major
@@ -290,15 +278,9 @@ def solve_dfs(puzzle: SudokuPuzzle, config: SudokuConfig = DEFAULT_CONFIG,
     is unique, any candidate other than the solution's digit is a dead
     branch, so the root-to-solution path is the solver's successful line
     and off-path children are the wrong placements a detour can take.
-    Pass ``validate=True`` to re-prove uniqueness first (for puzzles that
-    did not come from :func:`generate`).
+    A puzzle from outside goes through :func:`from_givens`, which proves
+    that uniqueness first.
     """
-    if validate:
-        n = count_solutions(puzzle.givens, limit=2)
-        if n == 0:
-            raise NoSolutionError("puzzle givens admit no completion")
-        if n > 1:
-            raise MultipleSolutionsError("puzzle givens admit several completions")
     prep = _prepare(puzzle.givens)
     if prep is None:
         raise NoSolutionError("puzzle givens conflict")
@@ -349,7 +331,7 @@ def _contradiction_cell(grid):
     return None
 
 
-def _extend_sudoku(config: SudokuConfig):
+def _extend_sudoku(tree, branch_id, excluded, rng):
     """Walk a wrong placement deeper, following the solver's cell order.
 
     Every branch off the solution path is dead by uniqueness, so unlike
@@ -357,82 +339,70 @@ def _extend_sudoku(config: SudokuConfig):
     the next cell has no valid digit left (the contradiction is already
     visible).
     """
-
-    def extend(tree, branch_id, excluded, rng):
-        node = tree.nodes[branch_id]
-        candidates = [c for c in node.children
-                      if c not in excluded and not tree.nodes[c].is_solution]
-        if not candidates:
-            return None
-        cand = candidates[rng.randrange(len(candidates))]
-        wrong = [cand]
-        cursor = cand
-        while len(wrong) < config.max_detour_depth:
-            grid = list(tree.nodes[cursor].payload)
-            prep = _prepare(grid)
-            if prep is None:
-                break
-            rows, cols, boxes, empties = prep
-            if not empties:
-                break
-            cell = empties[0]  # next cell in row-major order
-            mask = FULL & ~(rows[ROW_OF[cell]] | cols[COL_OF[cell]] | boxes[BOX_OF[cell]])
-            if not mask:
-                break
-            bits = []
-            while mask:
-                bit = mask & -mask
-                mask ^= bit
-                bits.append(bit)
-            d = bits[rng.randrange(len(bits))].bit_length() - 1
-            grid[cell] = d
-            cursor = tree.add_node(
-                f"place {d} at row {ROW_OF[cell] + 1}, column {COL_OF[cell] + 1}.",
-                parent=cursor,
-                payload=tuple(grid),
-            )
-            wrong.append(cursor)
-        return wrong
-
-    return extend
+    node = tree.nodes[branch_id]
+    candidates = [c for c in node.children
+                  if c not in excluded and not tree.nodes[c].is_solution]
+    if not candidates:
+        return None
+    cand = candidates[rng.randrange(len(candidates))]
+    wrong = [cand]
+    cursor = cand
+    while len(wrong) < MAX_DETOUR_DEPTH:
+        grid = list(tree.nodes[cursor].payload)
+        prep = _prepare(grid)
+        if prep is None:
+            break
+        rows, cols, boxes, empties = prep
+        if not empties:
+            break
+        cell = empties[0]  # next cell in row-major order
+        mask = FULL & ~(rows[ROW_OF[cell]] | cols[COL_OF[cell]] | boxes[BOX_OF[cell]])
+        if not mask:
+            break
+        bits = []
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            bits.append(bit)
+        d = bits[rng.randrange(len(bits))].bit_length() - 1
+        grid[cell] = d
+        cursor = tree.add_node(
+            f"place {d} at row {ROW_OF[cell] + 1}, column {COL_OF[cell] + 1}.",
+            parent=cursor,
+            payload=tuple(grid),
+        )
+        wrong.append(cursor)
+    return wrong
 
 
-class _SudokuVerbalizer(TraceVerbalizer):
-    def __init__(self, answer: str, tree: SearchTree):
-        self.answer = answer
-        self._tree = tree
-
-    def observation(self, detour, wrong_nodes) -> str:
-        end = wrong_nodes[-1]
-        stuck = _contradiction_cell(end.payload)
-        if stuck is not None:
-            return (f"There is no digit that can go in row {ROW_OF[stuck] + 1}, "
-                    f"column {COL_OF[stuck] + 1}.")
-        # no visible contradiction yet: the first wrong placement is still
-        # impossible because the solution is unique
-        before = self._tree.nodes[detour.branch_point].payload
-        after = wrong_nodes[0].payload
-        cell = next(i for i in range(81) if before[i] != after[i])
-        return (f"The digit {after[cell]} cannot go in row {ROW_OF[cell] + 1}, "
-                f"column {COL_OF[cell] + 1}.")
-
-    def conclusion(self) -> str:
-        return CONCLUSION
+def _observe(tree, detour, wrong_nodes) -> str:
+    """Why a detour is dead: the cell its last placement left without
+    candidates, else its first placement."""
+    stuck = _contradiction_cell(wrong_nodes[-1].payload)
+    if stuck is not None:
+        return (f"There is no digit that can go in row {ROW_OF[stuck] + 1}, "
+                f"column {COL_OF[stuck] + 1}.")
+    # no visible contradiction yet: the first wrong placement is still
+    # impossible because the solution is unique
+    before = tree.nodes[detour.branch_point].payload
+    after = wrong_nodes[0].payload
+    cell = next(i for i in range(81) if before[i] != after[i])
+    return (f"The digit {after[cell]} cannot go in row {ROW_OF[cell] + 1}, "
+            f"column {COL_OF[cell] + 1}.")
 
 
-def make_trace(puzzle: SudokuPuzzle, k: int, rng: random.Random,
-               config: SudokuConfig = DEFAULT_CONFIG):
+def make_trace(puzzle: SudokuPuzzle, k: int, rng: random.Random):
     """Linearize the solve into a trace with exactly ``k`` backtracks.
 
     Detours can only branch where the chosen cell had several candidates;
     heavily constrained puzzles may not host ``k`` of them, in which case
     this raises GenerationError and callers resample.
     """
-    tree, solution = solve_dfs(puzzle, config)
+    tree, solution = solve_dfs(puzzle)
     path = solution_path(tree)
-    plan = select_detours(tree, path, k, rng, extend_fn=_extend_sudoku(config))
-    return linearize(tree, path, plan.exact(),
-                     _SudokuVerbalizer(render_grid(solution), tree))
+    plan = select_detours(tree, path, k, rng, extend_fn=_extend_sudoku)
+    return linearize(tree, path, plan.exact(), render_grid(solution),
+                     lambda det, wrong: _observe(tree, det, wrong))
 
 
 # --- answer checking ---------------------------------------------------------
@@ -497,15 +467,13 @@ def puzzle_from_instance(instance: ProblemInstance) -> SudokuPuzzle:
     return SudokuPuzzle(givens, solution, sum(1 for v in givens if v == 0))
 
 
-def build_instance(instance_id: int, seed: int,
-                   config: SudokuConfig = DEFAULT_CONFIG) -> ProblemInstance:
+def build_instance(instance_id: int, seed: int) -> ProblemInstance:
     rng = random.Random(seed)
-    return _instance(instance_id, seed, generate(rng, config))
+    return _instance(instance_id, seed, generate(rng))
 
 
-def build_traced(instance_id: int, seed: int, k: int,
-                 config: SudokuConfig = DEFAULT_CONFIG):
+def build_traced(instance_id: int, seed: int, k: int):
     """A puzzle whose trace carries exactly k backtracks: (instance, trace)."""
-    puzzle, trace = build_with_retries("sudoku", instance_id, seed, k, config,
+    puzzle, trace = build_with_retries("sudoku", instance_id, seed, k,
                                        generate, make_trace)
     return _instance(instance_id, seed, puzzle), trace

@@ -78,21 +78,15 @@ class Triangle:
         return self.signed_area2() == 0
 
 
-@dataclass(frozen=True)
-class GeometryConfig:
-    coord_range: tuple = (-10, 10)
-    decimals_angle: int = 2
-    decimals_point: int = 3
-
-
-GEOMETRY_CONFIG = GeometryConfig()
+COORD_RANGE = (-10, 10)
+ANGLE_DECIMALS = 2
+POINT_DECIMALS = 3  # orthocenter coordinates and incircle radius
 
 VERTEX_NAMES = ("A", "B", "C")
 
 
-def sample_triangle(rng: random.Random,
-                    config: GeometryConfig = GEOMETRY_CONFIG) -> Triangle:
-    lo, hi = config.coord_range
+def sample_triangle(rng: random.Random) -> Triangle:
+    lo, hi = COORD_RANGE
     while True:
         pts = []
         while len(pts) < 3:
@@ -147,17 +141,17 @@ def incircle_radius(tri: Triangle) -> float:
     return area / ((sa + sb + sc) / 2.0)
 
 
-def format_angle(value: float, config: GeometryConfig = GEOMETRY_CONFIG) -> str:
-    return round_half_away(value, config.decimals_angle) + "°"
+def format_angle(value: float) -> str:
+    return round_half_away(value, ANGLE_DECIMALS) + "°"
 
 
-def format_point(x, y, config: GeometryConfig = GEOMETRY_CONFIG) -> str:
-    return (f"({round_half_away(x, config.decimals_point)}, "
-            f"{round_half_away(y, config.decimals_point)})")
+def format_point(x, y) -> str:
+    return (f"({round_half_away(x, POINT_DECIMALS)}, "
+            f"{round_half_away(y, POINT_DECIMALS)})")
 
 
-def format_radius(value: float, config: GeometryConfig = GEOMETRY_CONFIG) -> str:
-    return round_half_away(value, config.decimals_point)
+def format_radius(value: float) -> str:
+    return round_half_away(value, POINT_DECIMALS)
 
 
 # digits are ASCII only: Unicode \d would let other scripts' digits through
@@ -230,12 +224,11 @@ INCIRCLE_PROMPT = (
 )
 
 
-def build_angle_instance(instance_id: int, seed: int,
-                         config: GeometryConfig = GEOMETRY_CONFIG) -> ProblemInstance:
+def build_angle_instance(instance_id: int, seed: int) -> ProblemInstance:
     rng = random.Random(seed)
-    tri = sample_triangle(rng, config)
+    tri = sample_triangle(rng)
     vertex = rng.randrange(3)
-    truth = format_angle(angle_at(tri, vertex), config)
+    truth = format_angle(angle_at(tri, vertex))
     return ProblemInstance(
         id=instance_id,
         task=TaskKind.GEOMETRY_ANGLE,
@@ -247,30 +240,28 @@ def build_angle_instance(instance_id: int, seed: int,
     )
 
 
-def build_orthocenter_instance(instance_id: int, seed: int,
-                               config: GeometryConfig = GEOMETRY_CONFIG) -> ProblemInstance:
+def build_orthocenter_instance(instance_id: int, seed: int) -> ProblemInstance:
     rng = random.Random(seed)
-    tri = sample_triangle(rng, config)
+    tri = sample_triangle(rng)
     x, y = orthocenter(tri)
     return ProblemInstance(
         id=instance_id,
         task=TaskKind.GEOMETRY_ORTHOCENTER,
         prompt=ORTHOCENTER_PROMPT.format(triangle=_triangle_text(tri)),
-        ground_truth=format_point(x, y, config),
+        ground_truth=format_point(x, y),
         seed=seed,
         meta={"vertices": [list(p) for p in tri.vertices]},
     )
 
 
-def build_incircle_instance(instance_id: int, seed: int,
-                            config: GeometryConfig = GEOMETRY_CONFIG) -> ProblemInstance:
+def build_incircle_instance(instance_id: int, seed: int) -> ProblemInstance:
     rng = random.Random(seed)
-    tri = sample_triangle(rng, config)
+    tri = sample_triangle(rng)
     return ProblemInstance(
         id=instance_id,
         task=TaskKind.GEOMETRY_INCIRCLE,
         prompt=INCIRCLE_PROMPT.format(triangle=_triangle_text(tri)),
-        ground_truth=format_radius(incircle_radius(tri), config),
+        ground_truth=format_radius(incircle_radius(tri)),
         seed=seed,
         meta={"vertices": [list(p) for p in tri.vertices]},
     )
@@ -331,12 +322,7 @@ class CubeProblem:
         return apply_sequence(self.initial_state(), self.rotations)[self.query]
 
 
-@dataclass(frozen=True)
-class CubeConfig:
-    rotations_range: tuple = (3, 8)
-
-
-CUBE_CONFIG = CubeConfig()
+ROTATIONS_RANGE = (3, 8)
 
 CUBE_PROMPT = (
     "A cube has six painted faces: the top is {top}, the bottom is {bottom}, "
@@ -346,10 +332,9 @@ CUBE_PROMPT = (
 )
 
 
-def cube_generate(rng: random.Random,
-                  config: CubeConfig = CUBE_CONFIG) -> CubeProblem:
+def cube_generate(rng: random.Random) -> CubeProblem:
     colors = rng.sample(PALETTE, 6)
-    n = rng.randint(*config.rotations_range)
+    n = rng.randint(*ROTATIONS_RANGE)
     names = sorted(ROTATION_SOURCES)
     rotations = tuple(names[rng.randrange(len(names))] for _ in range(n))
     query = FACES[rng.randrange(6)]
@@ -369,10 +354,9 @@ def cube_prompt(problem: CubeProblem) -> str:
                               query=problem.query, **named)
 
 
-def build_cube_instance(instance_id: int, seed: int,
-                        config: CubeConfig = CUBE_CONFIG) -> ProblemInstance:
+def build_cube_instance(instance_id: int, seed: int) -> ProblemInstance:
     rng = random.Random(seed)
-    problem = cube_generate(rng, config)
+    problem = cube_generate(rng)
     return ProblemInstance(
         id=instance_id,
         task=TaskKind.COLOR_CUBE,

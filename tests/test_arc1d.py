@@ -90,11 +90,10 @@ def test_generate_examples_are_nontrivial():
 
 
 def test_generate_respects_config():
-    cfg = a1.DEFAULT_CONFIG
     for task in sample_tasks(20):
-        assert cfg.pairs_range[0] <= len(task.train_pairs) <= cfg.pairs_range[1]
+        assert a1.PAIRS_RANGE[0] <= len(task.train_pairs) <= a1.PAIRS_RANGE[1]
         length = len(task.test_input)
-        assert cfg.length_range[0] <= length <= cfg.length_range[1]
+        assert a1.LENGTH_RANGE[0] <= length <= a1.LENGTH_RANGE[1]
         assert all(len(i) == length for i, _ in task.train_pairs)
 
 
@@ -160,6 +159,17 @@ def test_trace_marker_count_is_exact(k):
     markers = [ev for ev in trace.events if isinstance(ev, BacktrackMarker)]
     assert len(markers) == k
     assert trace.backtracks == k
+
+
+@pytest.mark.parametrize("k", [1, 5, 16])
+def test_every_detour_is_one_wrong_attempt(k):
+    # attempt nodes have no children, so no detour can walk past one
+    for i, task in enumerate(sample_tasks(10)):
+        tree, _ = a1.heuristic_solve(task)
+        path = solution_path(tree)
+        plan = a1.select_detours(tree, path, k, random.Random(i))
+        assert len(plan.exact()) == k
+        assert all(len(det.wrong_path) == 1 for det in plan.detours)
 
 
 def test_trace_k_at_pool_size_is_rejected():

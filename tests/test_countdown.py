@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceforge import countdown as cd
+from traceforge import search
 from traceforge.core import (
     BacktrackMarker,
     GenerationError,
@@ -21,10 +22,10 @@ from traceforge.core import (
 from traceforge.search import solution_path
 
 
-def sample_puzzles(n, master=4242, config=cd.DEFAULT_CONFIG):
+def sample_puzzles(n, master=4242):
     for i in range(n):
         rng = random.Random(derive_seed(master, i))
-        yield cd.generate(rng, config)
+        yield cd.generate(rng)
 
 
 def instance_of(puzzle):
@@ -44,12 +45,11 @@ def correct(puzzle, text):
 
 
 def test_generate_respects_ranges():
-    cfg = cd.DEFAULT_CONFIG
     for puzzle, witness in sample_puzzles(50):
-        assert cfg.count_range[0] <= len(puzzle.numbers) <= cfg.count_range[1]
-        assert all(cfg.value_range[0] <= v <= cfg.value_range[1]
+        assert cd.COUNT_RANGE[0] <= len(puzzle.numbers) <= cd.COUNT_RANGE[1]
+        assert all(cd.VALUE_RANGE[0] <= v <= cd.VALUE_RANGE[1]
                    for v in puzzle.numbers)
-        assert cfg.target_range[0] <= puzzle.target <= cfg.target_range[1]
+        assert cd.TARGET_RANGE[0] <= puzzle.target <= cd.TARGET_RANGE[1]
         assert puzzle.target not in puzzle.numbers
 
 
@@ -187,10 +187,10 @@ def test_solve_dfs_unreachable_raises():
         cd.solve_dfs(cd.CountdownPuzzle((2, 2), 9))
 
 
-def test_solve_dfs_budget_exhaustion_raises():
-    cfg = cd.CountdownConfig(node_budget=1)
+def test_solve_dfs_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(cd, "NODE_BUDGET", 1)
     with pytest.raises(NoSolutionError):
-        cd.solve_dfs(cd.CountdownPuzzle((2, 3, 4, 30), 29), cfg)
+        cd.solve_dfs(cd.CountdownPuzzle((2, 3, 4, 30), 29))
 
 
 def test_solve_dfs_target_among_numbers_is_leaf_answer():
@@ -283,6 +283,34 @@ def test_verify_checks_multiset_usage():
     assert cd.check(instance_of(puzzle), "5 + 5 = 10") == (False, False)
 
 
+def test_check_over_count_answer_keeps_its_parse_label():
+    puzzle = cd.CountdownPuzzle((1, 2, 3, 4), 15)
+    # one number more than the puzzle offers: an expression, so wrong
+    assert cd.check(instance_of(puzzle), "1+2+3+4+5") == (True, False)
+    # the same count with an unclosed parenthesis is no expression
+    assert cd.check(instance_of(puzzle), "(1+2+3+4+5") == (False, False)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+".join(["1"] * (cd.MAX_ANSWER_OPERATORS + 2)),
+        "+".join(["1"] * 5000),
+        "-" * 10_000 + "1",
+    ],
+    ids=["over-cap", "5000-term", "unary-chain"],
+)
+def test_parse_answer_rejects_long_input(text):
+    assert cd.parse_answer(text) is None
+
+
+def test_parse_answer_accepts_up_to_the_cap():
+    terms = cd.MAX_ANSWER_OPERATORS + 1
+    value, used = cd.parse_answer("+".join(["1"] * terms))
+    assert value == terms
+    assert used == {1: terms}
+
+
 def test_verify_allows_subset_of_numbers():
     puzzle = cd.CountdownPuzzle((9, 4, 7, 2), 13)
     assert correct(puzzle, "9 + 4")
@@ -346,7 +374,7 @@ def test_trace_detour_end_states_are_dead():
         path = solution_path(tree)
         plan = cd.select_detours(
             tree, path, 3, random.Random(derive_seed(55, i)),
-            extend_fn=cd._make_extend(cd.DEFAULT_CONFIG, puzzle.target, {}),
+            extend_fn=cd._make_extend(puzzle.target),
         )
         for det in plan.detours:
             end_values = tree.node(det.wrong_path[-1]).payload
@@ -381,11 +409,11 @@ def test_trace_completion_is_well_formed():
     assert tags.answer == trace.answer
 
 
-def test_retry_exhaustion_names_task_id_k_and_seed():
+def test_retry_exhaustion_names_task_id_k_and_seed(monkeypatch):
     seed = derive_seed(9, 7)
-    config = cd.CountdownConfig(max_trace_retries=1)
+    monkeypatch.setattr(search, "MAX_TRACE_RETRIES", 1)
     with pytest.raises(GenerationError) as err:
-        cd.build_traced(7, seed, 1000, config)
+        cd.build_traced(7, seed, 1000)
     message = str(err.value)
     for part in ("countdown", "id 7", "k=1000", f"{seed:#018x}"):
         assert part in message

@@ -119,12 +119,11 @@ def test_final_color_matches_vector_model():
 
 
 def test_cube_generate_shape():
-    cfg = xt.CUBE_CONFIG
     for i in range(30):
         p = xt.cube_generate(random.Random(i))
         assert len(set(p.initial)) == 6
         assert set(p.initial) <= set(xt.PALETTE)
-        lo, hi = cfg.rotations_range
+        lo, hi = xt.ROTATIONS_RANGE
         assert lo <= len(p.rotations) <= hi
         assert p.query in xt.FACES
 

@@ -81,7 +81,7 @@ def sample_triangles(n, master=909):
 
 
 def test_sample_triangle_in_range_and_nondegenerate():
-    lo, hi = xt.GEOMETRY_CONFIG.coord_range
+    lo, hi = xt.COORD_RANGE
     for tri in sample_triangles(50):
         assert not tri.is_degenerate()
         assert len(set(tri.vertices)) == 3

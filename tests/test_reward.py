@@ -1,15 +1,19 @@
 import random
+import time
 
 import pytest
 from helpers import wrap
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from traceforge import arc1d, countdown, reward, sudoku, xtasks
 from traceforge.core import ProblemInstance, TaskKind
 from traceforge.reward import (
+    CATEGORIES,
     CORRECT,
     INCORRECT,
     INCORRECT_FORMAT,
-    RewardConfig,
+    ScoreBreakdown,
     classify,
     evaluate,
     pass_at_1,
@@ -57,7 +61,7 @@ def test_broken_tags_zero_out_a_right_answer(cd_instance):
 
 def test_ungated_config_pays_answer_despite_tags(cd_instance):
     text = f"<answer>{cd_instance.ground_truth}</answer>"
-    got = score(cd_instance, text, RewardConfig(gated=False))
+    got = score(cd_instance, text, gated=False)
     assert got.format_score == 0.0
     assert got.answer_score == 0.9
     assert got.total == 0.9
@@ -176,6 +180,67 @@ def listfunc_instance():
         id=1, task=TaskKind.LIST_FUNCTIONS, prompt="Apply the rule to [1, 2, 3].",
         ground_truth="[2, 4, 6]", seed=2, meta={},
     )
+
+
+def every_task_instance():
+    return [
+        countdown.build_instance(0, 12345),
+        sudoku.build_instance(0, 777),
+        arc1d.build_instance(0, 2024),
+        xtasks.build_angle_instance(0, 31),
+        xtasks.build_orthocenter_instance(0, 32),
+        xtasks.build_incircle_instance(0, 33),
+        xtasks.build_cube_instance(0, 444),
+        xtasks.build_selfref_instance(0, 555),
+        zebra_instance(),
+        listfunc_instance(),
+    ]
+
+
+def test_every_task_instance_covers_every_task():
+    assert {inst.task for inst in every_task_instance()} == set(TaskKind)
+
+
+@pytest.mark.parametrize("terms", [999, 1000, 5000])
+def test_countdown_long_sum_scores_incorrect_format(cd_instance, terms):
+    # past the answer grammar's cap on operators
+    got = score(cd_instance, wrap("+".join(["1"] * terms)))
+    assert got.category == INCORRECT_FORMAT
+
+
+def test_countdown_unary_chain_is_unparseable(cd_instance):
+    assert score(cd_instance, wrap("-" * 10_000 + "1")).category == INCORRECT_FORMAT
+
+
+def _nested(depth, left, right):
+    return left * depth + "1" + right * depth
+
+
+ADVERSARIAL_ANSWERS = st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789+-*/() \n[],.°"),
+    st.integers(0, 10_000).map(lambda n: "+".join(["1"] * n)),
+    st.integers(0, 1_000).map(lambda d: _nested(d, "(", ")")),
+    st.integers(0, 1_000).map(lambda d: _nested(d, "1+(", ")")),
+    st.integers(0, 1_000).map(lambda d: _nested(d, "[", "]")),
+    st.integers(0, 10_000).map(lambda n: "-" * n + "1"),
+)
+
+
+@pytest.mark.parametrize("inst", every_task_instance(), ids=lambda i: i.task.value)
+@settings(max_examples=40, deadline=None)
+@given(answer=ADVERSARIAL_ANSWERS, tagged=st.booleans())
+@example(answer="+".join(["1"] * 10_000), tagged=True)
+@example(answer=_nested(1_000, "(", ")"), tagged=True)
+@example(answer=_nested(1_000, "1+(", ")"), tagged=True)
+@example(answer="-" * 10_000 + "1", tagged=True)
+def test_score_is_total_and_bounded(inst, answer, tagged):
+    completion = wrap(answer) if tagged else answer
+    start = time.perf_counter()
+    got = score(inst, completion)
+    assert time.perf_counter() - start < 2.0
+    assert isinstance(got, ScoreBreakdown)
+    assert got.category in CATEGORIES
 
 
 def test_zebra_answers():

@@ -8,7 +8,6 @@ from traceforge.core import BacktrackMarker, Conclusion, NoSolutionError, Step, 
 from traceforge.search import (
     BACKTRACK_TEMPLATE,
     SearchTree,
-    TraceVerbalizer,
     linearize,
     select_detours,
     solution_path,
@@ -38,14 +37,10 @@ def chain_tree(depth: int, branching: int = 3):
     return tree
 
 
-class PlainVerbalizer(TraceVerbalizer):
-    answer = "42"
-
-    def observation(self, detour, wrong_nodes):
-        return "That goes nowhere."
-
-    def conclusion(self):
-        return "This matches the problem statement. This is the solution."
+def plain_linearize(tree, path, detours):
+    """linearize with a fixed answer and the same reason for every detour."""
+    return linearize(tree, path, detours, "42",
+                     lambda detour, wrong_nodes: "That goes nowhere.")
 
 
 # --- trees and paths ---------------------------------------------------------
@@ -180,7 +175,7 @@ def test_linearize_numbering_and_markers():
     tree = chain_tree(depth=4, branching=3)
     path = solution_path(tree)
     plan = select_detours(tree, path, 2, random.Random(9))
-    trace = linearize(tree, path, plan.detours, PlainVerbalizer())
+    trace = plain_linearize(tree, path, plan.detours)
     markers = [ev for ev in trace.events if isinstance(ev, BacktrackMarker)]
     assert len(markers) == 2
     assert trace.backtracks == 2
@@ -197,7 +192,7 @@ def test_linearize_wrong_steps_continue_numbering():
     tree = chain_tree(depth=4, branching=3)
     path = solution_path(tree)
     plan = select_detours(tree, path, 1, random.Random(4))
-    trace = linearize(tree, path, plan.detours, PlainVerbalizer())
+    trace = plain_linearize(tree, path, plan.detours)
     detour = plan.detours[0]
     indices = []
     seen_marker = False
@@ -224,7 +219,7 @@ def test_linearize_rejects_detour_off_the_path():
     det = plan.detours[0]
     bad = type(det)(det.branch_point, det.wrong_path, len(path))
     with pytest.raises(ValueError):
-        linearize(tree, path, [bad], PlainVerbalizer())
+        plain_linearize(tree, path, [bad])
 
 
 def test_linearize_rejects_mismatched_branch_point():
@@ -235,7 +230,7 @@ def test_linearize_rejects_mismatched_branch_point():
     other_pos = 1 if det.resume_step != 1 else 2
     bad = type(det)(det.branch_point, det.wrong_path, other_pos)
     with pytest.raises(ValueError):
-        linearize(tree, path, [bad], PlainVerbalizer())
+        plain_linearize(tree, path, [bad])
 
 
 def test_linearize_rejects_detached_wrong_path():
@@ -245,7 +240,7 @@ def test_linearize_rejects_detached_wrong_path():
     det = plan.detours[0]
     bad = type(det)(det.branch_point, (path[-1],), det.resume_step)
     with pytest.raises(ValueError):
-        linearize(tree, path, [bad], PlainVerbalizer())
+        plain_linearize(tree, path, [bad])
 
 
 # --- detour removal ----------------------------------------------------------
@@ -262,8 +257,8 @@ def test_strip_detours_recovers_plain_rendering(depth, branching, k, seed):
     tree = chain_tree(depth=depth, branching=branching)
     path = solution_path(tree)
     plan = select_detours(tree, path, k, random.Random(seed))
-    trace = linearize(tree, path, plan.detours, PlainVerbalizer())
-    plain = linearize(tree, path, [], PlainVerbalizer())
+    trace = plain_linearize(tree, path, plan.detours)
+    plain = plain_linearize(tree, path, [])
     stripped = strip_detours(trace)
     assert stripped.backtracks == 0
     assert render_completion(stripped) == render_completion(plain)
@@ -273,7 +268,7 @@ def test_strip_detours_keeps_answer_and_meta():
     tree = chain_tree(depth=4)
     path = solution_path(tree)
     plan = select_detours(tree, path, 2, random.Random(8))
-    trace = linearize(tree, path, plan.detours, PlainVerbalizer())
+    trace = plain_linearize(tree, path, plan.detours)
     trace.meta["instance_id"] = 5
     stripped = strip_detours(trace)
     assert stripped.answer == trace.answer
@@ -283,5 +278,5 @@ def test_strip_detours_keeps_answer_and_meta():
 def test_strip_detours_is_identity_on_clean_traces():
     tree = chain_tree(depth=5)
     path = solution_path(tree)
-    trace = linearize(tree, path, [], PlainVerbalizer())
+    trace = plain_linearize(tree, path, [])
     assert strip_detours(trace).events == trace.events

@@ -60,7 +60,7 @@ def test_dig_holes_givens_agree_with_solution():
             else:
                 assert given == solved
         assert blanks == puzzle.blanks
-        lo, hi = sd.DEFAULT_CONFIG.blank_range
+        lo, hi = sd.BLANK_RANGE
         assert lo <= puzzle.blanks <= hi
 
 
@@ -157,8 +157,7 @@ def test_solve_dfs_children_are_ascending_candidates():
 
 def test_solve_dfs_validate_flag():
     with pytest.raises(MultipleSolutionsError):
-        sd.solve_dfs(sd.SudokuPuzzle(tuple([0] * 81), tuple([0] * 81), 81),
-                     validate=True)
+        sd.solve_dfs(sd.from_givens([0] * 81))
 
 
 # --- traces ------------------------------------------------------------------
