@@ -250,10 +250,18 @@ def _sample_input(rule: TransformRule, rng: random.Random, length: int):
     return tuple(grid)
 
 
+def _first_mismatch(rule, pairs):
+    """(1-based example number, input, expected output) of the first pair
+    the rule gets wrong, or None when it maps every input to its output."""
+    for m, (inp, out) in enumerate(pairs, start=1):
+        if rule.apply(inp) != tuple(out):
+            return m, inp, out
+    return None
+
+
 def consistent_rules(pairs):
     """Pool rules that map every example input to its exact output."""
-    return [r for r in RULE_POOL
-            if all(r.apply(i) == tuple(o) for i, o in pairs)]
+    return [r for r in RULE_POOL if _first_mismatch(r, pairs) is None]
 
 
 def generate(rng: random.Random) -> Arc1dTask:
@@ -302,15 +310,6 @@ def _agreement(rule, pair) -> float:
     return sum(1 for a, b in zip(pred, out) if a == b) / len(out)
 
 
-def _first_mismatch(rule, pairs):
-    """(1-based example number, input, expected output) of the first pair
-    the rule gets wrong."""
-    for m, (inp, out) in enumerate(pairs, start=1):
-        if rule.apply(inp) != tuple(out):
-            return m, inp, out
-    return None
-
-
 def heuristic_solve(task: Arc1dTask):
     """Try pool rules in plausibility order; build the tree of attempts.
 
@@ -324,11 +323,8 @@ def heuristic_solve(task: Arc1dTask):
     first = task.train_pairs[0]
     order = sorted(range(len(RULE_POOL)),
                    key=lambda idx: (-_agreement(RULE_POOL[idx], first), idx))
-    winner = None
-    for idx in order:
-        if all(RULE_POOL[idx].apply(i) == tuple(o) for i, o in task.train_pairs):
-            winner = idx
-            break
+    misses = [_first_mismatch(rule, task.train_pairs) for rule in RULE_POOL]
+    winner = next((idx for idx in order if misses[idx] is None), None)
     if winner is None:
         raise NoSolutionError("no pool rule is consistent with all examples")
 
@@ -347,7 +343,7 @@ def heuristic_solve(task: Arc1dTask):
                     f"it matches all {len(task.train_pairs)} examples.")
             winner_node = tree.add_node(text, parent=study, payload=rule)
         else:
-            m, inp, _ = _first_mismatch(rule, task.train_pairs)
+            m, inp, _ = misses[idx]
             text = (f"try the rule '{rule.description}': on example {m}, "
                     f"{render_grid(inp)} would become "
                     f"{render_grid(rule.apply(inp))}.")
@@ -366,11 +362,7 @@ def heuristic_solve(task: Arc1dTask):
 
 def _observe(task: Arc1dTask, wrong_nodes) -> str:
     """Why a detour is dead: the first example its rule gets wrong."""
-    rule = wrong_nodes[-1].payload
-    hit = _first_mismatch(rule, task.train_pairs)
-    if hit is None:
-        return f"The rule '{rule.description}' does not fit the examples."
-    m, _, out = hit
+    m, _, out = _first_mismatch(wrong_nodes[-1].payload, task.train_pairs)
     return f"The expected output for example {m} is {render_grid(out)}."
 
 

@@ -137,13 +137,12 @@ PREAMBLE = "Let me solve this step by step."
 class TaggedOutput:
     """Result of scanning a completion for think/answer tag pairs.
 
-    ``think`` and ``answer`` are the spans between the first open tag and
-    the first close tag that follows it, or None when no such pair exists.
-    They are best-effort and populated even when the completion as a whole
-    is not well formed.
+    ``answer`` is the span between the first answer open tag and the first
+    close tag that follows it, or None when no such pair exists. It is
+    best-effort and populated even when the completion as a whole is not
+    well formed.
     """
 
-    think: Optional[str]
     answer: Optional[str]
     well_formed: bool
 
@@ -179,7 +178,6 @@ def extract_tags(completion: str) -> TaggedOutput:
         a_close = completion.find(ANSWER_CLOSE)
         well_formed = t_open < t_close < a_open < a_close
     return TaggedOutput(
-        think=_first_span(completion, THINK_OPEN, THINK_CLOSE),
         answer=_first_span(completion, ANSWER_OPEN, ANSWER_CLOSE),
         well_formed=well_formed,
     )

@@ -2,10 +2,11 @@
 + - * /, each number used at most once, every intermediate value a positive
 integer and every division exact.
 
-Generation works backwards (build a random expression, read off its value)
-so every emitted puzzle carries a witness. Solving is exhaustive DFS over
-combine moves with dead-state memoization, which both finds the canonical
-solution and proves unsolvability when there is none.
+Generation works backwards: random legal combines of a few sampled numbers
+give a reachable target. Solving is exhaustive DFS over combine moves with
+dead-state memoization, which both finds the canonical solution and proves
+unsolvability when there is none. Answers are verified only by
+:func:`check`, through :func:`parse_answer`.
 """
 
 from __future__ import annotations
@@ -78,26 +79,6 @@ class ArithExpr:
     def is_leaf(self) -> bool:
         return self.op is None
 
-    def value(self, numbers) -> Fraction:
-        if self.is_leaf:
-            return Fraction(numbers[self.index])
-        a = self.left.value(numbers)
-        b = self.right.value(numbers)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if b == 0:
-            raise ZeroDivisionError("division by zero in expression")
-        return a / b
-
-    def used_indices(self) -> list:
-        if self.is_leaf:
-            return [self.index]
-        return self.left.used_indices() + self.right.used_indices()
-
     def render(self, numbers) -> str:
         """Infix text with the fewest parentheses that preserve value."""
         text, _ = self._render(numbers)
@@ -165,48 +146,45 @@ def reachable(values, target) -> bool:
 
 # --- generation --------------------------------------------------------------
 
-def _random_combine(rng: random.Random, items) -> None:
-    """Merge two random items in place with a random legal operator."""
-    a, b = rng.sample(range(len(items)), 2)
-    va, ea = items[a]
-    vb, eb = items[b]
-    options = [("+", va + vb, ea, eb), ("*", va * vb, ea, eb)]
-    if va > vb:
-        options.append(("-", va - vb, ea, eb))
-    elif vb > va:
-        options.append(("-", vb - va, eb, ea))
-    if vb != 0 and va % vb == 0:
-        options.append(("/", va // vb, ea, eb))
-    elif va != 0 and vb % va == 0:
-        options.append(("/", vb // va, eb, ea))
-    op, value, lhs, rhs = options[rng.randrange(len(options))]
+def _random_combine(rng: random.Random, values) -> None:
+    """Merge two random values in place with a random legal operator."""
+    a, b = rng.sample(range(len(values)), 2)
+    va, vb = values[a], values[b]
+    # the draw below indexes this list, so its order (+ * - /) fixes which
+    # puzzle a seed gives
+    options = [va + vb, va * vb]
+    if va != vb:
+        options.append(abs(va - vb))
+    if va % vb == 0:
+        options.append(va // vb)
+    elif vb % va == 0:
+        options.append(vb // va)
+    value = options[rng.randrange(len(options))]
     for pos in sorted((a, b), reverse=True):
-        items.pop(pos)
-    items.append((value, ArithExpr.combine(op, lhs, rhs)))
+        values.pop(pos)
+    values.append(value)
 
 
-def generate(rng: random.Random):
-    """Sample a puzzle together with a witness expression.
+def generate(rng: random.Random) -> CountdownPuzzle:
+    """Sample a puzzle whose target some combination of its numbers reaches.
 
-    The witness proves solvability; the solver is still free to find a
-    different (canonical) solution. Targets that already appear among the
-    puzzle numbers are rejected so no puzzle is solvable with zero moves.
+    Targets that already appear among the puzzle numbers are rejected so no
+    puzzle is solvable with zero moves.
     """
     lo_t, hi_t = TARGET_RANGE
     for _ in range(MAX_GENERATE_ATTEMPTS):
         n = rng.randint(*COUNT_RANGE)
         numbers = tuple(rng.randint(*VALUE_RANGE) for _ in range(n))
         ops = rng.randint(1, n - 1)
-        chosen = rng.sample(range(n), ops + 1)
-        items = [(numbers[i], ArithExpr.leaf(i)) for i in chosen]
+        values = [numbers[i] for i in rng.sample(range(n), ops + 1)]
         for _ in range(ops):
-            _random_combine(rng, items)
-        value, witness = items[0]
+            _random_combine(rng, values)
+        value = values[0]
         if not (lo_t <= value <= hi_t):
             continue
         if value in numbers:
             continue
-        return CountdownPuzzle(numbers, value), witness
+        return CountdownPuzzle(numbers, value)
     raise GenerationError("could not sample a countdown puzzle within budget")
 
 
@@ -638,8 +616,7 @@ def puzzle_from_instance(instance: ProblemInstance) -> CountdownPuzzle:
 
 
 def build_instance(instance_id: int, seed: int) -> ProblemInstance:
-    rng = random.Random(seed)
-    puzzle, _ = generate(rng)
+    puzzle = generate(random.Random(seed))
     _, expr = solve_dfs(puzzle)
     return _instance(instance_id, seed, puzzle, expr.render(puzzle.numbers))
 
@@ -650,8 +627,6 @@ def build_traced(instance_id: int, seed: int, k: int):
     Resamples (with seeds derived from the instance seed) when a sampled
     puzzle cannot host k dead detours. Returns (instance, trace).
     """
-    puzzle, trace = build_with_retries(
-        "countdown", instance_id, seed, k,
-        lambda rng: generate(rng)[0], make_trace,
-    )
+    puzzle, trace = build_with_retries("countdown", instance_id, seed, k,
+                                       generate, make_trace)
     return _instance(instance_id, seed, puzzle, trace.answer), trace

@@ -149,8 +149,10 @@ def instance_to_json(instance: ProblemInstance) -> str:
 
 
 def instance_from_json(line: str) -> ProblemInstance:
+    """One instance line. The ground truth must be a string, except that a
+    list_functions truth may also be a JSON list of numbers."""
     obj = json.loads(line)
-    return ProblemInstance(
+    instance = ProblemInstance(
         id=int(obj["id"]),
         task=TaskKind(obj["task"]),
         prompt=obj["prompt"],
@@ -158,6 +160,14 @@ def instance_from_json(line: str) -> ProblemInstance:
         seed=int(obj["seed"], 16),
         meta=obj.get("meta", {}),
     )
+    truth = instance.ground_truth
+    number_list = (instance.task == TaskKind.LIST_FUNCTIONS
+                   and isinstance(truth, list)
+                   and all(type(v) in (int, float) for v in truth))
+    if not (isinstance(truth, str) or number_list):
+        raise ValueError(f"{instance.task.value} instance {instance.id} has a "
+                         f"ground truth that is not a string: {truth!r}")
+    return instance
 
 
 def load_instances(path) -> list:

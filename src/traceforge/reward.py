@@ -30,6 +30,11 @@ CATEGORIES = (CORRECT, INCORRECT, INCORRECT_FORMAT)
 FORMAT_POINTS = 0.1
 ANSWER_POINTS = 0.9
 
+# Longest answer any task grammar is asked to read: about six times the
+# longest ground truth (a sudoku grid, 161 characters), and short enough
+# that no answer reaches int()'s 4,300-digit conversion limit
+MAX_ANSWER_CHARS = 1000
+
 
 @dataclass(frozen=True)
 class ScoreBreakdown:
@@ -40,7 +45,12 @@ class ScoreBreakdown:
 
 
 def check_answer(instance: ProblemInstance, answer_text: str):
-    """(parseable, correct) of an answer string under the task's grammar."""
+    """(parseable, correct) of an answer string under the task's grammar.
+
+    An answer longer than MAX_ANSWER_CHARS once stripped is unparseable.
+    """
+    if len(answer_text.strip()) > MAX_ANSWER_CHARS:
+        return False, False
     return TASKS[instance.task].check(instance, answer_text)
 
 

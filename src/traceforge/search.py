@@ -51,7 +51,6 @@ class SearchNode:
     state_text: str
     children: list = field(default_factory=list)  # child ids, DFS order
     is_solution: bool = False
-    depth: int = 0
     payload: object = None  # task-specific state snapshot
 
 
@@ -70,10 +69,7 @@ class SearchTree:
     def add_node(self, state_text: str, parent: Optional[int] = None,
                  is_solution: bool = False, payload: object = None) -> int:
         nid = len(self.nodes)
-        depth = 0
-        if parent is not None:
-            depth = self.nodes[parent].depth + 1
-        node = SearchNode(nid, state_text, [], is_solution, depth, payload)
+        node = SearchNode(nid, state_text, [], is_solution, payload)
         self.nodes.append(node)
         if parent is None:
             if self.root is not None:

@@ -40,11 +40,11 @@ TASKS = {spec.kind: spec for spec in (
              arc1d.check, arc1d.PROMPT_HEADER, "ARC"),
     # the three geometry subtasks pool into one column
     TaskSpec(TaskKind.GEOMETRY_ANGLE, xtasks.build_angle_instance, None,
-             xtasks.check_angle, xtasks.ANGLE_PROMPT, "AG"),
+             xtasks.check_geometry, xtasks.ANGLE_PROMPT, "AG"),
     TaskSpec(TaskKind.GEOMETRY_ORTHOCENTER, xtasks.build_orthocenter_instance,
-             None, xtasks.check_point, xtasks.ORTHOCENTER_PROMPT, "AG"),
+             None, xtasks.check_geometry, xtasks.ORTHOCENTER_PROMPT, "AG"),
     TaskSpec(TaskKind.GEOMETRY_INCIRCLE, xtasks.build_incircle_instance, None,
-             xtasks.check_radius, xtasks.INCIRCLE_PROMPT, "AG"),
+             xtasks.check_geometry, xtasks.INCIRCLE_PROMPT, "AG"),
     TaskSpec(TaskKind.COLOR_CUBE, xtasks.build_cube_instance, None,
              xtasks.check_name, xtasks.CUBE_PROMPT, "CCR"),
     TaskSpec(TaskKind.SELF_REFERENCE, xtasks.build_selfref_instance, None,

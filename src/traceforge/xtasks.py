@@ -4,9 +4,9 @@ self-referential statement counting, plus verifier-only support for zebra
 puzzles and list functions.
 
 Number formatting follows one convention throughout: decimal strings are
-rounded half away from zero to a fixed number of places, and candidate
-answers are compared to the ground truth as exact decimals, never as
-floating-point text.
+rounded half away from zero to a fixed number of places, and a geometry
+answer and its ground truth are read by the same grammar and compared as
+exact decimals, never as floating-point text.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ def round_half_away(value, places: int) -> str:
     if d.is_zero():
         d = abs(d)
     return str(d)
-
-
-def _decimal_eq(a: str, b: str) -> bool:
-    return Decimal(a) == Decimal(b)
 
 
 # --- triangle geometry -------------------------------------------------------
@@ -163,44 +159,44 @@ _POINT_RE = re.compile(
 _RADIUS_RE = re.compile(r"^(-?[0-9]+\.[0-9]{3})$")
 
 
-def parse_angle(text: str) -> Optional[str]:
+def parse_angle(text: str) -> Optional[Decimal]:
     m = _ANGLE_RE.match(text.strip())
-    return m.group(1) if m else None
+    return Decimal(m.group(1)) if m else None
 
 
 def parse_point(text: str) -> Optional[tuple]:
     m = _POINT_RE.match(text.strip())
-    return (m.group(1), m.group(2)) if m else None
+    return (Decimal(m.group(1)), Decimal(m.group(2))) if m else None
 
 
-def parse_radius(text: str) -> Optional[str]:
+def parse_radius(text: str) -> Optional[Decimal]:
     m = _RADIUS_RE.match(text.strip())
-    return m.group(1) if m else None
+    return Decimal(m.group(1)) if m else None
 
 
-def check_angle(instance: ProblemInstance, text: str):
-    """(parseable, correct) of a geometry_angle answer."""
-    got = parse_angle(text)
+_GEOMETRY_PARSERS = {
+    TaskKind.GEOMETRY_ANGLE: parse_angle,
+    TaskKind.GEOMETRY_ORTHOCENTER: parse_point,
+    TaskKind.GEOMETRY_INCIRCLE: parse_radius,
+}
+
+
+def check_geometry(instance: ProblemInstance, text: str):
+    """(parseable, correct) of a geometry answer.
+
+    The answer and the ground truth are read with the task's one grammar
+    and compared as exact decimals. Raises ValueError when the ground
+    truth itself does not parse.
+    """
+    parse = _GEOMETRY_PARSERS[instance.task]
+    want = parse(instance.ground_truth)
+    if want is None:
+        raise ValueError(f"{instance.task.value} instance {instance.id} has "
+                         f"a malformed ground truth {instance.ground_truth!r}")
+    got = parse(text)
     if got is None:
         return False, False
-    return True, _decimal_eq(got, instance.ground_truth.rstrip("°"))
-
-
-def check_point(instance: ProblemInstance, text: str):
-    """(parseable, correct) of a geometry_orthocenter answer."""
-    got = parse_point(text)
-    if got is None:
-        return False, False
-    want = parse_point(instance.ground_truth)
-    return True, _decimal_eq(got[0], want[0]) and _decimal_eq(got[1], want[1])
-
-
-def check_radius(instance: ProblemInstance, text: str):
-    """(parseable, correct) of a geometry_incircle answer."""
-    got = parse_radius(text)
-    if got is None:
-        return False, False
-    return True, _decimal_eq(got, instance.ground_truth)
+    return True, got == want
 
 
 def _triangle_text(tri: Triangle) -> str:

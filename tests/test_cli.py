@@ -232,3 +232,45 @@ def test_impossible_trace_request_fails_cleanly(tmp_path, capsys):
                        "--seed", "5", "--out", str(tmp_path))
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["score", "eval"])
+@pytest.mark.parametrize(
+    "task,truth",
+    [
+        ("geometry_orthocenter", "1.0, 2.0"),
+        ("geometry_angle", "ninety°"),
+        ("geometry_incircle", "1.0.0"),
+        ("zebra", 5),
+        ("list_functions", {"values": [1, 2]}),
+    ],
+    ids=["orthocenter", "angle", "incircle", "zebra", "list_functions"],
+)
+def test_malformed_ground_truth_is_a_validation_error(tmp_path, capsys,
+                                                      command, task, truth):
+    inst_path = tmp_path / "instances.jsonl"
+    write_jsonl(inst_path, [{"id": 41, "task": task, "prompt": "?",
+                             "ground_truth": truth, "seed": "0" * 16}])
+    comp_path = tmp_path / "completions.jsonl"
+    write_jsonl(comp_path, [{"instance_id": 41, "completion": wrap("1.000")}])
+    argv = [command, "--instances", str(inst_path),
+            "--completions", str(comp_path)]
+    if command == "score":
+        argv += ["--task", task, "--out", str(tmp_path / "scores.jsonl")]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "instance 41" in err
+    assert "Traceback" not in err
+
+
+def test_list_functions_truth_may_be_a_number_list(tmp_path, capsys):
+    inst_path = tmp_path / "instances.jsonl"
+    write_jsonl(inst_path, [{"id": 0, "task": "list_functions", "prompt": "?",
+                             "ground_truth": [2, 4, 6], "seed": "0" * 16}])
+    comp_path = tmp_path / "completions.jsonl"
+    write_jsonl(comp_path, [{"instance_id": 0, "completion": wrap("[2 4 6]")}])
+    code, out, _ = run(capsys, "eval", "--instances", str(inst_path),
+                       "--completions", str(comp_path))
+    assert code == 0
+    assert "1.000" in out

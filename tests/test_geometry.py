@@ -145,8 +145,8 @@ def test_incircle_radius_times_semiperimeter_is_area():
 
 
 def test_parse_angle_strict():
-    assert xt.parse_angle("36.87°") == "36.87"
-    assert xt.parse_angle(" 90.00° ") == "90.00"
+    assert xt.parse_angle("36.87°") == Decimal("36.87")
+    assert xt.parse_angle(" 90.00° ") == Decimal("90.00")
     # the last is 90.00° in Arabic-Indic digits
     for bad in ("36.87", "36.9°", "36.870°", "abc°", "°", "36,87°", "٩٠.٠٠°"):
         assert xt.parse_angle(bad) is None
@@ -154,37 +154,56 @@ def test_parse_angle_strict():
 
 def test_parse_point_separator_variants():
     for text in ("(1.500, -2.000)", "(1.500,-2.000)", "(1.500 -2.000)"):
-        assert xt.parse_point(text) == ("1.500", "-2.000")
+        assert xt.parse_point(text) == (Decimal("1.500"), Decimal("-2.000"))
     for bad in ("1.500, -2.000", "(1.50, 2.00)", "(1.500; 2.000)",
                 "(1.500, 2.000", "(1.5000, 2.0000)", "(١.٥٠٠, 2.000)"):
         assert xt.parse_point(bad) is None
 
 
 def test_parse_radius_strict():
-    assert xt.parse_radius("0.732") == "0.732"
+    assert xt.parse_radius("0.732") == Decimal("0.732")
     for bad in ("0.73", "0.7321", "r=0.732", "", "٠.٧٣٢"):
         assert xt.parse_radius(bad) is None
 
 
 def test_verify_angle_decimal_equality():
     right = with_truth(TaskKind.GEOMETRY_ANGLE, "90.00°")
-    assert xt.check_angle(right, "90.00°") == (True, True)
-    assert xt.check_angle(right, "90.01°") == (True, False)
-    assert xt.check_angle(right, "90") == (False, False)
+    assert xt.check_geometry(right, "90.00°") == (True, True)
+    assert xt.check_geometry(right, "90.01°") == (True, False)
+    assert xt.check_geometry(right, "90") == (False, False)
+    # written differently, equal as decimals
+    assert xt.check_geometry(right, "090.00°") == (True, True)
 
 
 def test_verify_point_decimal_equality():
     point = with_truth(TaskKind.GEOMETRY_ORTHOCENTER, "(0.000, 1.250)")
-    assert xt.check_point(point, "(0.000, 1.250)") == (True, True)
-    assert xt.check_point(point, "(0.000,1.250)") == (True, True)
-    assert xt.check_point(point, "(-0.000, 1.250)") == (True, True)
-    assert xt.check_point(point, "(0.001, 1.250)") == (True, False)
+    assert xt.check_geometry(point, "(0.000, 1.250)") == (True, True)
+    assert xt.check_geometry(point, "(0.000,1.250)") == (True, True)
+    assert xt.check_geometry(point, "(-0.000, 1.250)") == (True, True)
+    assert xt.check_geometry(point, "(0.001, 1.250)") == (True, False)
 
 
 def test_verify_radius():
     radius = with_truth(TaskKind.GEOMETRY_INCIRCLE, "1.000")
-    assert xt.check_radius(radius, "1.000") == (True, True)
-    assert xt.check_radius(radius, "1.001") == (True, False)
+    assert xt.check_geometry(radius, "1.000") == (True, True)
+    assert xt.check_geometry(radius, "1.001") == (True, False)
+
+
+@pytest.mark.parametrize(
+    "task,truth",
+    [
+        (TaskKind.GEOMETRY_ANGLE, "90.00"),
+        (TaskKind.GEOMETRY_ANGLE, "ninety°"),
+        (TaskKind.GEOMETRY_ORTHOCENTER, "1.0, 2.0"),
+        (TaskKind.GEOMETRY_INCIRCLE, "1.0"),
+    ],
+)
+def test_verify_malformed_truth_names_task_and_id(task, truth):
+    inst = ProblemInstance(id=17, task=task, prompt="", ground_truth=truth,
+                           seed=0)
+    with pytest.raises(ValueError) as err:
+        xt.check_geometry(inst, "1.000")
+    assert f"{task.value} instance 17" in str(err.value)
 
 
 # --- instances ---------------------------------------------------------------
@@ -196,7 +215,7 @@ def test_angle_instance_round_trips():
     tri = xt.Triangle(*(tuple(p) for p in inst.meta["vertices"]))
     truth = xt.format_angle(xt.angle_at(tri, inst.meta["vertex"]))
     assert inst.ground_truth == truth
-    assert xt.check_angle(inst, inst.ground_truth) == (True, True)
+    assert xt.check_geometry(inst, inst.ground_truth) == (True, True)
     name = xt.VERTEX_NAMES[inst.meta["vertex"]]
     assert f"vertex {name}" in inst.prompt
 
@@ -206,7 +225,7 @@ def test_orthocenter_instance_round_trips():
     tri = xt.Triangle(*(tuple(p) for p in inst.meta["vertices"]))
     x, y = xt.orthocenter(tri)
     assert inst.ground_truth == xt.format_point(x, y)
-    assert xt.check_point(inst, inst.ground_truth) == (True, True)
+    assert xt.check_geometry(inst, inst.ground_truth) == (True, True)
 
 
 def test_incircle_instance_round_trips():

@@ -166,6 +166,8 @@ def test_self_reference_answers():
     assert score(inst, wrap(inst.ground_truth)).category == CORRECT
     assert score(inst, wrap("200")).category == INCORRECT
     assert score(inst, wrap("many")).category == INCORRECT_FORMAT
+    # past int()'s 4,300-digit limit, and past MAX_ANSWER_CHARS
+    assert score(inst, wrap("1" * 4301)).category == INCORRECT_FORMAT
 
 
 def zebra_instance():
@@ -212,6 +214,14 @@ def test_countdown_unary_chain_is_unparseable(cd_instance):
     assert score(cd_instance, wrap("-" * 10_000 + "1")).category == INCORRECT_FORMAT
 
 
+def test_answer_length_cap_is_exact():
+    inst = xtasks.build_selfref_instance(0, 555)
+    cap = reward.MAX_ANSWER_CHARS
+    at_cap = inst.ground_truth.rjust(cap, "0")
+    assert score(inst, wrap(f"  {at_cap}  ")).category == CORRECT
+    assert score(inst, wrap("0" + at_cap)).category == INCORRECT_FORMAT
+
+
 def _nested(depth, left, right):
     return left * depth + "1" + right * depth
 
@@ -224,6 +234,7 @@ ADVERSARIAL_ANSWERS = st.one_of(
     st.integers(0, 1_000).map(lambda d: _nested(d, "1+(", ")")),
     st.integers(0, 1_000).map(lambda d: _nested(d, "[", "]")),
     st.integers(0, 10_000).map(lambda n: "-" * n + "1"),
+    st.integers(0, 10_000).map(lambda n: "1" * n),
 )
 
 
@@ -234,6 +245,7 @@ ADVERSARIAL_ANSWERS = st.one_of(
 @example(answer=_nested(1_000, "(", ")"), tagged=True)
 @example(answer=_nested(1_000, "1+(", ")"), tagged=True)
 @example(answer="-" * 10_000 + "1", tagged=True)
+@example(answer="1" * 5000, tagged=True)
 def test_score_is_total_and_bounded(inst, answer, tagged):
     completion = wrap(answer) if tagged else answer
     start = time.perf_counter()

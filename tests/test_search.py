@@ -54,7 +54,6 @@ def test_tree_ids_are_sequential_and_first_is_root():
     assert (a, b, c) == (0, 1, 2)
     assert tree.root == 0
     assert tree.node(a).children == [1, 2]
-    assert tree.node(b).depth == 1
 
 
 def test_tree_rejects_second_root():
