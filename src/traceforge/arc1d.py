@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 from .core import (
     GenerationError,
+    MultipleSolutionsError,
     NoSolutionError,
     ProblemInstance,
     TaskKind,
@@ -317,16 +318,21 @@ def heuristic_solve(task: Arc1dTask):
     by pool position, so the ordering is deterministic. The tree is: root,
     a study step, one attempt child per rule in that order, and under the
     first fully consistent attempt the application to the test input.
-    Raises NoSolutionError when no pool rule explains every example (the
-    task did not come from :func:`generate`).
+    Raises NoSolutionError when no pool rule explains every example, and
+    MultipleSolutionsError when several do (the task did not come from
+    :func:`generate`).
     """
     first = task.train_pairs[0]
     order = sorted(range(len(RULE_POOL)),
                    key=lambda idx: (-_agreement(RULE_POOL[idx], first), idx))
     misses = [_first_mismatch(rule, task.train_pairs) for rule in RULE_POOL]
-    winner = next((idx for idx in order if misses[idx] is None), None)
-    if winner is None:
+    fitting = [idx for idx in order if misses[idx] is None]
+    if not fitting:
         raise NoSolutionError("no pool rule is consistent with all examples")
+    if len(fitting) > 1:
+        names = ", ".join(repr(RULE_POOL[idx].description) for idx in fitting)
+        raise MultipleSolutionsError(f"pool rules {names} all fit every example")
+    winner = fitting[0]
 
     tree = SearchTree()
     root = tree.add_node("")

@@ -5,7 +5,8 @@ integer and every division exact.
 Generation works backwards: random legal combines of a few sampled numbers
 give a reachable target. Solving is exhaustive DFS over combine moves with
 dead-state memoization, which both finds the canonical solution and proves
-unsolvability when there is none. Answers are verified only by
+unsolvability when there is none; the solution's moves, rendered as infix
+text by :func:`render_moves`, are the answer. Answers are verified only by
 :func:`check`, through :func:`parse_answer`.
 """
 
@@ -17,7 +18,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .core import (
     GenerationError,
@@ -55,52 +55,6 @@ NODE_BUDGET = 200_000       # DFS states before giving up
 MAX_GENERATE_ATTEMPTS = 500
 
 
-@dataclass(frozen=True)
-class ArithExpr:
-    """Expression tree over puzzle numbers. Leaves store an index into
-    ``puzzle.numbers``; internal nodes store one of ``+ - * /``."""
-
-    op: Optional[str] = None
-    index: Optional[int] = None
-    left: Optional["ArithExpr"] = None
-    right: Optional["ArithExpr"] = None
-
-    @staticmethod
-    def leaf(index: int) -> "ArithExpr":
-        return ArithExpr(index=index)
-
-    @staticmethod
-    def combine(op: str, left: "ArithExpr", right: "ArithExpr") -> "ArithExpr":
-        if op not in "+-*/" or len(op) != 1:
-            raise ValueError(f"unknown operator {op!r}")
-        return ArithExpr(op=op, left=left, right=right)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.op is None
-
-    def render(self, numbers) -> str:
-        """Infix text with the fewest parentheses that preserve value."""
-        text, _ = self._render(numbers)
-        return text
-
-    _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-    def _render(self, numbers):
-        if self.is_leaf:
-            return str(numbers[self.index]), 3
-        lhs, lp = self.left._render(numbers)
-        rhs, rp = self.right._render(numbers)
-        prec = self._PREC[self.op]
-        if lp < prec:
-            lhs = f"({lhs})"
-        # - and / are left-associative, so an equal-precedence right child
-        # still needs parentheses under them
-        if rp < prec or (rp == prec and self.op in "-/"):
-            rhs = f"({rhs})"
-        return f"{lhs} {self.op} {rhs}", prec
-
-
 # --- moves -------------------------------------------------------------------
 #
 # A move combines the values at positions i < j into one result. Orientation
@@ -129,6 +83,25 @@ def legal_moves(values):
                 yield (i, j, "/", vi, vj, vi // vj, False)
             elif vj % vi == 0:
                 yield (i, j, "/", vj, vi, vj // vi, True)
+
+
+def render_moves(numbers, moves) -> str:
+    """Infix text, with the fewest parentheses that preserve its value, of
+    the expression that ``moves`` (as :func:`legal_moves` yields them)
+    build from ``numbers``."""
+    terms = [(str(v), 3) for v in numbers]  # (text, precedence); 3 = atom
+    for i, j, op, _, _, _, swapped in moves:
+        (lhs, lp), (rhs, rp) = ((terms[j], terms[i]) if swapped
+                                else (terms[i], terms[j]))
+        prec = 1 if op in "+-" else 2
+        if lp < prec:
+            lhs = f"({lhs})"
+        # - and / need parentheses round an equal-precedence right operand
+        if rp < prec or (rp == prec and op in "-/"):
+            rhs = f"({rhs})"
+        terms = [t for m, t in enumerate(terms) if m != i and m != j]
+        terms.append((f"{lhs} {op} {rhs}", prec))
+    return terms[-1][0]
 
 
 def _apply_move(values, move):
@@ -408,20 +381,21 @@ def _find_solution(values, target, budget):
 
 
 def solve_dfs(puzzle: CountdownPuzzle):
-    """Solve by exhaustive DFS; returns the search tree and the solution.
+    """Solve by exhaustive DFS; returns the search tree and the answer text.
 
     The tree holds the root-to-solution path plus every sibling move at
     each path node (one level of off-path children), which is all the
     detour machinery needs; deeper wrong nodes are materialized on demand.
     Raises NoSolutionError when search exhausts the move space (or the
-    node budget) without reaching the target.
+    node budget) without reaching the target. The answer is the target
+    when it is one of the numbers, else :func:`render_moves` of the moves.
     """
     target = puzzle.target
     tree = SearchTree()
     values = list(puzzle.numbers)
     if target in values:
         tree.add_node("", is_solution=True, payload=tuple(values))
-        return tree, ArithExpr.leaf(values.index(target))
+        return tree, str(target)
     try:
         steps = _find_solution(values, target, NODE_BUDGET)
     except _BudgetExhausted:
@@ -432,8 +406,6 @@ def solve_dfs(puzzle: CountdownPuzzle):
         raise NoSolutionError(f"{target} is unreachable from {puzzle.numbers}")
 
     parent = tree.add_node("", payload=tuple(values))
-    exprs = [ArithExpr.leaf(m) for m in range(len(values))]
-    answer = None
     for step in steps:
         next_parent = None
         for move in legal_moves(values):
@@ -446,15 +418,9 @@ def solve_dfs(puzzle: CountdownPuzzle):
             )
             if move == step:
                 next_parent = child
-        i, j, op, _, _, _, swapped = step
-        lhs, rhs = (exprs[j], exprs[i]) if swapped else (exprs[i], exprs[j])
-        combined = ArithExpr.combine(op, lhs, rhs)
-        exprs = [exprs[m] for m in range(len(values)) if m != i and m != j]
-        exprs.append(combined)
         values = _apply_move(values, step)
         parent = next_parent
-        answer = combined
-    return tree, answer
+    return tree, render_moves(puzzle.numbers, steps)
 
 
 # --- traces ------------------------------------------------------------------
@@ -507,12 +473,11 @@ def make_trace(puzzle: CountdownPuzzle, k: int, rng: random.Random):
     Raises GenerationError when the puzzle's tree cannot host k dead
     detours (callers resample a fresh puzzle).
     """
-    tree, expr = solve_dfs(puzzle)
+    tree, answer = solve_dfs(puzzle)
     path = solution_path(tree)
     plan = select_detours(tree, path, k, rng,
                           extend_fn=_make_extend(puzzle.target))
-    return linearize(tree, path, plan.exact(), expr.render(puzzle.numbers),
-                     _observe)
+    return linearize(tree, path, plan.exact(), answer, _observe)
 
 
 # --- answer checking ---------------------------------------------------------
@@ -617,8 +582,8 @@ def puzzle_from_instance(instance: ProblemInstance) -> CountdownPuzzle:
 
 def build_instance(instance_id: int, seed: int) -> ProblemInstance:
     puzzle = generate(random.Random(seed))
-    _, expr = solve_dfs(puzzle)
-    return _instance(instance_id, seed, puzzle, expr.render(puzzle.numbers))
+    _, answer = solve_dfs(puzzle)
+    return _instance(instance_id, seed, puzzle, answer)
 
 
 def build_traced(instance_id: int, seed: int, k: int):

@@ -16,6 +16,7 @@ import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .core import (
@@ -203,35 +204,26 @@ def build_record(task: TaskKind, instance_id: int, master_seed: int,
     return render_sft_record(instance, trace)
 
 
-def _record_chunk(task_value, ids, master_seed, k):
-    task = TaskKind(task_value)
-    return [(i, record_to_json(build_record(task, i, master_seed, k)))
-            for i in ids]
+def _record_line(task_value, master_seed, k, instance_id):
+    """One record's JSON line; module level, so a pool can pickle it."""
+    return record_to_json(build_record(TaskKind(task_value), instance_id,
+                                       master_seed, k))
 
 
 def build_records(task: TaskKind, count: int, master_seed: int, k: int,
                   workers: int = 1) -> list:
     """JSON lines for ``count`` records, id order, any worker count."""
-    if TASKS[task].build_traced is None:
-        raise ValueError(f"task {task.value} does not support traces")
     if count < 1:
         raise ValueError("count must be positive")
     if k < 0:
         raise ValueError("backtrack count must be >= 0")
+    line = partial(_record_line, task.value, master_seed, k)
     if workers <= 1:
-        return [record_to_json(build_record(task, i, master_seed, k))
-                for i in range(count)]
-    chunk = max(1, -(-count // (workers * 4)))
-    pieces = [list(range(lo, min(lo + chunk, count)))
-              for lo in range(0, count, chunk)]
-    results = []
+        return [line(i) for i in range(count)]
+    # map returns results in input order, so lines come back in id order
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_record_chunk, task.value, ids, master_seed, k)
-                   for ids in pieces]
-        for fut in futures:
-            results.extend(fut.result())
-    results.sort(key=lambda pair: pair[0])
-    return [line for _, line in results]
+        return list(pool.map(line, range(count),
+                             chunksize=-(-count // (4 * workers))))
 
 
 def emit_sft(task: TaskKind, count: int, k: int, master_seed: int, out_path,

@@ -48,10 +48,16 @@ def check_answer(instance: ProblemInstance, answer_text: str):
     """(parseable, correct) of an answer string under the task's grammar.
 
     An answer longer than MAX_ANSWER_CHARS once stripped is unparseable.
+    A malformed instance (a ground truth or meta field the check cannot
+    read) raises ValueError naming the task and the id; no answer does.
     """
     if len(answer_text.strip()) > MAX_ANSWER_CHARS:
         return False, False
-    return TASKS[instance.task].check(instance, answer_text)
+    try:
+        return TASKS[instance.task].check(instance, answer_text)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"malformed {instance.task.value} instance "
+                         f"{instance.id}: {type(exc).__name__}: {exc}") from exc
 
 
 def score(instance: ProblemInstance, completion: str,

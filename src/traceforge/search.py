@@ -82,9 +82,6 @@ class SearchTree:
     def node(self, nid: int) -> SearchNode:
         return self.nodes[nid]
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 def solution_path(tree: SearchTree) -> list[int]:
     """Node ids from the root to the first solution in DFS child order."""
@@ -142,28 +139,17 @@ ExtendFn = Callable[[SearchTree, int, set, random.Random], Optional[list]]
 
 def default_extend(tree: SearchTree, branch_id: int, excluded: set,
                    rng: random.Random) -> Optional[list]:
-    """Pick an unused non-solution child and walk down up to
-    ``MAX_DETOUR_DEPTH`` nodes.
+    """Pick one unused non-solution child of the branch point at random.
 
-    Returns the wrong-path node ids, or None when every child of the
-    branch point is excluded or a solution.
+    Returns that child as a one-node wrong path, or None when every child
+    of the branch point is excluded or a solution. Arc1d detours are this
+    one wrong attempt; sudoku starts from it and walks deeper.
     """
-    node = tree.nodes[branch_id]
-    candidates = [c for c in node.children
+    candidates = [c for c in tree.nodes[branch_id].children
                   if c not in excluded and not tree.nodes[c].is_solution]
     if not candidates:
         return None
-    first = candidates[rng.randrange(len(candidates))]
-    wrong = [first]
-    cursor = tree.nodes[first]
-    while len(wrong) < MAX_DETOUR_DEPTH:
-        nxt = [c for c in cursor.children if not tree.nodes[c].is_solution]
-        if not nxt:
-            break
-        chosen = nxt[rng.randrange(len(nxt))]
-        wrong.append(chosen)
-        cursor = tree.nodes[chosen]
-    return wrong
+    return [candidates[rng.randrange(len(candidates))]]
 
 
 def select_detours(tree: SearchTree, path: list, k: int, rng: random.Random,

@@ -24,6 +24,7 @@ from .search import (
     MAX_DETOUR_DEPTH,
     SearchTree,
     build_with_retries,
+    default_extend,
     linearize,
     select_detours,
     solution_path,
@@ -259,7 +260,11 @@ def generate(rng: random.Random) -> SudokuPuzzle:
 
 
 def from_givens(grid) -> SudokuPuzzle:
-    """Wrap an untrusted givens grid, proving it has exactly one solution."""
+    """Wrap an untrusted givens grid, proving it has exactly one solution;
+    raises ValueError unless the grid is 81 ints in 0..9."""
+    if len(grid) != 81 or not all(type(v) is int and 0 <= v <= 9
+                                  for v in grid):
+        raise ValueError("a sudoku grid is 81 integers in 0..9")
     solved = solve_grid(grid)
     if solved is None:
         raise NoSolutionError("grid has no completion")
@@ -332,21 +337,18 @@ def _contradiction_cell(grid):
 
 
 def _extend_sudoku(tree, branch_id, excluded, rng):
-    """Walk a wrong placement deeper, following the solver's cell order.
+    """Walk :func:`default_extend`'s wrong placement deeper, following the
+    solver's cell order.
 
     Every branch off the solution path is dead by uniqueness, so unlike
     countdown no reachability check is needed. The walk stops early when
     the next cell has no valid digit left (the contradiction is already
     visible).
     """
-    node = tree.nodes[branch_id]
-    candidates = [c for c in node.children
-                  if c not in excluded and not tree.nodes[c].is_solution]
-    if not candidates:
+    wrong = default_extend(tree, branch_id, excluded, rng)
+    if wrong is None:
         return None
-    cand = candidates[rng.randrange(len(candidates))]
-    wrong = [cand]
-    cursor = cand
+    cursor = wrong[0]
     while len(wrong) < MAX_DETOUR_DEPTH:
         grid = list(tree.nodes[cursor].payload)
         prep = _prepare(grid)

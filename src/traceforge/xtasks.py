@@ -191,8 +191,7 @@ def check_geometry(instance: ProblemInstance, text: str):
     parse = _GEOMETRY_PARSERS[instance.task]
     want = parse(instance.ground_truth)
     if want is None:
-        raise ValueError(f"{instance.task.value} instance {instance.id} has "
-                         f"a malformed ground truth {instance.ground_truth!r}")
+        raise ValueError(f"ground truth {instance.ground_truth!r} does not parse")
     got = parse(text)
     if got is None:
         return False, False

@@ -121,7 +121,7 @@ def test_heuristic_solve_tree_shape():
     assert len(root.children) == 1
     study = tree.node(root.children[0])
     assert len(study.children) == len(a1.RULE_POOL)
-    leaves = [nid for nid in range(len(tree)) if tree.node(nid).is_solution]
+    leaves = [n.id for n in tree.nodes if n.is_solution]
     assert len(leaves) == 1
     leaf = tree.node(leaves[0])
     assert leaf.state_text.startswith("apply the rule ")
@@ -148,6 +148,19 @@ def test_heuristic_solve_rejects_foreign_task():
     )
     with pytest.raises(a1.NoSolutionError):
         a1.heuristic_solve(task)
+
+
+def test_heuristic_solve_rejects_ambiguous_task():
+    # "shift left by 1" and "move the block to the left edge" both fit
+    task = a1.Arc1dTask(
+        train_pairs=(((0, 2, 1, 0, 0, 0), (2, 1, 0, 0, 0, 0)),),
+        test_input=(0, 0, 3, 0, 0, 0),
+        hidden_rule=rule("shift_left", -1),
+    )
+    with pytest.raises(a1.MultipleSolutionsError) as err:
+        a1.heuristic_solve(task)
+    assert "left by 1" in str(err.value)
+    assert "left edge" in str(err.value)
 
 
 # --- traces ------------------------------------------------------------------

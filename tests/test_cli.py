@@ -236,23 +236,29 @@ def test_impossible_trace_request_fails_cleanly(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["score", "eval"])
 @pytest.mark.parametrize(
-    "task,truth",
+    "task,truth,meta,answer",
     [
-        ("geometry_orthocenter", "1.0, 2.0"),
-        ("geometry_angle", "ninety°"),
-        ("geometry_incircle", "1.0.0"),
-        ("zebra", 5),
-        ("list_functions", {"values": [1, 2]}),
+        ("geometry_orthocenter", "1.0, 2.0", {}, "1.000"),
+        ("geometry_angle", "ninety°", {}, "1.000"),
+        ("geometry_incircle", "1.0.0", {}, "1.000"),
+        ("zebra", 5, {}, "1.000"),
+        ("list_functions", {"values": [1, 2]}, {}, "1.000"),
+        # a check reads the truth only once the answer parses
+        ("self_reference", "many", {}, "2"),
+        ("countdown", "1 + 2", {"numbers": [1, 2]}, "1 + 2"),
     ],
-    ids=["orthocenter", "angle", "incircle", "zebra", "list_functions"],
+    ids=["orthocenter", "angle", "incircle", "zebra", "list_functions",
+         "self_reference", "countdown_without_target"],
 )
 def test_malformed_ground_truth_is_a_validation_error(tmp_path, capsys,
-                                                      command, task, truth):
+                                                      command, task, truth,
+                                                      meta, answer):
     inst_path = tmp_path / "instances.jsonl"
     write_jsonl(inst_path, [{"id": 41, "task": task, "prompt": "?",
-                             "ground_truth": truth, "seed": "0" * 16}])
+                             "ground_truth": truth, "seed": "0" * 16,
+                             "meta": meta}])
     comp_path = tmp_path / "completions.jsonl"
-    write_jsonl(comp_path, [{"instance_id": 41, "completion": wrap("1.000")}])
+    write_jsonl(comp_path, [{"instance_id": 41, "completion": wrap(answer)}])
     argv = [command, "--instances", str(inst_path),
             "--completions", str(comp_path)]
     if command == "score":

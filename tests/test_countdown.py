@@ -155,8 +155,8 @@ def test_find_solution_matches_reference_enumeration():
 
 def test_solve_dfs_answer_is_verified_solution():
     for puzzle in sample_puzzles(30):
-        _, expr = cd.solve_dfs(puzzle)
-        assert correct(puzzle, expr.render(puzzle.numbers))
+        _, answer = cd.solve_dfs(puzzle)
+        assert correct(puzzle, answer)
 
 
 def test_solve_dfs_tree_has_full_sibling_level():
@@ -186,9 +186,9 @@ def test_solve_dfs_budget_exhaustion_raises(monkeypatch):
 
 
 def test_solve_dfs_target_among_numbers_is_leaf_answer():
-    tree, expr = cd.solve_dfs(cd.CountdownPuzzle((5, 7), 7))
+    tree, answer = cd.solve_dfs(cd.CountdownPuzzle((5, 7), 7))
     assert tree.node(tree.root).is_solution
-    assert expr.render((5, 7)) == "7"
+    assert answer == "7"
 
 
 def test_reachable_agrees_with_closure_oracle():
@@ -204,29 +204,18 @@ def test_reachable_agrees_with_closure_oracle():
 
 def test_render_minimal_parentheses():
     nums = (2, 3, 4)
-    e = cd.ArithExpr.combine(
-        "*",
-        cd.ArithExpr.combine("+", cd.ArithExpr.leaf(0), cd.ArithExpr.leaf(1)),
-        cd.ArithExpr.leaf(2),
-    )
-    assert e.render(nums) == "(2 + 3) * 4"
-    e2 = cd.ArithExpr.combine(
-        "+",
-        cd.ArithExpr.combine("*", cd.ArithExpr.leaf(0), cd.ArithExpr.leaf(1)),
-        cd.ArithExpr.leaf(2),
-    )
-    assert e2.render(nums) == "2 * 3 + 4"
+    # each second move combines [4, combined]; swapped puts position 1 first
+    plus_first = [(0, 1, "+", 2, 3, 5, False), (0, 1, "*", 5, 4, 20, True)]
+    assert cd.render_moves(nums, plus_first) == "(2 + 3) * 4"
+    times_first = [(0, 1, "*", 2, 3, 6, False), (0, 1, "+", 6, 4, 10, True)]
+    assert cd.render_moves(nums, times_first) == "2 * 3 + 4"
 
 
 def test_render_right_associative_parentheses():
     nums = (10, 4, 2)
-    e = cd.ArithExpr.combine(
-        "-",
-        cd.ArithExpr.leaf(0),
-        cd.ArithExpr.combine("-", cd.ArithExpr.leaf(1), cd.ArithExpr.leaf(2)),
-    )
-    assert e.render(nums) == "10 - (4 - 2)"
-    assert cd.parse_answer(e.render(nums))[0] == 8
+    moves = [(1, 2, "-", 4, 2, 2, False), (0, 1, "-", 10, 2, 8, False)]
+    assert cd.render_moves(nums, moves) == "10 - (4 - 2)"
+    assert cd.parse_answer(cd.render_moves(nums, moves))[0] == 8
 
 
 def test_parse_answer_value_and_multiset():
@@ -312,7 +301,7 @@ def test_verify_allows_subset_of_numbers():
 @given(st.integers(0, 2**32 - 1))
 def test_witness_render_parse_roundtrip(seed):
     puzzle = cd.generate(random.Random(seed))
-    text = cd.solve_dfs(puzzle)[1].render(puzzle.numbers)
+    text = cd.solve_dfs(puzzle)[1]
     parsed = cd.parse_answer(text)
     assert parsed is not None
     value, used = parsed

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from traceforge import xtasks as xt
 from traceforge.core import ProblemInstance, TaskKind, derive_seed
+from traceforge.reward import check_answer
 
 
 def with_truth(task, ground_truth):
@@ -202,7 +203,7 @@ def test_verify_malformed_truth_names_task_and_id(task, truth):
     inst = ProblemInstance(id=17, task=task, prompt="", ground_truth=truth,
                            seed=0)
     with pytest.raises(ValueError) as err:
-        xt.check_geometry(inst, "1.000")
+        check_answer(inst, "1.000")
     assert f"{task.value} instance 17" in str(err.value)
 
 

@@ -108,12 +108,15 @@ def test_build_record_rejects_untraced_tasks():
         build_record(TaskKind.GEOMETRY_ANGLE, 0, 42, 1)
 
 
-def test_build_records_worker_count_does_not_change_output():
-    serial = build_records(TaskKind.COUNTDOWN, 24, 2025, 1, workers=1)
-    parallel = build_records(TaskKind.COUNTDOWN, 24, 2025, 1, workers=3)
+@pytest.mark.parametrize("count", [24, 23])  # 23 leaves a short last chunk
+@pytest.mark.parametrize("task", [TaskKind.COUNTDOWN, TaskKind.SUDOKU,
+                                  TaskKind.ARC1D])
+def test_build_records_worker_count_does_not_change_output(task, count):
+    serial = build_records(task, count, 2025, 1, workers=1)
+    parallel = build_records(task, count, 2025, 1, workers=3)
     assert serial == parallel
     ids = [json.loads(line)["instance_id"] for line in parallel]
-    assert ids == list(range(24))
+    assert ids == list(range(count))
 
 
 def test_build_records_validates_arguments():

@@ -126,6 +126,16 @@ def test_from_givens_validates():
         sd.from_givens(no_solution_grid())
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [[0] * 80, [0] * 82, [-1] + [0] * 80, [10] + [0] * 80, ["1"] + [0] * 80],
+    ids=["80-cells", "82-cells", "minus-one", "ten", "string-cell"],
+)
+def test_from_givens_rejects_malformed_grid(grid):
+    with pytest.raises(ValueError, match="81 integers in 0..9"):
+        sd.from_givens(grid)
+
+
 def test_solve_dfs_path_is_row_major():
     puzzle = next(iter(sample_puzzles(1)))
     tree, solution = sd.solve_dfs(puzzle)
