@@ -28,6 +28,7 @@ from .search import (
     SearchTree,
     build_with_retries,
     linearize,
+    sample_named,
     select_detours,
     solution_path,
 )
@@ -456,8 +457,9 @@ def task_from_instance(instance: ProblemInstance) -> Arc1dTask:
 
 
 def build_instance(instance_id: int, seed: int) -> ProblemInstance:
-    rng = random.Random(seed)
-    return _instance(instance_id, seed, generate(rng))
+    task = sample_named("arc1d", instance_id, seed, generate,
+                        random.Random(seed))
+    return _instance(instance_id, seed, task)
 
 
 def build_traced(instance_id: int, seed: int, k: int):

@@ -31,6 +31,7 @@ from .search import (
     SearchTree,
     build_with_retries,
     linearize,
+    sample_named,
     select_detours,
     solution_path,
 )
@@ -581,7 +582,8 @@ def puzzle_from_instance(instance: ProblemInstance) -> CountdownPuzzle:
 
 
 def build_instance(instance_id: int, seed: int) -> ProblemInstance:
-    puzzle = generate(random.Random(seed))
+    puzzle = sample_named("countdown", instance_id, seed, generate,
+                          random.Random(seed))
     _, answer = solve_dfs(puzzle)
     return _instance(instance_id, seed, puzzle, answer)
 

@@ -267,6 +267,17 @@ def strip_detours(trace: ReasoningTrace) -> ReasoningTrace:
     )
 
 
+def sample_named(task: str, instance_id: int, seed: int, sample: Callable,
+                 rng: random.Random):
+    """``sample(rng)``, re-raising its GenerationError with the task, id and
+    seed that reproduce it."""
+    try:
+        return sample(rng)
+    except GenerationError as exc:
+        raise GenerationError(
+            f"{task} id {instance_id}: {exc} (seed {seed:#018x})") from exc
+
+
 def build_with_retries(task: str, instance_id: int, seed: int, k: int,
                        sample: Callable, make_trace: Callable):
     """Sample puzzles until one yields a trace with exactly ``k`` backtracks.
@@ -276,12 +287,14 @@ def build_with_retries(task: str, instance_id: int, seed: int, k: int,
     linearizes it, raising GenerationError or NoSolutionError when the
     puzzle cannot host ``k`` detours. Gives up after
     ``MAX_TRACE_RETRIES`` attempts with a GenerationError naming the task,
-    id, k and seed. Returns (puzzle, trace), with the instance id stamped
-    into the trace's meta.
+    id, k and seed. A GenerationError from ``sample`` itself is not
+    retried; :func:`sample_named` re-raises it naming the task, id and
+    seed. Returns (puzzle, trace), with the instance id stamped into the
+    trace's meta.
     """
     for attempt in range(MAX_TRACE_RETRIES):
         rng = random.Random(derive_seed(seed, attempt))
-        puzzle = sample(rng)
+        puzzle = sample_named(task, instance_id, seed, sample, rng)
         try:
             trace = make_trace(puzzle, k, rng)
         except (GenerationError, NoSolutionError):

@@ -2,10 +2,12 @@
 uniqueness, exact solving, and trace construction.
 
 Cells are indexed 0..80 row-major; digits are 1..9 with 0 for blanks.
-Solvers keep one 9-bit candidate mask per row, column and box. The
-uniqueness counter picks the most constrained cell first (fast early
-exits); the trace solver fills cells in plain row-major order, where
-multi-candidate cells are common and give detours room to branch.
+Solvers keep one 9-bit candidate mask per row, column and box. One
+propagating core counts completions and finds the first: it places naked
+and hidden singles until none is left, and only then branches on the
+cell with the fewest candidates. The trace solver fills cells in plain
+row-major order, where multi-candidate cells are common and give detours
+room to branch.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ ROW_OF = tuple(i // 9 for i in range(81))
 COL_OF = tuple(i % 9 for i in range(81))
 BOX_OF = tuple((i // 27) * 3 + (i % 9) // 3 for i in range(81))
 FULL = 0x3FE  # candidate bits for digits 1..9
+UNITS = tuple(zip(ROW_OF, COL_OF, BOX_OF))  # (row, column, box) per cell
 
 PROMPT_TEMPLATE = (
     "Solve this Sudoku puzzle. Empty cells are shown as 0:\n"
@@ -64,7 +67,7 @@ def _prepare(grid):
         v = grid[i]
         if v:
             bit = 1 << v
-            r, c, b = ROW_OF[i], COL_OF[i], BOX_OF[i]
+            r, c, b = UNITS[i]
             if (rows[r] | cols[c] | boxes[b]) & bit:
                 return None
             rows[r] |= bit
@@ -75,111 +78,114 @@ def _prepare(grid):
     return rows, cols, boxes, empties
 
 
-def count_solutions(grid, limit: int = 2) -> int:
-    """Number of completions of ``grid``, capped at ``limit``.
+def _count(rows, cols, boxes, empties, limit, grid, found) -> int:
+    """Completions of the position the unit masks describe, capped at
+    ``limit``.
 
-    Conflicting givens count as zero solutions. Most-constrained-cell
-    ordering keeps this fast even on empty-ish grids.
+    ``rows``, ``cols`` and ``boxes`` hold each unit's placed digits as
+    bits; ``empties`` lists the blank cells. Naked singles (a cell with
+    one candidate) and hidden singles (a digit with one place in a row,
+    column or box) are placed until none is left; a cell with no
+    candidate or a digit with no place in a unit ends the branch. Only
+    then does the search branch on the cell with the fewest candidates,
+    giving each digit its own copies of the masks. Placed digits are
+    written into ``grid``, and the first full grid reached is appended to
+    ``found``. The masks and ``empties`` are consumed.
     """
-    prep = _prepare(grid)
-    if prep is None:
-        return 0
-    rows, cols, boxes, empties = prep
-    count = 0
-
-    def rec(n):
-        nonlocal count
-        if n == 0:
-            count += 1
-            return count >= limit
-        best_k = 0
-        best_mask = 0
-        best_n = 10
-        for k in range(n):
-            i = empties[k]
-            m = FULL & ~(rows[ROW_OF[i]] | cols[COL_OF[i]] | boxes[BOX_OF[i]])
-            bc = m.bit_count()
-            if bc < best_n:
-                best_k, best_mask, best_n = k, m, bc
-                if bc <= 1:
-                    break
-        if best_n == 0:
-            return False
-        i = empties[best_k]
-        empties[best_k] = empties[n - 1]
-        empties[n - 1] = i
-        r, c, b = ROW_OF[i], COL_OF[i], BOX_OF[i]
-        m = best_mask
-        stop = False
+    while empties:
+        # naked singles, placed as they are found
+        keep = []
+        masks = []
+        for i in empties:
+            r, c, b = UNITS[i]
+            m = FULL & ~(rows[r] | cols[c] | boxes[b])
+            if m & (m - 1):
+                keep.append(i)
+                masks.append(m)
+            elif m:
+                rows[r] |= m
+                cols[c] |= m
+                boxes[b] |= m
+                grid[i] = m.bit_length() - 1
+            else:
+                return 0
+        if len(keep) < len(empties):
+            empties = keep
+            continue
+        # hidden singles: nothing was placed above, so the masks are exact
+        r1, c1, b1 = [0] * 9, [0] * 9, [0] * 9
+        r2, c2, b2 = [0] * 9, [0] * 9, [0] * 9
+        for i, m in zip(empties, masks):
+            r, c, b = UNITS[i]
+            r2[r] |= r1[r] & m
+            r1[r] |= m
+            c2[c] |= c1[c] & m
+            c1[c] |= m
+            b2[b] |= b1[b] & m
+            b1[b] |= m
+        for u in range(9):
+            if ((rows[u] | r1[u]) & (cols[u] | c1[u]) & (boxes[u] | b1[u])
+                    != FULL):
+                return 0  # some digit has no place left in a unit
+        keep = []
+        for i, m in zip(empties, masks):
+            r, c, b = UNITS[i]
+            h = m & ~(r2[r] & c2[c] & b2[b])
+            if not h:
+                keep.append(i)
+                continue
+            if h & (h - 1) or h & (rows[r] | cols[c] | boxes[b]):
+                return 0  # forced to two digits, or its digit went elsewhere
+            rows[r] |= h
+            cols[c] |= h
+            boxes[b] |= h
+            grid[i] = h.bit_length() - 1
+        if len(keep) < len(empties):
+            empties = keep
+            continue
+        # branch on the most constrained cell
+        best = min(range(len(masks)), key=lambda k: masks[k].bit_count())
+        i = empties[best]
+        m = masks[best]
+        rest = empties[:best] + empties[best + 1:]
+        r, c, b = UNITS[i]
+        total = 0
         while m:
             bit = m & -m
             m ^= bit
-            rows[r] |= bit
-            cols[c] |= bit
-            boxes[b] |= bit
-            stop = rec(n - 1)
-            rows[r] ^= bit
-            cols[c] ^= bit
-            boxes[b] ^= bit
-            if stop:
+            rs, cs, bs = rows[:], cols[:], boxes[:]
+            rs[r] |= bit
+            cs[c] |= bit
+            bs[b] |= bit
+            grid[i] = bit.bit_length() - 1
+            total += _count(rs, cs, bs, rest[:], limit - total, grid, found)
+            if total >= limit:
                 break
-        empties[n - 1] = empties[best_k]
-        empties[best_k] = i
-        return stop
+        return total
+    if not found:
+        found.append(tuple(grid))
+    return 1
 
-    rec(len(empties))
-    return count
+
+def _search(grid, limit: int):
+    """(completions of ``grid`` capped at ``limit``, the first one found or
+    None). Conflicting givens count as zero completions."""
+    prep = _prepare(grid)
+    if prep is None:
+        return 0, None
+    found = []
+    return _count(*prep, limit, list(grid), found), (found[0] if found else None)
+
+
+def count_solutions(grid, limit: int = 2) -> int:
+    """Number of completions of ``grid``, capped at ``limit``; conflicting
+    givens count as zero."""
+    return _search(grid, limit)[0]
 
 
 def solve_grid(grid) -> Optional[tuple]:
-    """First completion of ``grid`` in candidate order, or None."""
-    prep = _prepare(grid)
-    if prep is None:
-        return None
-    rows, cols, boxes, empties = prep
-    out = list(grid)
-
-    def rec(n):
-        if n == 0:
-            return True
-        best_k = 0
-        best_mask = 0
-        best_n = 10
-        for k in range(n):
-            i = empties[k]
-            m = FULL & ~(rows[ROW_OF[i]] | cols[COL_OF[i]] | boxes[BOX_OF[i]])
-            bc = m.bit_count()
-            if bc < best_n:
-                best_k, best_mask, best_n = k, m, bc
-                if bc <= 1:
-                    break
-        if best_n == 0:
-            return False
-        i = empties[best_k]
-        empties[best_k] = empties[n - 1]
-        empties[n - 1] = i
-        r, c, b = ROW_OF[i], COL_OF[i], BOX_OF[i]
-        m = best_mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            rows[r] |= bit
-            cols[c] |= bit
-            boxes[b] |= bit
-            out[i] = bit.bit_length() - 1
-            if rec(n - 1):
-                return True
-            rows[r] ^= bit
-            cols[c] ^= bit
-            boxes[b] ^= bit
-        out[i] = 0
-        empties[n - 1] = empties[best_k]
-        empties[best_k] = i
-        return False
-
-    if not rec(len(empties)):
-        return None
-    return tuple(out)
+    """A completion of ``grid`` (the completion when it is unique), or None."""
+    return _search(grid, 1)[1]
 
 
 def generate_full(rng: random.Random) -> tuple:
@@ -198,7 +204,7 @@ def generate_full(rng: random.Random) -> tuple:
             steps += 1
             if steps > FILL_RESTART_STEPS:
                 return False
-            r, c, b = ROW_OF[i], COL_OF[i], BOX_OF[i]
+            r, c, b = UNITS[i]
             m = FULL & ~(rows[r] | cols[c] | boxes[b])
             if not m:
                 return False
@@ -229,28 +235,52 @@ def dig_holes(solution, blanks: int, rng: random.Random) -> SudokuPuzzle:
     """Remove givens from a complete grid, keeping the solution unique.
 
     A cell may be blanked only if no alternative digit there admits any
-    completion. Once a removal is rejected it stays impossible (removing
-    more givens only widens the alternative's options), so one pass over a
-    shuffled cell order is exhaustive. When fewer than ``blanks`` cells can
-    be removed the puzzle reports the achieved count in its ``blanks``
-    field rather than failing.
+    completion. The row, column and box masks are kept across removals:
+    blanking a cell clears its digit's bit, and each alternative digit the
+    masks still allow is tried through the propagating counter with
+    ``limit=1``. A cell with no alternative is blanked without a search,
+    and a rejected removal puts the bit back. Once a removal is rejected
+    it stays impossible (removing more givens only widens the
+    alternative's options), so one pass over a shuffled cell order is
+    exhaustive. When fewer than ``blanks`` cells can be removed the puzzle
+    reports the achieved count in its ``blanks`` field rather than
+    failing.
     """
     lo, hi = BLANK_RANGE
     if not lo <= blanks <= hi:
         raise ValueError(f"blank count {blanks} outside allowed range {lo}..{hi}")
+    prep = _prepare(solution)
+    if prep is None or prep[3]:
+        raise ValueError("dig_holes needs a complete, conflict-free grid")
+    rows, cols, boxes, empties = prep
     grid = list(solution)
-    removed = 0
+    scratch = [0] * 81
     order = rng.sample(range(81), 81)
     for cell in order:
-        if removed >= blanks:
+        if len(empties) >= blanks:
             break
-        original = grid[cell]
-        grid[cell] = 0
-        if count_solutions(grid, limit=2) == 1:
-            removed += 1
+        bit = 1 << grid[cell]
+        r, c, b = UNITS[cell]
+        rows[r] ^= bit
+        cols[c] ^= bit
+        boxes[b] ^= bit
+        others = FULL & ~(rows[r] | cols[c] | boxes[b] | bit)
+        while others:
+            alt = others & -others
+            others ^= alt
+            rs, cs, bs = rows[:], cols[:], boxes[:]
+            rs[r] |= alt
+            cs[c] |= alt
+            bs[b] |= alt
+            if _count(rs, cs, bs, empties[:], 1, scratch, []):
+                rows[r] |= bit
+                cols[c] |= bit
+                boxes[b] |= bit
+                break
         else:
-            grid[cell] = original
-    return SudokuPuzzle(tuple(grid), tuple(solution), removed)
+            grid[cell] = 0
+            empties.append(cell)
+    return SudokuPuzzle(tuple(grid), tuple(solution), len(empties))
 
 
 def generate(rng: random.Random) -> SudokuPuzzle:
@@ -265,10 +295,10 @@ def from_givens(grid) -> SudokuPuzzle:
     if len(grid) != 81 or not all(type(v) is int and 0 <= v <= 9
                                   for v in grid):
         raise ValueError("a sudoku grid is 81 integers in 0..9")
-    solved = solve_grid(grid)
-    if solved is None:
+    count, solved = _search(grid, 2)
+    if count == 0:
         raise NoSolutionError("grid has no completion")
-    if count_solutions(grid, limit=2) > 1:
+    if count > 1:
         raise MultipleSolutionsError("grid has more than one completion")
     return SudokuPuzzle(tuple(grid), solved, sum(1 for v in grid if v == 0))
 
@@ -296,7 +326,7 @@ def solve_dfs(puzzle: SudokuPuzzle):
     grid = list(puzzle.givens)
     parent = tree.add_node("", payload=tuple(grid))
     for pos, cell in enumerate(empties):
-        r, c, b = ROW_OF[cell], COL_OF[cell], BOX_OF[cell]
+        r, c, b = UNITS[cell]
         mask = FULL & ~(rows[r] | cols[c] | boxes[b])
         want = solution[cell]
         next_parent = None

@@ -67,26 +67,26 @@ def sudoku_grid_valid(grid) -> bool:
     return True
 
 
+def _sudoku_peers(cell) -> tuple:
+    r, c = divmod(cell, 9)
+    br, bc = 3 * (r // 3), 3 * (c // 3)
+    same = ({r * 9 + k for k in range(9)} | {k * 9 + c for k in range(9)}
+            | {(br + dr) * 9 + bc + dc for dr in range(3) for dc in range(3)})
+    return tuple(same - {cell})
+
+
+_SUDOKU_PEERS = tuple(_sudoku_peers(cell) for cell in range(81))
+_DIGITS = frozenset(range(1, 10))
+
+
 def sudoku_solutions(grid, limit: int = 2) -> list:
     """Completions of ``grid`` (at most ``limit``) by naive backtracking.
 
-    Row-major cell order, candidate digits found by scanning the row,
-    column and box with plain set arithmetic.
+    Row-major cell order, candidate digits found by set difference
+    against the values of the cell's row, column and box peers.
     """
     grid = list(grid)
     sols: list = []
-
-    def taken(cell) -> set:
-        r, c = divmod(cell, 9)
-        vals = set()
-        for k in range(9):
-            vals.add(grid[r * 9 + k])
-            vals.add(grid[k * 9 + c])
-        br, bc = 3 * (r // 3), 3 * (c // 3)
-        for dr in range(3):
-            for dc in range(3):
-                vals.add(grid[(br + dr) * 9 + bc + dc])
-        return vals
 
     def rec(cell) -> None:
         if len(sols) >= limit:
@@ -96,12 +96,10 @@ def sudoku_solutions(grid, limit: int = 2) -> list:
         if cell == 81:
             sols.append(tuple(grid))
             return
-        blocked = taken(cell)
-        for d in range(1, 10):
-            if d not in blocked:
-                grid[cell] = d
-                rec(cell + 1)
-                grid[cell] = 0
+        for d in _DIGITS.difference([grid[p] for p in _SUDOKU_PEERS[cell]]):
+            grid[cell] = d
+            rec(cell + 1)
+            grid[cell] = 0
 
     rec(0)
     return sols

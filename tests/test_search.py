@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceforge.core import BacktrackMarker, Conclusion, NoSolutionError, Step, render_completion
+from traceforge import arc1d, countdown
+from traceforge.core import (
+    BacktrackMarker,
+    Conclusion,
+    GenerationError,
+    NoSolutionError,
+    Step,
+    derive_seed,
+    render_completion,
+)
 from traceforge.search import (
     BACKTRACK_TEMPLATE,
     SearchTree,
@@ -279,3 +288,18 @@ def test_strip_detours_is_identity_on_clean_traces():
     path = solution_path(tree)
     trace = plain_linearize(tree, path, [])
     assert strip_detours(trace).events == trace.events
+
+
+@pytest.mark.parametrize("module", [countdown, arc1d],
+                         ids=["countdown", "arc1d"])
+@pytest.mark.parametrize("build", [
+    lambda m, i, seed: m.build_instance(i, seed),
+    lambda m, i, seed: m.build_traced(i, seed, 1),
+], ids=["build_instance", "build_traced"])
+def test_sampling_failure_names_task_id_and_seed(monkeypatch, module, build):
+    seed = derive_seed(12, 3)
+    monkeypatch.setattr(module, "MAX_GENERATE_ATTEMPTS", 0)
+    task = module.__name__.rsplit(".", 1)[-1]
+    with pytest.raises(GenerationError,
+                       match=rf"^{task} id 3: .* \(seed {seed:#018x}\)$"):
+        build(module, 3, seed)

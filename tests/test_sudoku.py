@@ -70,6 +70,15 @@ def test_dig_holes_rejects_out_of_range_request():
         sd.dig_holes(grid, 99, random.Random(0))
 
 
+@pytest.mark.parametrize("cell, digit", [(40, 0), (1, None)],
+                         ids=["blank", "conflict"])
+def test_dig_holes_rejects_incomplete_or_conflicting_grid(cell, digit):
+    grid = list(sd.generate_full(random.Random(3)))
+    grid[cell] = grid[0] if digit is None else digit
+    with pytest.raises(ValueError, match="complete, conflict-free grid"):
+        sd.dig_holes(grid, 40, random.Random(0))
+
+
 def test_golden_instance_frozen():
     inst = sd.build_instance(0, 777)
     assert inst.meta["givens"] == (
@@ -104,6 +113,89 @@ def test_count_solutions_conflicting_givens():
 
 def test_count_solutions_unsatisfiable_cell():
     assert sd.count_solutions(no_solution_grid()) == 0
+
+
+def test_count_solutions_matches_oracle_with_extra_blanks():
+    counts = set()
+    for i in range(12):
+        rng = random.Random(derive_seed(71, i))
+        grid = list(sd.generate(rng).givens)
+        filled = [cell for cell in range(81) if grid[cell]]
+        for cell in rng.sample(filled, rng.randint(1, 3)):
+            grid[cell] = 0
+        found = sudoku_solutions(grid, limit=5)
+        for limit in (1, 2, 5):
+            assert sd.count_solutions(grid, limit) == min(len(found), limit)
+        counts.add(min(len(found), 2))
+        solved = sd.solve_grid(grid)
+        assert sudoku_grid_valid(solved)
+        assert all(v in (0, s) for v, s in zip(grid, solved))
+    assert counts == {1, 2}
+
+
+def no_place_grid():
+    # row 0 lacks 1, 8 and 9; the 1 in box 2 leaves cells 6..8 the
+    # candidates {8, 9} each, so the row has no place for a 1
+    grid = [0] * 81
+    grid[:6] = [2, 3, 4, 5, 6, 7]
+    grid[9 + 6] = 1
+    return grid
+
+
+def transpose(grid):
+    return [grid[(i % 9) * 9 + i // 9] for i in range(81)]
+
+
+@pytest.mark.parametrize("unit", ["row", "column", "box"])
+@pytest.mark.parametrize("limit", [1, 2, 5])
+def test_count_solutions_digit_without_place_in_unit(unit, limit):
+    if unit == "box":
+        # box 0's empty top row can take only 8 and 9, as row 0 has its 1
+        # outside the box, so the box has no place for a 1
+        grid = [0] * 81
+        grid[5] = 1
+        grid[9:12] = [2, 3, 4]
+        grid[18:21] = [5, 6, 7]
+    else:
+        grid = no_place_grid()
+    # the oracle fills cells row-major, so it meets the column version's
+    # dead end quickly only in its transpose, which has as many completions
+    assert sudoku_solutions(grid, limit) == []
+    if unit == "column":
+        grid = transpose(grid)
+    assert sd.count_solutions(grid, limit) == 0
+    assert sd.solve_grid(grid) is None
+
+
+@pytest.mark.parametrize("limit", [1, 2, 5])
+def test_count_solutions_pinned_multi_solution_grid(limit):
+    # a core that keeps a cell it placed as a hidden single in its empty
+    # list finds that cell without candidates and counts this grid as 0
+    grid = [int(ch) for ch in
+            "300800201000201900000000000690000004400008020000009600"
+            "007000000001000468006005000"]
+    assert sd.count_solutions(grid, limit) == len(sudoku_solutions(grid, limit))
+    assert sd.count_solutions(grid, limit) == limit
+
+
+def test_dig_holes_unique_and_kept_givens_stay_needed():
+    for i in range(20):
+        rng = random.Random(derive_seed(61, i))
+        full = sd.generate_full(rng)
+        blanks = rng.randint(*sd.BLANK_RANGE)
+        replay = random.Random()
+        replay.setstate(rng.getstate())
+        order = replay.sample(range(81), 81)
+        puzzle = sd.dig_holes(full, blanks, rng)
+        assert sudoku_solutions(puzzle.givens, limit=2) == [full]
+        if puzzle.blanks == blanks:  # the walk stopped after its last removal
+            order = order[:max(order.index(cell) for cell in range(81)
+                               if not puzzle.givens[cell]) + 1]
+        for cell in order:
+            if puzzle.givens[cell]:
+                grid = list(puzzle.givens)
+                grid[cell] = 0
+                assert len(sudoku_solutions(grid, limit=2)) == 2
 
 
 def test_solve_grid_agrees_with_naive_solver():
