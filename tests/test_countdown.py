@@ -159,19 +159,42 @@ def test_solve_dfs_answer_is_verified_solution():
         assert correct(puzzle, answer)
 
 
-def test_solve_dfs_tree_has_full_sibling_level():
-    puzzle = next(iter(sample_puzzles(1)))
+def expand_path_checked(puzzle):
+    """Solve, check the tree is the bare path, then let extend visit each
+    branch point and check its children: one per legal move, in move
+    order, the path child at the taken move's index. Returns the texts
+    of every branch point's children."""
+    steps = cd._find_solution(puzzle.numbers, puzzle.target, cd.NODE_BUDGET)
     tree, _ = cd.solve_dfs(puzzle)
+    assert len(tree.nodes) == len(steps) + 1
     path = solution_path(tree)
+    assert path == list(range(len(steps) + 1))
+    extend = cd._make_extend(puzzle.target)
     values = list(puzzle.numbers)
-    for parent, taken in zip(path, path[1:]):
+    levels = []
+    for parent, taken, step in zip(path, path[1:], steps):
+        extend(tree, parent, {taken}, random.Random(0))
         moves = list(cd.legal_moves(values))
         children = tree.node(parent).children
-        assert len(children) == len(moves)
-        texts = [f"{m[3]} {m[2]} {m[4]} = {m[5]}." for m in moves]
-        assert [tree.node(c).state_text for c in children] == texts
-        idx = children.index(taken)
-        values = cd._apply_move(values, moves[idx])
+        assert len(set(children)) == len(children)
+        texts = [tree.node(c).state_text for c in children]
+        assert texts == [f"{m[3]} {m[2]} {m[4]} = {m[5]}." for m in moves]
+        assert children.index(taken) == moves.index(step)
+        levels.append(texts)
+        values = cd._apply_move(values, step)
+    return levels
+
+
+def test_solve_dfs_tree_is_the_path_until_extend_branches():
+    for puzzle in sample_puzzles(5):
+        expand_path_checked(puzzle)
+
+
+def test_expanded_branch_point_keeps_textually_identical_siblings():
+    # after 49 - 18 = 31 the values are [6, 31, 31]: two moves read
+    # "6 * 31 = 186.", and only one of them is the path child
+    levels = expand_path_checked(cd.CountdownPuzzle((49, 6, 31, 18), 155))
+    assert Counter(levels[1])["6 * 31 = 186."] == 2
 
 
 def test_solve_dfs_unreachable_raises():
@@ -197,6 +220,30 @@ def test_reachable_agrees_with_closure_oracle():
         vals = [rng.randint(1, 30) for _ in range(rng.randint(2, 4))]
         target = rng.randint(2, 120)
         assert cd.reachable(vals, target) == countdown_solvable(vals, target)
+    assert not cd.reachable([3, 4, 5], 0)  # no move makes a value below 1
+
+
+# Dense small inputs: equal values, division by 1 and targets below a value
+# are common, which is where the three-value lookup could miss a solution.
+dense_puzzles = st.lists(st.integers(1, 12), min_size=2, max_size=6).flatmap(
+    lambda vals: st.tuples(
+        st.just(vals),
+        st.integers(1, 40).filter(lambda t: t not in vals)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_puzzles)
+def test_find_solution_matches_reference_on_dense_inputs(puzzle):
+    vals, target = puzzle
+    assert (cd._find_solution(vals, target, cd.NODE_BUDGET)
+            == reference_first_solution(vals, target))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_puzzles)
+def test_reachable_matches_closure_oracle_on_dense_inputs(puzzle):
+    vals, target = puzzle
+    assert cd.reachable(vals, target) == countdown_solvable(vals, target)
 
 
 # --- expression rendering and parsing ----------------------------------------
