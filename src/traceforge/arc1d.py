@@ -4,17 +4,23 @@ A task shows a few input/output example pairs produced by a hidden rule
 drawn from a fixed pool, plus a test input. Generation guarantees that
 exactly one rule in the pool explains all example pairs, so the intended
 rule is recoverable. The solver scores every pool rule against the first
-example (fraction of cells it predicts correctly) and tries rules in
+example (number of cells it predicts correctly) and tries rules in
 descending score order, which yields a natural search tree: plausible but
 wrong rules come first and make good detours.
+
+The rule analysis (:func:`_rule_analysis`) is shared: the solver reads
+what :func:`generate`'s uniqueness test computed for the same examples,
+and a wrong attempt's text is rendered only when a detour picks it.
 
 Grids are tuples of color digits 0..9; 0 is the background.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
+from operator import eq
 from typing import Callable, Optional
 
 from .core import (
@@ -27,6 +33,7 @@ from .core import (
 from .search import (
     SearchTree,
     build_with_retries,
+    default_extend,
     linearize,
     sample_named,
     select_detours,
@@ -40,35 +47,26 @@ PROMPT_HEADER = (
 PROMPT_FOOTER = "Give the output grid as digits separated by single spaces."
 
 
-def _blocks(grid):
-    """Maximal runs of nonzero cells as (start, end) inclusive pairs."""
-    runs = []
-    start = None
-    for i, v in enumerate(grid):
-        if v and start is None:
-            start = i
-        elif not v and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(grid) - 1))
-    return runs
+def _single_block(grid):
+    """(start, end) of the one run of nonzero cells, or None when the grid
+    has no such run or several."""
+    cells = [i for i, v in enumerate(grid) if v]
+    if cells and cells[-1] - cells[0] == len(cells) - 1:
+        return cells[0], cells[-1]
+    return None
 
 
 # --- primitive transforms ----------------------------------------------------
-# Each is total: any grid in, same-length grid out.
+# Each is total: any grid tuple in, same-length grid tuple out.
 
 def _shift(grid, offset):
-    n = len(grid)
-    out = [0] * n
-    for i, v in enumerate(grid):
-        if v and 0 <= i + offset < n:
-            out[i + offset] = v
-    return tuple(out)
+    if offset >= 0:
+        return ((0,) * offset + grid)[:len(grid)]
+    return (grid + (0,) * -offset)[-offset:]
 
 
 def _mirror(grid):
-    return tuple(reversed(grid))
+    return grid[::-1]
 
 
 def _recolor(grid, src, dst):
@@ -86,57 +84,37 @@ def _erase_color(grid, color):
 def _fill_gap(grid):
     # paint everything strictly between the outermost nonzero cells with
     # the color of the leftmost one
-    runs = _blocks(grid)
-    if not runs:
-        return tuple(grid)
-    first, last = runs[0][0], runs[-1][1]
-    out = list(grid)
-    for i in range(first + 1, last):
-        out[i] = grid[first]
-    return tuple(out)
-
-
-def _single_block(grid):
-    runs = _blocks(grid)
-    return runs[0] if len(runs) == 1 else None
+    cells = [i for i, v in enumerate(grid) if v]
+    if len(cells) < 2:
+        return grid
+    first, last = cells[0], cells[-1]
+    return grid[:first + 1] + (grid[first],) * (last - first - 1) + grid[last:]
 
 
 def _move_block(grid, side):
     run = _single_block(grid)
     if run is None:
-        return tuple(grid)
-    i, j = run
-    body = grid[i:j + 1]
-    out = [0] * len(grid)
-    start = 0 if side == "left" else len(grid) - len(body)
-    out[start:start + len(body)] = body
-    return tuple(out)
+        return grid
+    body = grid[run[0]:run[1] + 1]
+    pad = (0,) * (len(grid) - len(body))
+    return body + pad if side == "left" else pad + body
 
 
 def _duplicate_pattern(grid):
     run = _single_block(grid)
     if run is None:
-        return tuple(grid)
+        return grid
     i, j = run
-    body = grid[i:j + 1]
-    out = list(grid)
-    for k, v in enumerate(body):
-        pos = j + 1 + k
-        if pos >= len(grid):
-            break
-        out[pos] = v
-    return tuple(out)
+    return (grid[:j + 1] + grid[i:j + 1] + grid[2 * j + 2 - i:])[:len(grid)]
 
 
 def _grow_block(grid, amount):
     run = _single_block(grid)
     if run is None:
-        return tuple(grid)
-    _, j = run
-    out = list(grid)
-    for pos in range(j + 1, min(j + 1 + amount, len(grid))):
-        out[pos] = grid[j]
-    return tuple(out)
+        return grid
+    j = run[1]
+    amount = min(amount, len(grid) - j - 1)
+    return grid[:j + 1] + (grid[j],) * amount + grid[j + 1 + amount:]
 
 
 @dataclass(frozen=True)
@@ -152,28 +130,24 @@ class TransformRule:
         return self.fn(tuple(grid), *self.params)
 
 
-def _rule(name, params, description, fn):
-    return TransformRule(name, tuple(params), description, fn)
-
-
 RULE_POOL = (
-    _rule("shift_right", (1,), "shift everything right by 1", _shift),
-    _rule("shift_right", (2,), "shift everything right by 2", _shift),
-    _rule("shift_left", (-1,), "shift everything left by 1", _shift),
-    _rule("shift_left", (-2,), "shift everything left by 2", _shift),
-    _rule("mirror", (), "mirror the grid", _mirror),
-    _rule("recolor", (1, 2), "recolor 1 to 2", _recolor),
-    _rule("recolor", (2, 3), "recolor 2 to 3", _recolor),
-    _rule("recolor", (3, 1), "recolor 3 to 1", _recolor),
-    _rule("fill_gap", (), "fill the gap between the two markers", _fill_gap),
-    _rule("move_block", ("right",), "move the block to the right edge", _move_block),
-    _rule("move_block", ("left",), "move the block to the left edge", _move_block),
-    _rule("duplicate", (), "duplicate the pattern to the right", _duplicate_pattern),
-    _rule("erase", (1,), "erase color 1", _erase_color),
-    _rule("erase", (2,), "erase color 2", _erase_color),
-    _rule("swap", (1, 2), "swap colors 1 and 2", _swap_colors),
-    _rule("grow", (1,), "grow the block by 1", _grow_block),
-    _rule("grow", (2,), "grow the block by 2", _grow_block),
+    TransformRule("shift_right", (1,), "shift everything right by 1", _shift),
+    TransformRule("shift_right", (2,), "shift everything right by 2", _shift),
+    TransformRule("shift_left", (-1,), "shift everything left by 1", _shift),
+    TransformRule("shift_left", (-2,), "shift everything left by 2", _shift),
+    TransformRule("mirror", (), "mirror the grid", _mirror),
+    TransformRule("recolor", (1, 2), "recolor 1 to 2", _recolor),
+    TransformRule("recolor", (2, 3), "recolor 2 to 3", _recolor),
+    TransformRule("recolor", (3, 1), "recolor 3 to 1", _recolor),
+    TransformRule("fill_gap", (), "fill the gap between the two markers", _fill_gap),
+    TransformRule("move_block", ("right",), "move the block to the right edge", _move_block),
+    TransformRule("move_block", ("left",), "move the block to the left edge", _move_block),
+    TransformRule("duplicate", (), "duplicate the pattern to the right", _duplicate_pattern),
+    TransformRule("erase", (1,), "erase color 1", _erase_color),
+    TransformRule("erase", (2,), "erase color 2", _erase_color),
+    TransformRule("swap", (1, 2), "swap colors 1 and 2", _swap_colors),
+    TransformRule("grow", (1,), "grow the block by 1", _grow_block),
+    TransformRule("grow", (2,), "grow the block by 2", _grow_block),
 )
 
 
@@ -210,11 +184,9 @@ def _sample_block(rng, length, max_len=4, margin=0):
 
 
 def _sample_input(rule: TransformRule, rng: random.Random, length: int):
-    """Draw an input on which ``rule`` acts visibly, or None to retry."""
+    """Draw one input grid suited to ``rule``'s family."""
     name = rule.name
-    if name in ("shift_right", "shift_left"):
-        grid = _scatter(rng, length, list(range(1, 10)))
-    elif name == "mirror":
+    if name in ("shift_right", "shift_left", "mirror"):
         grid = _scatter(rng, length, list(range(1, 10)))
     elif name == "recolor":
         src, dst = rule.params
@@ -247,23 +219,45 @@ def _sample_input(rule: TransformRule, rng: random.Random, length: int):
         grid = _sample_block(rng, length, margin=rule.params[0])
     else:
         raise ValueError(f"unknown rule family {name}")
-    if rule.apply(grid) == tuple(grid):
-        return None  # invisible action, resample
     return tuple(grid)
 
 
-def _first_mismatch(rule, pairs):
-    """(1-based example number, input, expected output) of the first pair
-    the rule gets wrong, or None when it maps every input to its output."""
-    for m, (inp, out) in enumerate(pairs, start=1):
-        if rule.apply(inp) != tuple(out):
-            return m, inp, out
+def _sample_visible(rule: TransformRule, rng: random.Random, length: int):
+    """(input, output) of the first of 20 draws on which ``rule`` acts
+    visibly, or None."""
+    for _ in range(20):
+        grid = _sample_input(rule, rng, length)
+        out = rule.apply(grid)
+        if out != grid:
+            return grid, out
     return None
+
+
+@functools.lru_cache(maxsize=1)
+def _rule_analysis(pairs):
+    """Per pool rule, (its prediction on example 1, its first miss): the
+    miss is (1-based example number, input, predicted output) of the first
+    pair it gets wrong, or None when it fits. ``pairs`` is a tuple of
+    (input, output) tuples; each rule is applied at most once to each pair
+    it reaches. The latest result is kept for :func:`heuristic_solve`."""
+    result = []
+    for rule in RULE_POOL:
+        first = miss = None
+        for m, (inp, out) in enumerate(pairs, start=1):
+            pred = rule.apply(inp)
+            if first is None:
+                first = pred
+            if pred != out:
+                miss = (m, inp, pred)
+                break
+        result.append((first, miss))
+    return tuple(result)
 
 
 def consistent_rules(pairs):
     """Pool rules that map every example input to its exact output."""
-    return [r for r in RULE_POOL if _first_mismatch(r, pairs) is None]
+    analysis = _rule_analysis(tuple((tuple(i), tuple(o)) for i, o in pairs))
+    return [rule for rule, (_, miss) in zip(RULE_POOL, analysis) if miss is None]
 
 
 def generate(rng: random.Random) -> Arc1dTask:
@@ -271,45 +265,32 @@ def generate(rng: random.Random) -> Arc1dTask:
     for _ in range(MAX_GENERATE_ATTEMPTS):
         rule = RULE_POOL[rng.randrange(len(RULE_POOL))]
         length = rng.randint(*LENGTH_RANGE)
-        n_pairs = rng.randint(*PAIRS_RANGE)
         pairs = []
-        ok = True
-        for _ in range(n_pairs):
-            grid = None
-            for _ in range(20):
-                grid = _sample_input(rule, rng, length)
-                if grid is not None:
-                    break
-            if grid is None:
-                ok = False
+        for _ in range(rng.randint(*PAIRS_RANGE)):
+            pairs.append(_sample_visible(rule, rng, length))
+            if pairs[-1] is None:
                 break
-            pairs.append((grid, rule.apply(grid)))
-        if not ok:
-            continue
-        if consistent_rules(pairs) != [rule]:
-            continue  # ambiguous examples, start over
-        test_input = None
-        for _ in range(20):
-            test_input = _sample_input(rule, rng, length)
-            if test_input is not None:
-                break
-        if test_input is None:
-            continue
-        return Arc1dTask(tuple(pairs), test_input, rule)
+        if pairs[-1] is None or consistent_rules(pairs) != [rule]:
+            continue  # no visible example, or ambiguous examples: start over
+        test = _sample_visible(rule, rng, length)
+        if test is not None:
+            return Arc1dTask(tuple(pairs), test[0], rule)
     raise GenerationError("could not sample an unambiguous arc1d task")
 
 
 # --- solving -----------------------------------------------------------------
 
 def render_grid(grid) -> str:
-    return " ".join(str(v) for v in grid)
+    return " ".join(map(str, grid))
 
 
-def _agreement(rule, pair) -> float:
-    """Fraction of cells the rule predicts correctly on one pair."""
-    inp, out = pair
-    pred = rule.apply(inp)
-    return sum(1 for a, b in zip(pred, out) if a == b) / len(out)
+class _AttemptTree(SearchTree):
+    """The attempt tree, holding each wrong attempt's first miss for
+    :func:`_extend` to render once a detour picks the attempt."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.misses: dict[int, tuple] = {}  # node id -> (m, input, predicted)
 
 
 def heuristic_solve(task: Arc1dTask):
@@ -319,58 +300,72 @@ def heuristic_solve(task: Arc1dTask):
     by pool position, so the ordering is deterministic. The tree is: root,
     a study step, one attempt child per rule in that order, and under the
     first fully consistent attempt the application to the test input.
+    The rule analysis is shared with :func:`generate`, and a wrong
+    attempt's text is None until a detour picks it (:func:`_extend`).
     Raises NoSolutionError when no pool rule explains every example, and
     MultipleSolutionsError when several do (the task did not come from
     :func:`generate`).
     """
-    first = task.train_pairs[0]
-    order = sorted(range(len(RULE_POOL)),
-                   key=lambda idx: (-_agreement(RULE_POOL[idx], first), idx))
-    misses = [_first_mismatch(rule, task.train_pairs) for rule in RULE_POOL]
-    fitting = [idx for idx in order if misses[idx] is None]
+    analysis = _rule_analysis(task.train_pairs)
+    first_out = task.train_pairs[0][1]
+    agreement = [sum(map(eq, first, first_out)) for first, _ in analysis]
+    order = sorted(range(len(RULE_POOL)), key=agreement.__getitem__,
+                   reverse=True)
+    fitting = [idx for idx in order if analysis[idx][1] is None]
     if not fitting:
         raise NoSolutionError("no pool rule is consistent with all examples")
     if len(fitting) > 1:
         names = ", ".join(repr(RULE_POOL[idx].description) for idx in fitting)
         raise MultipleSolutionsError(f"pool rules {names} all fit every example")
-    winner = fitting[0]
+    winner = RULE_POOL[fitting[0]]
 
-    tree = SearchTree()
+    tree = _AttemptTree()
     root = tree.add_node("")
     study = tree.add_node(
         "compare each example input to its output to work out the rule.",
         parent=root,
     )
-    answer = RULE_POOL[winner].apply(task.test_input)
     winner_node = None
     for idx in order:
         rule = RULE_POOL[idx]
-        if idx == winner:
-            text = (f"try the rule '{rule.description}': "
-                    f"it matches all {len(task.train_pairs)} examples.")
-            winner_node = tree.add_node(text, parent=study, payload=rule)
+        miss = analysis[idx][1]
+        if miss is None:
+            winner_node = tree.add_node(
+                f"try the rule '{rule.description}': "
+                f"it matches all {len(task.train_pairs)} examples.",
+                parent=study, payload=rule)
         else:
-            m, inp, _ = misses[idx]
-            text = (f"try the rule '{rule.description}': on example {m}, "
-                    f"{render_grid(inp)} would become "
-                    f"{render_grid(rule.apply(inp))}.")
-            tree.add_node(text, parent=study, payload=rule)
+            tree.misses[tree.add_node(None, parent=study, payload=rule)] = miss
     tree.add_node(
-        f"apply the rule '{RULE_POOL[winner].description}' to the test input: "
-        f"{render_grid(task.test_input)} becomes {render_grid(answer)}.",
+        f"apply the rule '{winner.description}' to the test input: "
+        f"{render_grid(task.test_input)} becomes "
+        f"{render_grid(winner.apply(task.test_input))}.",
         parent=winner_node,
         is_solution=True,
-        payload=RULE_POOL[winner],
+        payload=winner,
     )
-    return tree, RULE_POOL[winner]
+    return tree, winner
 
 
 # --- traces ------------------------------------------------------------------
 
-def _observe(task: Arc1dTask, wrong_nodes) -> str:
+def _extend(tree: _AttemptTree, branch_id, excluded, rng):
+    """:func:`default_extend`, rendering the text of the attempt it picks."""
+    wrong = default_extend(tree, branch_id, excluded, rng)
+    if wrong:
+        node = tree.nodes[wrong[0]]
+        m, inp, pred = tree.misses[node.id]
+        node.state_text = (f"try the rule '{node.payload.description}': on "
+                           f"example {m}, {render_grid(inp)} would become "
+                           f"{render_grid(pred)}.")
+    return wrong
+
+
+def _observe(task: Arc1dTask, tree: _AttemptTree, wrong_nodes) -> str:
     """Why a detour is dead: the first example its rule gets wrong."""
-    m, _, out = _first_mismatch(wrong_nodes[-1].payload, task.train_pairs)
-    return f"The expected output for example {m} is {render_grid(out)}."
+    m = tree.misses[wrong_nodes[-1].id][0]
+    return (f"The expected output for example {m} is "
+            f"{render_grid(task.train_pairs[m - 1][1])}.")
 
 
 def make_trace(task: Arc1dTask, k: int, rng: random.Random):
@@ -384,10 +379,10 @@ def make_trace(task: Arc1dTask, k: int, rng: random.Random):
         raise ValueError(f"at most {len(RULE_POOL) - 1} detours are possible, got {k}")
     tree, rule = heuristic_solve(task)
     path = solution_path(tree)
-    plan = select_detours(tree, path, k, rng)
+    plan = select_detours(tree, path, k, rng, extend_fn=_extend)
     answer = render_grid(rule.apply(task.test_input))
     return linearize(tree, path, plan.exact(), answer,
-                     lambda det, wrong: _observe(task, wrong))
+                     lambda det, wrong: _observe(task, tree, wrong))
 
 
 # --- answer checking ---------------------------------------------------------
@@ -430,25 +425,29 @@ def format_prompt(task: Arc1dTask) -> str:
 
 
 def _instance(instance_id: int, seed: int, task: Arc1dTask) -> ProblemInstance:
+    expected = expected_output(task)
     return ProblemInstance(
         id=instance_id,
         task=TaskKind.ARC1D,
         prompt=format_prompt(task),
-        ground_truth=render_grid(expected_output(task)),
+        ground_truth=render_grid(expected),
         seed=seed,
         meta={
             "train_pairs": [[list(i), list(o)] for i, o in task.train_pairs],
             "test_input": list(task.test_input),
             "rule": [task.hidden_rule.name, list(task.hidden_rule.params)],
-            "expected": list(expected_output(task)),
+            "expected": list(expected),
         },
     )
 
 
 def task_from_instance(instance: ProblemInstance) -> Arc1dTask:
     name, params = instance.meta["rule"]
-    rule = next(r for r in RULE_POOL
-                if r.name == name and list(r.params) == list(params))
+    rule = next((r for r in RULE_POOL
+                 if r.name == name and list(r.params) == list(params)), None)
+    if rule is None:
+        raise ValueError(f"malformed arc1d instance {instance.id}: unknown "
+                         f"rule {name!r} with params {params!r}")
     return Arc1dTask(
         tuple((tuple(i), tuple(o)) for i, o in instance.meta["train_pairs"]),
         tuple(instance.meta["test_input"]),

@@ -1,10 +1,14 @@
+import hashlib
 import random
 
 import pytest
 
 from traceforge import arc1d as a1
+from traceforge import pipeline
 from traceforge.core import (
     BacktrackMarker,
+    Step,
+    TaskKind,
     derive_seed,
     extract_tags,
     render_completion,
@@ -135,9 +139,25 @@ def test_heuristic_order_prefers_agreement_on_first_pair():
     first = task.train_pairs[0]
     tree, _ = a1.heuristic_solve(task)
     study = tree.node(tree.node(tree.root).children[0])
-    agreements = [a1._agreement(tree.node(c).payload, first)
-                  for c in study.children]
+    inp, out = first
+    agreements = []
+    for c in study.children:
+        pred = tree.node(c).payload.apply(inp)
+        agreements.append(sum(a == b for a, b in zip(pred, out)) / len(out))
     assert agreements == sorted(agreements, reverse=True)
+
+
+def test_consistent_rules_accepts_lists_and_matches_direct_check():
+    for task in sample_tasks(20):
+        as_lists = [[list(i), list(o)] for i, o in task.train_pairs]
+        direct = [r for r in a1.RULE_POOL
+                  if all(r.apply(i) == tuple(o) for i, o in task.train_pairs)]
+        assert a1.consistent_rules(as_lists) == direct == [task.hidden_rule]
+    # a rule that fits the first pair but not the second is not consistent
+    pairs = [[[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]],
+             [[2, 0, 0, 0, 0], [0, 0, 2, 0, 0]]]
+    assert a1.consistent_rules(pairs[:1]) == [rule("shift_right", 1)]
+    assert a1.consistent_rules(pairs) == []
 
 
 def test_heuristic_solve_rejects_foreign_task():
@@ -183,6 +203,58 @@ def test_every_detour_is_one_wrong_attempt(k):
         plan = a1.select_detours(tree, path, k, random.Random(i))
         assert len(plan.exact()) == k
         assert all(len(det.wrong_path) == 1 for det in plan.detours)
+
+
+def _first_miss(r, pairs):
+    for m, (inp, out) in enumerate(pairs, start=1):
+        if r.apply(inp) != tuple(out):
+            return m
+    return None
+
+
+def test_attempt_text_and_observation_match_first_miss_oracle():
+    descriptions = {r.description: r for r in a1.RULE_POOL}
+    for i, task in enumerate(sample_tasks(50, master=717)):
+        pairs = task.train_pairs
+        trace = a1.make_trace(task, 16, random.Random(i))
+        events = list(trace.events)
+        seen = set()
+        for ev, nxt in zip(events, events[1:]):
+            if not isinstance(nxt, BacktrackMarker):
+                continue
+            assert isinstance(ev, Step)
+            d = ev.text.split("'")[1]
+            r = descriptions[d]
+            m = _first_miss(r, pairs)
+            assert m is not None
+            inp = pairs[m - 1][0]
+            assert ev.text == (f"try the rule '{d}': on example {m}, "
+                               f"{a1.render_grid(inp)} would become "
+                               f"{a1.render_grid(r.apply(inp))}.")
+            assert (f"The expected output for example {m} is "
+                    f"{a1.render_grid(pairs[m - 1][1])}.") in nxt.text
+            seen.add(r)
+        assert len(seen) == 16 and task.hidden_rule not in seen
+
+
+# SHA-256 of emit_sft(ARC1D, 200, k, master_seed=0) and its manifest at
+# k=0 and at k=16, where every wrong attempt of every task is rendered
+ARC1D_200_GOLDEN = {
+    "arc1d_k0.jsonl": "c553b9f18bd594cf32652b295743e3b7b88babc880ca4d66487480f910b7ca03",
+    "arc1d_k0.jsonl.manifest.json": "d7504d01c56e200932253b330335b3bd10a3de9bd9cfd7d60c64812de6227702",
+    "arc1d_k16.jsonl": "14f8b9888f6bddcd7f6440d3746638c696b14fdda419cb8c2c8b5397e4313786",
+    "arc1d_k16.jsonl.manifest.json": "4cf2607b6a397b423b9843dbf0256b4485d5c2687ade058bbe88437c1f39d522",
+}
+
+
+def test_sft_bytes_at_200_ids_and_all_attempts(tmp_path):
+    got = {}
+    for k in (0, 16):
+        path = tmp_path / f"arc1d_k{k}.jsonl"
+        pipeline.emit_sft(TaskKind.ARC1D, 200, k, 0, path)
+        for name in (path.name, path.name + ".manifest.json"):
+            got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert got == ARC1D_200_GOLDEN
 
 
 def test_trace_k_at_pool_size_is_rejected():
@@ -240,6 +312,13 @@ def test_parse_answer_accepts_digit_runs():
                                   "²", "1 １"])
 def test_parse_answer_rejects(text):
     assert a1.parse_answer(text) is None
+
+
+def test_task_from_instance_rejects_unknown_rule():
+    inst = a1.build_instance(7, derive_seed(606, 7))
+    inst.meta["rule"] = ["spin", []]
+    with pytest.raises(ValueError, match=r"arc1d instance 7: unknown rule 'spin'"):
+        a1.task_from_instance(inst)
 
 
 def test_verify_checks_exact_grid():
