@@ -1,8 +1,9 @@
 """The ``forge`` command line tool.
 
 Subcommands mirror the pipeline: generate instances, trace SFT datasets,
-shuffle completions, score/classify/eval completions against instances,
-and summarize datasets. Exit codes: 0 on success, 1 on validation errors
+build the paper's whole dataset layout, shuffle completions,
+score/classify/eval completions against instances, and summarize
+datasets. Exit codes: 0 on success, 1 on validation errors
 (bad arguments, malformed content, impossible requests), 2 on I/O errors.
 The FORGE_SEED environment variable overrides any --seed argument.
 """
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import pipeline, reward
 from .core import GenerationError, MultipleSolutionsError, NoSolutionError, TaskKind
@@ -40,95 +42,73 @@ def _seed_from(args) -> int:
     return _parse_seed(args.seed)
 
 
-def _load_completions(path) -> list:
-    items = []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "instance_id" not in obj or "completion" not in obj:
-                raise ValueError(
-                    f"{path}:{n}: completion records need instance_id and completion"
-                )
-            items.append(obj)
-    return items
+def _wrote(path, manifest, what) -> None:
+    print(f"wrote {manifest.count} {what} to {path}")
+    print(f"sha256 {manifest.sha256}")
 
 
-def _check_instances_task(instances, task_value: str) -> None:
+def _completion(line: str) -> dict:
+    obj = json.loads(line)
+    return {key: obj[key] for key in ("instance_id", "completion")}
+
+
+def _load(args):
+    """The instances and completions files; with ``--task``, every instance
+    must be of that task."""
+    instances = pipeline.load_instances(args.instances)
     for inst in instances:
-        if inst.task.value != task_value:
-            raise ValueError(
-                f"instance {inst.id} is a {inst.task.value} instance, "
-                f"but --task is {task_value}"
-            )
+        if getattr(args, "task", inst.task.value) != inst.task.value:
+            raise ValueError(f"instance {inst.id} is a {inst.task.value} "
+                             f"instance, but --task is {args.task}")
+    return instances, pipeline.read_jsonl(args.completions, _completion)
 
 
 def _cmd_generate(args) -> int:
     task = TaskKind(args.task)
-    seed = _seed_from(args)
     os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, f"{task.value}_instances.jsonl")
-    manifest = pipeline.emit_instances(task, args.count, seed, out_path)
-    print(f"wrote {manifest.count} instances to {out_path}")
-    print(f"sha256 {manifest.sha256}")
+    path = pipeline.instances_path(args.out, task)
+    manifest = pipeline.emit_instances(task, args.count, _seed_from(args),
+                                       path)
+    _wrote(path, manifest, "instances")
     return 0
 
 
 def _cmd_trace(args) -> int:
     task = TaskKind(args.task)
-    seed = _seed_from(args)
     os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(
-        args.out, f"{task.value}_k{args.backtracks}.jsonl"
-    )
-    manifest = pipeline.emit_sft(task, args.count, args.backtracks, seed,
-                                 out_path, workers=args.workers)
-    print(f"wrote {manifest.count} records to {out_path}")
-    print(f"sha256 {manifest.sha256}")
+    path = pipeline.traced_path(args.out, task, args.backtracks)
+    manifest = pipeline.emit_sft(task, args.count, args.backtracks,
+                                 _seed_from(args), path, workers=args.workers)
+    _wrote(path, manifest, "records")
+    return 0
+
+
+def _cmd_build(args) -> int:
+    for path, manifest, what in pipeline.emit_layout(
+            args.out, args.count, _seed_from(args), args.workers):
+        _wrote(path, manifest, what)
     return 0
 
 
 def _cmd_shuffle(args) -> int:
     manifest = pipeline.write_shuffled(args.in_path, args.out, _seed_from(args))
-    print(f"wrote {manifest.count} shuffled records to {args.out}")
-    print(f"sha256 {manifest.sha256}")
+    _wrote(args.out, manifest, "shuffled records")
     return 0
 
 
 def _cmd_score(args) -> int:
-    instances = pipeline.load_instances(args.instances)
-    _check_instances_task(instances, args.task)
-    completions = _load_completions(args.completions)
-    by_id = {inst.id: inst for inst in instances}
     lines = []
-    for item in completions:
-        iid = int(item["instance_id"])
-        inst = by_id.get(iid)
-        if inst is None:
-            raise ValueError(f"completion references unknown instance {iid}")
-        b = reward.score(inst, item["completion"], gated=not args.ungated)
-        lines.append(json.dumps(
-            {
-                "instance_id": iid,
-                "format_score": b.format_score,
-                "answer_score": b.answer_score,
-                "total": b.total,
-                "category": b.category,
-            },
-            ensure_ascii=False,
-        ))
+    for inst, text in reward.pair_completions(*_load(args)):
+        b = reward.score(inst, text, gated=not args.ungated)
+        lines.append(json.dumps({"instance_id": inst.id, **asdict(b)},
+                                ensure_ascii=False))
     pipeline.write_lines(args.out, lines)
     print(f"scored {len(lines)} completions to {args.out}")
     return 0
 
 
 def _cmd_classify(args) -> int:
-    instances = pipeline.load_instances(args.instances)
-    _check_instances_task(instances, args.task)
-    completions = _load_completions(args.completions)
-    buckets = pipeline.split_by_correctness(instances, completions)
+    buckets = pipeline.split_by_correctness(*_load(args))
     os.makedirs(args.out, exist_ok=True)
     for name in reward.CATEGORIES:
         path = os.path.join(args.out, f"{name}.jsonl")
@@ -138,10 +118,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    instances = pipeline.load_instances(args.instances)
-    completions = _load_completions(args.completions)
-    rates = reward.evaluate(instances, completions)
-    print(reward.render_eval_table(rates))
+    print(reward.render_eval_table(reward.evaluate(*_load(args))))
     return 0
 
 
@@ -173,6 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_trace)
+
+    p = sub.add_parser("build", help="write the paper's dataset layout")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--count", required=True, type=int,
+                   help="instances per task and records per traced file")
+    p.add_argument("--seed", default="0")
+    p.add_argument("--workers", type=int, default=1)
+    p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("shuffle", help="derange completions across records")
     p.add_argument("--in", dest="in_path", required=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,11 +27,14 @@ from .core import (
     derive_seed,
     render_sft_record,
 )
-from .reward import score
+from .reward import pair_completions, score
 from .search import MARKER_PHRASE
 from .tasks import TASKS
 
 SCHEMA_VERSION = 1
+
+# backtrack depths of the paper's traced files (see :func:`emit_layout`)
+LAYOUT_DEPTHS = (0, 1, 5, 10)
 
 
 @dataclass(frozen=True)
@@ -65,18 +69,49 @@ def manifest_path_for(data_path) -> str:
     return f"{data_path}.manifest.json"
 
 
+def instances_path(out, task: TaskKind) -> str:
+    return os.path.join(out, f"{task.value}_instances.jsonl")
+
+
+def traced_path(out, task: TaskKind, k: int) -> str:
+    return os.path.join(out, f"{task.value}_k{k}.jsonl")
+
+
 def write_lines(path, lines) -> str:
-    """Write newline-terminated lines as UTF-8, returning the SHA-256."""
+    """Write newline-terminated lines as UTF-8, returning the SHA-256; a
+    temporary file beside ``path`` replaces it once complete."""
     blob = "".join(line + "\n" for line in lines).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return hashlib.sha256(blob).hexdigest()
+
+
+def read_jsonl(path, parse) -> list:
+    """``parse`` of each non-blank line of a JSON-lines file. A line that is
+    not JSON, lacks a field or holds a bad value raises ValueError naming
+    the file and the line."""
+    items = []
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, start=1):
+            try:
+                if line.strip():
+                    items.append(parse(line))
+            except (KeyError, ValueError, TypeError) as exc:
+                raise ValueError(
+                    f"{path}:{n}: {type(exc).__name__}: {exc}") from exc
+    return items
 
 
 def _write_dataset(out_path, lines, task: str, backtracks: Optional[int],
                    master_seed: int,
                    prompt_template: Optional[str]) -> DatasetManifest:
-    """Write a data file and its sibling manifest; returns the manifest."""
+    """Write a data file, then its sibling manifest; returns the manifest."""
     manifest = DatasetManifest(
         schema_version=SCHEMA_VERSION,
         task=task,
@@ -86,8 +121,7 @@ def _write_dataset(out_path, lines, task: str, backtracks: Optional[int],
         sha256=write_lines(out_path, lines),
         prompt_template=prompt_template,
     )
-    with open(manifest_path_for(out_path), "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_json())
+    write_lines(manifest_path_for(out_path), [manifest.to_json().rstrip()])
     return manifest
 
 
@@ -122,13 +156,7 @@ def record_from_json(line: str) -> SftRecord:
 
 
 def load_records(path) -> list:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(record_from_json(line))
-    return records
+    return read_jsonl(path, record_from_json)
 
 
 def write_records(records, path) -> str:
@@ -172,13 +200,7 @@ def instance_from_json(line: str) -> ProblemInstance:
 
 
 def load_instances(path) -> list:
-    instances = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                instances.append(instance_from_json(line))
-    return instances
+    return read_jsonl(path, instance_from_json)
 
 
 # --- building ----------------------------------------------------------------
@@ -285,6 +307,25 @@ def write_shuffled(in_path, out_path, seed: int) -> DatasetManifest:
                           None, seed, None)
 
 
+def emit_layout(out, count: int, master_seed: int, workers: int = 1):
+    """Write the paper's dataset layout into directory ``out``, yielding
+    ``(path, manifest, what)`` as each file lands: instances for every
+    generator task by name, traced files for each traced task at every
+    ``LAYOUT_DEPTHS`` depth, then countdown k=1 with shuffled completions."""
+    os.makedirs(out, exist_ok=True)
+    for task in sorted(t for t in TASKS if TASKS[t].build_instance):
+        path = instances_path(out, task)
+        yield path, emit_instances(task, count, master_seed, path), "instances"
+    for task in (t for t in TASKS if TASKS[t].build_traced):
+        for k in LAYOUT_DEPTHS:
+            path = traced_path(out, task, k)
+            yield path, emit_sft(task, count, k, master_seed, path,
+                                 workers), "records"
+    path = os.path.join(out, "countdown_k1_shuffled.jsonl")
+    yield path, write_shuffled(traced_path(out, TaskKind.COUNTDOWN, 1), path,
+                               master_seed), "shuffled records"
+
+
 # --- scoring-driven splits ---------------------------------------------------
 
 def count_markers(completion: str) -> int:
@@ -298,14 +339,8 @@ def split_by_correctness(instances, completions) -> dict:
     {"instance_id", "completion"} mappings. Every bucket key is always
     present, possibly empty. Unknown instance ids raise ValueError.
     """
-    by_id = {inst.id: inst for inst in instances}
     buckets = {"correct": [], "incorrect": [], "incorrect_format": []}
-    for item in completions:
-        iid = int(item["instance_id"])
-        inst = by_id.get(iid)
-        if inst is None:
-            raise ValueError(f"completion references unknown instance {iid}")
-        completion = item["completion"]
+    for inst, completion in pair_completions(instances, completions):
         breakdown = score(inst, completion)
         buckets[breakdown.category].append(SftRecord(
             instance_id=inst.id,

@@ -100,29 +100,35 @@ def pass_at_1(breakdowns) -> float:
 COLUMN_ORDER = ("AG", "CD", "ARC", "SDK", "CCR", "ZP", "LF", "SR")
 
 
+def pair_completions(instances, items) -> list:
+    """``(instance, completion text)`` for each {"instance_id", "completion"}
+    item, in item order. An id that no instance has raises ValueError."""
+    by_id = {inst.id: inst for inst in instances}
+    pairs = []
+    for item in items:
+        iid = int(item["instance_id"])
+        if iid not in by_id:
+            raise ValueError(f"completion references unknown instance {iid}")
+        pairs.append((by_id[iid], item["completion"]))
+    return pairs
+
+
 def evaluate(instances, completions) -> dict:
     """Pass rate per evaluation column.
 
-    ``completions`` maps instance id -> completion text (or is a list of
-    {"instance_id", "completion"} items). Instances without a completion
+    ``completions`` is a list of {"instance_id", "completion"} items; an
+    instance's last item is its answer. Instances without a completion
     count as failures; completions without an instance raise ValueError.
     """
-    if not isinstance(completions, dict):
-        completions = {int(c["instance_id"]): c["completion"]
-                       for c in completions}
-    by_id = {inst.id: inst for inst in instances}
-    for iid in completions:
-        if iid not in by_id:
-            raise ValueError(f"completion references unknown instance {iid}")
+    answers = {inst.id: text
+               for inst, text in pair_completions(instances, completions)}
     hits: dict = {}
     totals: dict = {}
     for inst in instances:
         column = TASKS[inst.task].column
         totals[column] = totals.get(column, 0) + 1
-        text = completions.get(inst.id)
-        if text is None:
-            continue
-        if score(inst, text).category == CORRECT:
+        text = answers.get(inst.id)
+        if text is not None and score(inst, text).category == CORRECT:
             hits[column] = hits.get(column, 0) + 1
     return {col: hits.get(col, 0) / totals[col]
             for col in COLUMN_ORDER if col in totals}

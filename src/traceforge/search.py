@@ -173,13 +173,9 @@ def select_detours(tree: SearchTree, path: list, k: int, rng: random.Random,
     active = set(positions)
     detours: list[Detour] = []
     while len(detours) < k and active:
-        round_order = rng.sample(sorted(active), len(active))
-        progressed = False
-        for pos in round_order:
+        for pos in rng.sample(sorted(active), len(active)):
             if len(detours) >= k:
                 break
-            if pos not in active:
-                continue
             branch_id = path[pos]
             # never re-enter the branch we actually take, nor repeat a
             # wrong branch already used at this position
@@ -190,9 +186,6 @@ def select_detours(tree: SearchTree, path: list, k: int, rng: random.Random,
                 continue
             used_first[pos].add(wrong[0])
             detours.append(Detour(branch_id, tuple(wrong), pos))
-            progressed = True
-        if not progressed:
-            break
     detours.sort(key=lambda d: d.resume_step)
     return DetourPlan(detours, k)
 

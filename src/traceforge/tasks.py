@@ -1,7 +1,7 @@
 """The task table: one :class:`TaskSpec` per task kind.
 
-The pipeline, the reward, the CLI and the scripts all read ``TASKS``, so a
-task is described here once: how to generate an instance, how to build a
+The pipeline, the reward, the CLI and ``scripts/show_trace.py`` all read
+``TASKS``, so a task is described here once: how to generate an instance, how to build a
 traced SFT record, how to check an answer, which prompt template dataset
 manifests record, and which evaluation column the task reports in.
 Adding a task means adding one entry.

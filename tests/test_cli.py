@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 from helpers import wrap
+from test_golden_bytes import GOLDEN
 
 from traceforge import pipeline
 from traceforge.cli import main
@@ -202,6 +204,60 @@ def test_stats_prints_summary(tmp_path, capsys):
     summary = json.loads(out)
     assert summary["records"] == 3
     assert summary["backtracks"] == {"1": 3}
+
+
+def test_truncated_record_line_names_file_and_line(tmp_path, capsys):
+    run(capsys, "trace", "--task", "countdown", "--backtracks", "0",
+        "--count", "3", "--seed", "5", "--out", str(tmp_path))
+    path = tmp_path / "countdown_k0.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(lines[0] + "\n" + lines[1][:50] + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "stats", "--in", str(path))
+    assert code == 1
+    assert err.startswith(f"error: {path}:2: JSONDecodeError: ")
+    assert "Traceback" not in err
+
+
+def test_completion_line_without_text_names_file_and_line(tmp_path, capsys):
+    run(capsys, "generate", "--task", "countdown", "--count", "2",
+        "--seed", "1", "--out", str(tmp_path))
+    comp_path = tmp_path / "completions.jsonl"
+    write_jsonl(comp_path, [{"instance_id": 0, "completion": wrap("1")},
+                            {"instance_id": 1}])
+    code, _, err = run(capsys, "eval", "--instances",
+                       str(tmp_path / "countdown_instances.jsonl"),
+                       "--completions", str(comp_path))
+    assert code == 1
+    assert f"{comp_path}:2: KeyError: 'completion'" in err
+
+
+def test_instances_of_another_task_are_a_validation_error(tmp_path, capsys):
+    run(capsys, "generate", "--task", "countdown", "--count", "2",
+        "--seed", "1", "--out", str(tmp_path))
+    comp_path = tmp_path / "completions.jsonl"
+    write_jsonl(comp_path, [{"instance_id": 0, "completion": wrap("1")}])
+    code, _, err = run(capsys, "classify", "--task", "sudoku", "--instances",
+                       str(tmp_path / "countdown_instances.jsonl"),
+                       "--completions", str(comp_path),
+                       "--out", str(tmp_path / "buckets"))
+    assert code == 1
+    assert "instance 0 is a countdown instance, but --task is sudoku" in err
+
+
+def test_build_writes_the_layout_with_golden_bytes(tmp_path, capsys):
+    code, out, _ = run(capsys, "build", "--out", str(tmp_path),
+                       "--count", "20", "--seed", "0")
+    assert code == 0
+    expected = dict(GOLDEN)
+    expected["countdown_k1_shuffled.jsonl"] = \
+        "ae37255cf28a381acf5912e99bb76950442132ce5964c62587f7ba767ed199f2"
+    expected["countdown_k1_shuffled.jsonl.manifest.json"] = \
+        "be4454fd4788a9917832370fc0a3f7bf12cda3d51390b324ab533c64d47ca7bb"
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.iterdir()}
+    assert got == expected
+    assert out.count("wrote 20 ") == 21
+    assert "wrote 20 shuffled records to" in out
 
 
 def test_missing_input_file_is_io_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 
 import pytest
@@ -69,6 +70,51 @@ def test_record_files_round_trip(tmp_path):
     assert load_records(path) == records
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     assert path.read_bytes().endswith(b"\n")
+
+
+def test_read_jsonl_names_file_and_line_of_a_bad_line(tmp_path):
+    path = tmp_path / "r.jsonl"
+    write_records([sample_record()], path)
+    good = path.read_text(encoding="utf-8")
+    path.write_text(good + "\n" + good[:40] + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"r\.jsonl:3: JSONDecodeError: "):
+        load_records(path)
+    obj = json.loads(good)
+    del obj["prompt"]
+    path.write_text(good + json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"r\.jsonl:2: KeyError: 'prompt'"):
+        load_records(path)
+
+
+def test_failed_replace_leaves_earlier_files_and_no_temporaries(tmp_path,
+                                                                monkeypatch):
+    out = tmp_path / "countdown_k1.jsonl"
+    emit_sft(TaskKind.COUNTDOWN, 4, 1, 3, out)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["countdown_k1.jsonl",
+                              "countdown_k1.jsonl.manifest.json"]
+
+    def fail(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(pipeline.os, "replace", fail)
+    with pytest.raises(OSError, match="disk gone"):
+        emit_sft(TaskKind.COUNTDOWN, 4, 1, 4, out)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_manifest_is_written_after_its_data_file(tmp_path, monkeypatch):
+    replaced = []
+    real = pipeline.os.replace
+
+    def spy(src, dst):
+        replaced.append(os.path.basename(dst))
+        real(src, dst)
+
+    monkeypatch.setattr(pipeline.os, "replace", spy)
+    emit_instances(TaskKind.ARC1D, 2, 0, tmp_path / "arc1d_instances.jsonl")
+    assert replaced == ["arc1d_instances.jsonl",
+                        "arc1d_instances.jsonl.manifest.json"]
 
 
 # --- builders -----------------------------------------------------------------

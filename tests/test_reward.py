@@ -16,6 +16,7 @@ from traceforge.reward import (
     ScoreBreakdown,
     classify,
     evaluate,
+    pair_completions,
     pass_at_1,
     render_eval_table,
     score,
@@ -291,12 +292,13 @@ def test_evaluate_pools_geometry_and_counts_misses(cd_instance):
         xtasks.build_orthocenter_instance(11, 32),
         zebra_instance(),
     ]
-    completions = {
-        cd_instance.id: wrap(cd_instance.ground_truth),
-        10: wrap(instances[1].ground_truth),
-        11: wrap("(999.000, 999.000)"),
+    completions = [
+        {"instance_id": cd_instance.id,
+         "completion": wrap(cd_instance.ground_truth)},
+        {"instance_id": 10, "completion": wrap(instances[1].ground_truth)},
+        {"instance_id": 11, "completion": wrap("(999.000, 999.000)")},
         # zebra instance never answered: counts as a miss
-    }
+    ]
     rates = evaluate(instances, completions)
     assert rates == {"AG": 0.5, "CD": 1.0, "ZP": 0.0}
     assert list(rates) == ["AG", "CD", "ZP"]  # fixed column order
@@ -310,7 +312,19 @@ def test_evaluate_accepts_record_list(cd_instance):
 
 def test_evaluate_rejects_unknown_instance(cd_instance):
     with pytest.raises(ValueError):
-        evaluate([cd_instance], {99: wrap("1 + 2")})
+        evaluate([cd_instance], [{"instance_id": 99,
+                                  "completion": wrap("1 + 2")}])
+
+
+def test_pair_completions_keeps_item_order_and_rejects_unknown_ids(cd_instance):
+    other = xtasks.build_angle_instance(10, 31)
+    items = [{"instance_id": 10, "completion": "a"},
+             {"instance_id": str(cd_instance.id), "completion": "b"},
+             {"instance_id": 10, "completion": "c"}]
+    assert pair_completions([cd_instance, other], items) == [
+        (other, "a"), (cd_instance, "b"), (other, "c")]
+    with pytest.raises(ValueError, match="unknown instance 99"):
+        pair_completions([cd_instance], [{"instance_id": 99, "completion": ""}])
 
 
 def test_render_eval_table():
