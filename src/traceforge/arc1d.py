@@ -236,10 +236,11 @@ def _sample_visible(rule: TransformRule, rng: random.Random, length: int):
 @functools.lru_cache(maxsize=1)
 def _rule_analysis(pairs):
     """Per pool rule, (its prediction on example 1, its first miss): the
-    miss is (1-based example number, input, predicted output) of the first
-    pair it gets wrong, or None when it fits. ``pairs`` is a tuple of
-    (input, output) tuples; each rule is applied at most once to each pair
-    it reaches. The latest result is kept for :func:`heuristic_solve`."""
+    miss is (1-based example number, input, predicted output, expected
+    output) of the first pair it gets wrong, or None when it fits.
+    ``pairs`` is a tuple of (input, output) tuples; each rule is applied at
+    most once to each pair it reaches. The latest result is kept for
+    :func:`heuristic_solve`."""
     result = []
     for rule in RULE_POOL:
         first = miss = None
@@ -248,7 +249,7 @@ def _rule_analysis(pairs):
             if first is None:
                 first = pred
             if pred != out:
-                miss = (m, inp, pred)
+                miss = (m, inp, pred, out)
                 break
         result.append((first, miss))
     return tuple(result)
@@ -290,7 +291,7 @@ class _AttemptTree(SearchTree):
 
     def __init__(self) -> None:
         super().__init__()
-        self.misses: dict[int, tuple] = {}  # node id -> (m, input, predicted)
+        self.misses: dict[int, tuple] = {}  # node id -> first miss
 
 
 def heuristic_solve(task: Arc1dTask):
@@ -350,22 +351,18 @@ def heuristic_solve(task: Arc1dTask):
 # --- traces ------------------------------------------------------------------
 
 def _extend(tree: _AttemptTree, branch_id, excluded, rng):
-    """:func:`default_extend`, rendering the text of the attempt it picks."""
+    """:func:`default_extend`, rendering the text of the attempt it picks;
+    the observation is the expected output of the first example its rule
+    gets wrong."""
     wrong = default_extend(tree, branch_id, excluded, rng)
-    if wrong:
-        node = tree.nodes[wrong[0]]
-        m, inp, pred = tree.misses[node.id]
-        node.state_text = (f"try the rule '{node.payload.description}': on "
-                           f"example {m}, {render_grid(inp)} would become "
-                           f"{render_grid(pred)}.")
-    return wrong
-
-
-def _observe(task: Arc1dTask, tree: _AttemptTree, wrong_nodes) -> str:
-    """Why a detour is dead: the first example its rule gets wrong."""
-    m = tree.misses[wrong_nodes[-1].id][0]
-    return (f"The expected output for example {m} is "
-            f"{render_grid(task.train_pairs[m - 1][1])}.")
+    if wrong is None:
+        return None
+    node = tree.nodes[wrong[0]]
+    m, inp, pred, out = tree.misses[node.id]
+    node.state_text = (f"try the rule '{node.payload.description}': on "
+                       f"example {m}, {render_grid(inp)} would become "
+                       f"{render_grid(pred)}.")
+    return wrong, f"The expected output for example {m} is {render_grid(out)}."
 
 
 def make_trace(task: Arc1dTask, k: int, rng: random.Random):
@@ -379,10 +376,9 @@ def make_trace(task: Arc1dTask, k: int, rng: random.Random):
         raise ValueError(f"at most {len(RULE_POOL) - 1} detours are possible, got {k}")
     tree, rule = heuristic_solve(task)
     path = solution_path(tree)
-    plan = select_detours(tree, path, k, rng, extend_fn=_extend)
-    answer = render_grid(rule.apply(task.test_input))
-    return linearize(tree, path, plan.exact(), answer,
-                     lambda det, wrong: _observe(task, tree, wrong))
+    plan = select_detours(tree, path, k, rng, _extend)
+    return linearize(tree, path, plan.exact(),
+                     render_grid(rule.apply(task.test_input)))
 
 
 # --- answer checking ---------------------------------------------------------

@@ -49,7 +49,12 @@ def _wrote(path, manifest, what) -> None:
 
 def _completion(line: str) -> dict:
     obj = json.loads(line)
-    return {key: obj[key] for key in ("instance_id", "completion")}
+    iid, text = obj["instance_id"], obj["completion"]
+    if type(iid) is not int:
+        raise ValueError(f"instance_id must be a JSON integer, got {iid!r}")
+    if not isinstance(text, str):
+        raise ValueError(f"completion must be a string, got {text!r}")
+    return {"instance_id": iid, "completion": text}
 
 
 def _load(args):

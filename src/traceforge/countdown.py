@@ -30,7 +30,6 @@ from .core import (
 )
 from .search import (
     MAX_DETOUR_DEPTH,
-    Detour,
     SearchTree,
     build_with_retries,
     linearize,
@@ -300,15 +299,16 @@ def _find_solution(values, target, budget):
 
 
 class _SolvedTree(SearchTree):
-    """A solve's root-to-solution path. Each path node but the last keeps
-    the move taken there in ``taken`` until :meth:`expand` builds its other
-    children, the sibling moves."""
+    """A solve's root-to-solution path, for the puzzle's ``target``. Each
+    path node but the last keeps the move taken there in ``taken`` until
+    :meth:`expand` builds its other children, the sibling moves."""
 
-    def __init__(self) -> None:
+    def __init__(self, target: int) -> None:
         super().__init__()
+        self.target = target
         self.taken: dict = {}
 
-    def expand(self, nid: int, target: int) -> None:
+    def expand(self, nid: int) -> None:
         """Give path node ``nid`` a child per legal move, in move order, the
         path child at the taken move's place; a no-op once done. The taken
         move is matched as a whole tuple: with repeated numbers, sibling
@@ -323,16 +323,16 @@ class _SolvedTree(SearchTree):
             if m == move:
                 node.children.append(path_child)
             else:
-                _add_move(self, nid, m, target)
+                _add_move(self, nid, m)
 
 
-def _add_move(tree: SearchTree, parent: int, move, target: int) -> int:
+def _add_move(tree: _SolvedTree, parent: int, move) -> int:
     """Add the child that ``move`` makes from ``parent``'s values."""
     _, _, op, x, y, result, _ = move
     return tree.add_node(
         f"{x} {op} {y} = {result}.",
         parent=parent,
-        is_solution=(result == target),
+        is_solution=(result == tree.target),
         payload=tuple(_apply_move(tree.nodes[parent].payload, move)),
     )
 
@@ -348,7 +348,7 @@ def solve_dfs(puzzle: CountdownPuzzle):
     when it is one of the numbers, else :func:`render_moves` of the moves.
     """
     target = puzzle.target
-    tree = _SolvedTree()
+    tree = _SolvedTree(target)
     values = tuple(puzzle.numbers)
     if target in values:
         tree.add_node("", is_solution=True, payload=values)
@@ -365,49 +365,39 @@ def solve_dfs(puzzle: CountdownPuzzle):
     node = tree.add_node("", payload=values)
     for step in steps:
         tree.taken[node] = step
-        node = _add_move(tree, node, step, target)
+        node = _add_move(tree, node, step)
     return tree, render_moves(puzzle.numbers, steps)
 
 
 # --- traces ------------------------------------------------------------------
 
-def _make_extend(target: int):
+def _extend(tree: _SolvedTree, branch_id, excluded, rng):
     """Detour extension: walk a wrong branch, then insist it is dead.
 
     The branch point's sibling moves are built on its first visit. A
     candidate wrong branch is accepted only when no value along it equals
     the target and the values remaining at its end cannot reach the target
-    at all, so the trace's claim of a dead end is literally true.
+    at all, so the trace's claim of a dead end is literally true. The
+    observation names the value the branch's last move made.
     """
-
-    def extend(tree, branch_id, excluded, rng):
-        tree.expand(branch_id, target)
-        node = tree.nodes[branch_id]
-        candidates = [c for c in node.children
-                      if c not in excluded and not tree.nodes[c].is_solution]
-        rng.shuffle(candidates)
-        for cand in candidates:
-            wrong = [cand]
-            cursor = cand
-            values = tree.nodes[cand].payload
-            while len(wrong) < MAX_DETOUR_DEPTH and len(values) >= 2:
-                moves = [m for m in legal_moves(values) if m[5] != target]
-                if not moves:
-                    break
-                cursor = _add_move(tree, cursor,
-                                   moves[rng.randrange(len(moves))], target)
-                values = tree.nodes[cursor].payload
-                wrong.append(cursor)
-            if not reachable(values, target):
-                return wrong
-        return None
-
-    return extend
-
-
-def _observe(detour: Detour, wrong_nodes) -> str:
-    end_values = wrong_nodes[-1].payload
-    return f"{end_values[-1]} is not the correct answer."
+    target = tree.target
+    tree.expand(branch_id)
+    candidates = [c for c in tree.nodes[branch_id].children
+                  if c not in excluded and not tree.nodes[c].is_solution]
+    rng.shuffle(candidates)
+    for cand in candidates:
+        wrong = [cand]
+        values = tree.nodes[cand].payload
+        while len(wrong) < MAX_DETOUR_DEPTH and len(values) >= 2:
+            moves = [m for m in legal_moves(values) if m[5] != target]
+            if not moves:
+                break
+            wrong.append(_add_move(tree, wrong[-1],
+                                   moves[rng.randrange(len(moves))]))
+            values = tree.nodes[wrong[-1]].payload
+        if not reachable(values, target):
+            return wrong, f"{values[-1]} is not the correct answer."
+    return None
 
 
 def make_trace(puzzle: CountdownPuzzle, k: int, rng: random.Random):
@@ -418,9 +408,8 @@ def make_trace(puzzle: CountdownPuzzle, k: int, rng: random.Random):
     """
     tree, answer = solve_dfs(puzzle)
     path = solution_path(tree)
-    plan = select_detours(tree, path, k, rng,
-                          extend_fn=_make_extend(puzzle.target))
-    return linearize(tree, path, plan.exact(), answer, _observe)
+    plan = select_detours(tree, path, k, rng, _extend)
+    return linearize(tree, path, plan.exact(), answer)
 
 
 # --- answer checking ---------------------------------------------------------

@@ -178,11 +178,14 @@ def instance_to_json(instance: ProblemInstance) -> str:
 
 
 def instance_from_json(line: str) -> ProblemInstance:
-    """One instance line. The ground truth must be a string, except that a
-    list_functions truth may also be a JSON list of numbers."""
+    """One instance line. The id must be a JSON integer, and the ground
+    truth a string, except that a list_functions truth may also be a JSON
+    list of numbers."""
     obj = json.loads(line)
+    if type(obj["id"]) is not int:
+        raise ValueError(f"id must be a JSON integer, got {obj['id']!r}")
     instance = ProblemInstance(
-        id=int(obj["id"]),
+        id=obj["id"],
         task=TaskKind(obj["task"]),
         prompt=obj["prompt"],
         ground_truth=obj["ground_truth"],
@@ -311,7 +314,10 @@ def emit_layout(out, count: int, master_seed: int, workers: int = 1):
     """Write the paper's dataset layout into directory ``out``, yielding
     ``(path, manifest, what)`` as each file lands: instances for every
     generator task by name, traced files for each traced task at every
-    ``LAYOUT_DEPTHS`` depth, then countdown k=1 with shuffled completions."""
+    ``LAYOUT_DEPTHS`` depth, then countdown k=1 with shuffled completions.
+    A ``count`` below 2 raises ValueError before anything is written."""
+    if count < 2:
+        raise ValueError("--count must be at least 2 to shuffle completions")
     os.makedirs(out, exist_ok=True)
     for task in sorted(t for t in TASKS if TASKS[t].build_instance):
         path = instances_path(out, task)

@@ -107,12 +107,13 @@ def solution_path(tree: SearchTree) -> list[int]:
 
 @dataclass(frozen=True)
 class Detour:
-    """One wrong excursion: where it branches, which nodes it visits, and
-    the step number the trace returns to afterwards."""
+    """One wrong excursion: where it branches, which nodes it visits, the
+    step number the trace returns to afterwards, and why it is dead."""
 
     branch_point: int       # node id on the solution path
     wrong_path: tuple       # node ids walked down the wrong branch
     resume_step: int        # 1-based step index of the branch point
+    observation: str        # the task's reason for abandoning the branch
 
 
 @dataclass
@@ -134,7 +135,11 @@ class DetourPlan:
         return self.detours
 
 
-ExtendFn = Callable[[SearchTree, int, set, random.Random], Optional[list]]
+# ``extend(tree, branch_id, excluded, rng)`` walks one wrong branch from a
+# child of the branch point not in ``excluded`` and returns (its node ids,
+# why it is dead), or None when no wrong branch is left. The observation
+# draws no random numbers.
+ExtendFn = Callable[[SearchTree, int, set, random.Random], Optional[tuple]]
 
 
 def default_extend(tree: SearchTree, branch_id: int, excluded: set,
@@ -142,8 +147,9 @@ def default_extend(tree: SearchTree, branch_id: int, excluded: set,
     """Pick one unused non-solution child of the branch point at random.
 
     Returns that child as a one-node wrong path, or None when every child
-    of the branch point is excluded or a solution. Arc1d detours are this
-    one wrong attempt; sudoku starts from it and walks deeper.
+    of the branch point is excluded or a solution. This is the first step
+    of the sudoku and arc1d extends: arc1d detours are this one wrong
+    attempt, and sudoku walks deeper from it.
     """
     candidates = [c for c in tree.nodes[branch_id].children
                   if c not in excluded and not tree.nodes[c].is_solution]
@@ -153,8 +159,9 @@ def default_extend(tree: SearchTree, branch_id: int, excluded: set,
 
 
 def select_detours(tree: SearchTree, path: list, k: int, rng: random.Random,
-                   extend_fn: ExtendFn = default_extend) -> DetourPlan:
-    """Choose up to ``k`` detours along the solution path.
+                   extend_fn: ExtendFn) -> DetourPlan:
+    """Choose up to ``k`` detours along the solution path, each built by
+    the task's ``extend_fn``.
 
     Branch points are drawn uniformly without replacement from the path
     positions that can host a detour (the root and the final node are
@@ -180,29 +187,29 @@ def select_detours(tree: SearchTree, path: list, k: int, rng: random.Random,
             # never re-enter the branch we actually take, nor repeat a
             # wrong branch already used at this position
             excluded = used_first[pos] | {path[pos + 1]}
-            wrong = extend_fn(tree, branch_id, excluded, rng)
-            if not wrong:
+            found = extend_fn(tree, branch_id, excluded, rng)
+            if found is None:
                 active.discard(pos)
                 continue
+            wrong, observation = found
             used_first[pos].add(wrong[0])
-            detours.append(Detour(branch_id, tuple(wrong), pos))
+            detours.append(Detour(branch_id, tuple(wrong), pos, observation))
     detours.sort(key=lambda d: d.resume_step)
     return DetourPlan(detours, k)
 
 
-def linearize(tree: SearchTree, path: list, detours: list, answer: str,
-              observe: Callable[[Detour, list], str]) -> ReasoningTrace:
+def linearize(tree: SearchTree, path: list, detours: list,
+              answer: str) -> ReasoningTrace:
     """Interleave the solution path with detours into an event sequence.
 
     Each node's step text is its stored state text. Each detour is
     inserted immediately after its branch-point step: the wrong steps
     continue the numbering, the backtrack marker names the branch-point
-    step and carries ``observe(detour, wrong_nodes)``, the task's reason
-    for abandoning the branch, and numbering resumes from there. The trace
-    ends with ``CONCLUSION`` and carries ``answer``. Malformed detour
-    references (branch point not on the path at the stated position, or a
-    wrong path that does not start at a child of the branch point) raise
-    ValueError.
+    step and carries the detour's observation, and numbering resumes from
+    there. The trace ends with ``CONCLUSION`` and carries ``answer``.
+    Malformed detour references (branch point not on the path at the
+    stated position, or a wrong path that does not start at a child of the
+    branch point) raise ValueError.
     """
     by_position: dict[int, list] = {}
     for det in detours:
@@ -218,18 +225,12 @@ def linearize(tree: SearchTree, path: list, detours: list, answer: str,
 
     events: list = []
     for pos in range(1, len(path)):
-        node = tree.nodes[path[pos]]
-        events.append(Step(pos, node.state_text))
+        events.append(Step(pos, tree.nodes[path[pos]].state_text))
         for det in by_position.get(pos, ()):  # noqa: B020 - insertion order
-            wrong_nodes = [tree.nodes[i] for i in det.wrong_path]
-            widx = pos
-            for wnode in wrong_nodes:
-                widx += 1
-                events.append(Step(widx, wnode.state_text))
-            marker = BACKTRACK_TEMPLATE.format(
-                observation=observe(det, wrong_nodes), step=pos,
-            )
-            events.append(BacktrackMarker(pos, marker))
+            for widx, nid in enumerate(det.wrong_path, start=pos + 1):
+                events.append(Step(widx, tree.nodes[nid].state_text))
+            events.append(BacktrackMarker(pos, BACKTRACK_TEMPLATE.format(
+                observation=det.observation, step=pos)))
     events.append(Conclusion(CONCLUSION))
     return ReasoningTrace(
         events=tuple(events),

@@ -32,11 +32,9 @@ from .search import (
     solution_path,
 )
 
-ROW_OF = tuple(i // 9 for i in range(81))
-COL_OF = tuple(i % 9 for i in range(81))
-BOX_OF = tuple((i // 27) * 3 + (i % 9) // 3 for i in range(81))
 FULL = 0x3FE  # candidate bits for digits 1..9
-UNITS = tuple(zip(ROW_OF, COL_OF, BOX_OF))  # (row, column, box) per cell
+# (row, column, box) per cell
+UNITS = tuple((i // 9, i % 9, i // 27 * 3 + i % 9 // 3) for i in range(81))
 
 PROMPT_TEMPLATE = (
     "Solve this Sudoku puzzle. Empty cells are shown as 0:\n"
@@ -354,73 +352,52 @@ def solve_dfs(puzzle: SudokuPuzzle):
 
 # --- traces ------------------------------------------------------------------
 
-def _contradiction_cell(grid):
-    """An empty cell with no candidates left, or None."""
-    prep = _prepare(grid)
-    if prep is None:
-        return None
-    rows, cols, boxes, empties = prep
-    for i in empties:
-        if not FULL & ~(rows[ROW_OF[i]] | cols[COL_OF[i]] | boxes[BOX_OF[i]]):
-            return i
-    return None
-
-
-def _extend_sudoku(tree, branch_id, excluded, rng):
+def _extend(tree, branch_id, excluded, rng):
     """Walk :func:`default_extend`'s wrong placement deeper, following the
-    solver's cell order.
+    solver's cell order, and say why the branch is dead.
 
-    Every branch off the solution path is dead by uniqueness, so unlike
-    countdown no reachability check is needed. The walk stops early when
-    the next cell has no valid digit left (the contradiction is already
-    visible).
+    The branch point's children fill its grid's first empty cell, so the
+    unit masks of that grid, with the detour's placements added in cell
+    order, follow the whole walk. Every branch off the solution path is
+    dead by uniqueness, so unlike countdown no reachability check is
+    needed. The walk stops early when the next cell has no digit left. The
+    observation names the first remaining empty cell with no candidate,
+    else the first wrong placement, which the unique solution rules out.
     """
     wrong = default_extend(tree, branch_id, excluded, rng)
     if wrong is None:
         return None
-    cursor = wrong[0]
-    while len(wrong) < MAX_DETOUR_DEPTH:
-        grid = list(tree.nodes[cursor].payload)
-        prep = _prepare(grid)
-        if prep is None:
-            break
-        rows, cols, boxes, empties = prep
-        if not empties:
-            break
-        cell = empties[0]  # next cell in row-major order
-        mask = FULL & ~(rows[ROW_OF[cell]] | cols[COL_OF[cell]] | boxes[BOX_OF[cell]])
-        if not mask:
-            break
-        bits = []
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            bits.append(bit)
-        d = bits[rng.randrange(len(bits))].bit_length() - 1
-        grid[cell] = d
-        cursor = tree.add_node(
-            f"place {d} at row {ROW_OF[cell] + 1}, column {COL_OF[cell] + 1}.",
-            parent=cursor,
-            payload=tuple(grid),
-        )
-        wrong.append(cursor)
-    return wrong
-
-
-def _observe(tree, detour, wrong_nodes) -> str:
-    """Why a detour is dead: the cell its last placement left without
-    candidates, else its first placement."""
-    stuck = _contradiction_cell(wrong_nodes[-1].payload)
-    if stuck is not None:
-        return (f"There is no digit that can go in row {ROW_OF[stuck] + 1}, "
-                f"column {COL_OF[stuck] + 1}.")
-    # no visible contradiction yet: the first wrong placement is still
-    # impossible because the solution is unique
-    before = tree.nodes[detour.branch_point].payload
-    after = wrong_nodes[0].payload
-    cell = next(i for i in range(81) if before[i] != after[i])
-    return (f"The digit {after[cell]} cannot go in row {ROW_OF[cell] + 1}, "
-            f"column {COL_OF[cell] + 1}.")
+    rows, cols, boxes, empties = _prepare(tree.nodes[branch_id].payload)
+    grid = list(tree.nodes[wrong[0]].payload)
+    for cell in empties:
+        r, c, b = UNITS[cell]
+        if not grid[cell]:  # past the wrong placement: walk on
+            mask = FULL & ~(rows[r] | cols[c] | boxes[b])
+            if len(wrong) == MAX_DETOUR_DEPTH or not mask:
+                break
+            bits = []
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                bits.append(bit)
+            grid[cell] = d = bits[rng.randrange(len(bits))].bit_length() - 1
+            wrong.append(tree.add_node(
+                f"place {d} at row {r + 1}, column {c + 1}.",
+                parent=wrong[-1],
+                payload=tuple(grid),
+            ))
+        bit = 1 << grid[cell]
+        rows[r] |= bit
+        cols[c] |= bit
+        boxes[b] |= bit
+    for cell in empties[len(wrong):]:
+        r, c, b = UNITS[cell]
+        if not FULL & ~(rows[r] | cols[c] | boxes[b]):
+            return wrong, (f"There is no digit that can go in row {r + 1}, "
+                           f"column {c + 1}.")
+    r, c, _ = UNITS[empties[0]]
+    return wrong, (f"The digit {grid[empties[0]]} cannot go in row {r + 1}, "
+                   f"column {c + 1}.")
 
 
 def make_trace(puzzle: SudokuPuzzle, k: int, rng: random.Random):
@@ -432,9 +409,8 @@ def make_trace(puzzle: SudokuPuzzle, k: int, rng: random.Random):
     """
     tree, solution = solve_dfs(puzzle)
     path = solution_path(tree)
-    plan = select_detours(tree, path, k, rng, extend_fn=_extend_sudoku)
-    return linearize(tree, path, plan.exact(), render_grid(solution),
-                     lambda det, wrong: _observe(tree, det, wrong))
+    plan = select_detours(tree, path, k, rng, _extend)
+    return linearize(tree, path, plan.exact(), render_grid(solution))
 
 
 # --- answer checking ---------------------------------------------------------

@@ -200,7 +200,7 @@ def test_every_detour_is_one_wrong_attempt(k):
     for i, task in enumerate(sample_tasks(10)):
         tree, _ = a1.heuristic_solve(task)
         path = solution_path(tree)
-        plan = a1.select_detours(tree, path, k, random.Random(i))
+        plan = a1.select_detours(tree, path, k, random.Random(i), a1._extend)
         assert len(plan.exact()) == k
         assert all(len(det.wrong_path) == 1 for det in plan.detours)
 

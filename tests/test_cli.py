@@ -231,6 +231,45 @@ def test_completion_line_without_text_names_file_and_line(tmp_path, capsys):
     assert f"{comp_path}:2: KeyError: 'completion'" in err
 
 
+@pytest.mark.parametrize("item,message", [
+    ({"instance_id": 0, "completion": 5},
+     "ValueError: completion must be a string, got 5"),
+    ({"instance_id": "abc", "completion": "x"},
+     "ValueError: instance_id must be a JSON integer, got 'abc'"),
+    ({"instance_id": 1.7, "completion": "x"},
+     "ValueError: instance_id must be a JSON integer, got 1.7"),
+    ({"instance_id": True, "completion": "x"},
+     "ValueError: instance_id must be a JSON integer, got True"),
+], ids=["int_completion", "string_id", "float_id", "bool_id"])
+def test_completion_line_of_wrong_type_names_file_and_line(tmp_path, capsys,
+                                                          item, message):
+    run(capsys, "generate", "--task", "countdown", "--count", "2",
+        "--seed", "1", "--out", str(tmp_path))
+    comp_path = tmp_path / "completions.jsonl"
+    write_jsonl(comp_path, [{"instance_id": 0, "completion": wrap("1")}, item])
+    code, out, err = run(capsys, "eval", "--instances",
+                         str(tmp_path / "countdown_instances.jsonl"),
+                         "--completions", str(comp_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {comp_path}:2: {message}\n"
+
+
+def test_instance_id_that_is_not_an_integer_names_file_and_line(tmp_path,
+                                                                 capsys):
+    inst_path = tmp_path / "instances.jsonl"
+    write_jsonl(inst_path, [{"id": "7", "task": "countdown", "prompt": "?",
+                             "ground_truth": "1 + 2", "seed": "0" * 16,
+                             "meta": {"numbers": [1, 2], "target": 3}}])
+    comp_path = tmp_path / "completions.jsonl"
+    write_jsonl(comp_path, [{"instance_id": 7, "completion": wrap("1 + 2")}])
+    code, _, err = run(capsys, "eval", "--instances", str(inst_path),
+                       "--completions", str(comp_path))
+    assert code == 1
+    assert err == (f"error: {inst_path}:1: ValueError: id must be a JSON "
+                   f"integer, got '7'\n")
+
+
 def test_instances_of_another_task_are_a_validation_error(tmp_path, capsys):
     run(capsys, "generate", "--task", "countdown", "--count", "2",
         "--seed", "1", "--out", str(tmp_path))
@@ -258,6 +297,16 @@ def test_build_writes_the_layout_with_golden_bytes(tmp_path, capsys):
     assert got == expected
     assert out.count("wrote 20 ") == 21
     assert "wrote 20 shuffled records to" in out
+
+
+def test_build_with_one_record_fails_before_writing(tmp_path, capsys):
+    out_dir = tmp_path / "layout"
+    code, out, err = run(capsys, "build", "--out", str(out_dir),
+                         "--count", "1")
+    assert code == 1
+    assert out == ""
+    assert "--count must be at least 2" in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def test_missing_input_file_is_io_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceforge import countdown as cd
-from traceforge import search
+from traceforge import pipeline, search
 from traceforge.core import (
     BacktrackMarker,
     GenerationError,
@@ -169,11 +170,10 @@ def expand_path_checked(puzzle):
     assert len(tree.nodes) == len(steps) + 1
     path = solution_path(tree)
     assert path == list(range(len(steps) + 1))
-    extend = cd._make_extend(puzzle.target)
     values = list(puzzle.numbers)
     levels = []
     for parent, taken, step in zip(path, path[1:], steps):
-        extend(tree, parent, {taken}, random.Random(0))
+        cd._extend(tree, parent, {taken}, random.Random(0))
         moves = list(cd.legal_moves(values))
         children = tree.node(parent).children
         assert len(set(children)) == len(children)
@@ -400,14 +400,28 @@ def test_trace_detour_end_states_are_dead():
         tree, _ = cd.solve_dfs(puzzle)
         path = solution_path(tree)
         plan = cd.select_detours(
-            tree, path, 3, random.Random(derive_seed(55, i)),
-            extend_fn=cd._make_extend(puzzle.target),
-        )
+            tree, path, 3, random.Random(derive_seed(55, i)), cd._extend)
         for det in plan.detours:
             end_values = tree.node(det.wrong_path[-1]).payload
             assert not countdown_solvable(end_values, puzzle.target)
             for nid in det.wrong_path:
                 assert puzzle.target not in tree.node(nid).payload
+
+
+# SHA-256 of emit_sft(COUNTDOWN, 200, 10, master_seed=0) and its manifest:
+# every record walks ten detours and states why each is dead
+COUNTDOWN_200_K10_GOLDEN = {
+    "countdown_k10.jsonl": "68661cde9fcf72d876ac3d6d4664acb2a1918a48cf5ddb6c30d5bfdee3706ed8",
+    "countdown_k10.jsonl.manifest.json": "3cc0d01923dee4906fa569686efc27d796720038e63d7436e59b3be9b9e3887a",
+}
+
+
+def test_sft_bytes_at_200_ids_and_ten_detours(tmp_path):
+    path = tmp_path / "countdown_k10.jsonl"
+    pipeline.emit_sft(TaskKind.COUNTDOWN, 200, 10, 0, path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in (path.name, path.name + ".manifest.json")}
+    assert got == COUNTDOWN_200_K10_GOLDEN
 
 
 def test_strip_detours_matches_plain_build():

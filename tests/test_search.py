@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from traceforge.core import (
 from traceforge.search import (
     BACKTRACK_TEMPLATE,
     SearchTree,
+    default_extend,
     linearize,
     select_detours,
     solution_path,
@@ -46,10 +48,15 @@ def chain_tree(depth: int, branching: int = 3):
     return tree
 
 
+def plain_extend(tree, branch_id, excluded, rng):
+    """default_extend with the same reason for every detour."""
+    wrong = default_extend(tree, branch_id, excluded, rng)
+    return None if wrong is None else (wrong, "That goes nowhere.")
+
+
 def plain_linearize(tree, path, detours):
-    """linearize with a fixed answer and the same reason for every detour."""
-    return linearize(tree, path, detours, "42",
-                     lambda detour, wrong_nodes: "That goes nowhere.")
+    """linearize with a fixed answer."""
+    return linearize(tree, path, detours, "42")
 
 
 # --- trees and paths ---------------------------------------------------------
@@ -105,7 +112,8 @@ def test_solution_path_picks_first_solution_in_dfs_order():
 
 def test_select_zero_detours_is_empty():
     tree = chain_tree(depth=4)
-    plan = select_detours(tree, solution_path(tree), 0, random.Random(1))
+    plan = select_detours(tree, solution_path(tree), 0, random.Random(1),
+                          plain_extend)
     assert plan.detours == []
     assert plan.shortfall == 0
 
@@ -113,7 +121,7 @@ def test_select_zero_detours_is_empty():
 def test_select_detours_distinct_positions_first():
     tree = chain_tree(depth=6, branching=4)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 5, random.Random(7))
+    plan = select_detours(tree, path, 5, random.Random(7), plain_extend)
     assert len(plan.detours) == 5
     positions = [d.resume_step for d in plan.detours]
     assert len(set(positions)) == 5  # enough positions, so no reuse yet
@@ -124,7 +132,7 @@ def test_select_detours_reuses_positions_when_k_exceeds_path():
     # path positions 1..3 can host, but k=8 needs repeat visits
     tree = chain_tree(depth=5, branching=4)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 8, random.Random(3))
+    plan = select_detours(tree, path, 8, random.Random(3), plain_extend)
     assert len(plan.detours) == 8
     positions = [d.resume_step for d in plan.detours]
     assert max(positions.count(p) for p in set(positions)) > 1
@@ -136,7 +144,7 @@ def test_select_detours_reuses_positions_when_k_exceeds_path():
 def test_select_detours_reports_shortfall_instead_of_raising():
     tree = chain_tree(depth=3, branching=2)  # 2 positions x 1 spare branch
     path = solution_path(tree)
-    plan = select_detours(tree, path, 10, random.Random(5))
+    plan = select_detours(tree, path, 10, random.Random(5), plain_extend)
     assert plan.requested == 10
     assert len(plan.detours) == 2
     assert plan.shortfall == 8
@@ -146,7 +154,7 @@ def test_select_detours_never_enters_the_solution_branch():
     tree = chain_tree(depth=5, branching=3)
     path = solution_path(tree)
     on_path = set(path)
-    plan = select_detours(tree, path, 8, random.Random(11))
+    plan = select_detours(tree, path, 8, random.Random(11), plain_extend)
     for det in plan.detours:
         assert det.branch_point in on_path
         for nid in det.wrong_path:
@@ -157,15 +165,15 @@ def test_select_detours_never_enters_the_solution_branch():
 def test_select_detours_deterministic_for_fixed_rng():
     tree = chain_tree(depth=6, branching=4)
     path = solution_path(tree)
-    a = select_detours(tree, path, 6, random.Random(123))
-    b = select_detours(tree, path, 6, random.Random(123))
+    a = select_detours(tree, path, 6, random.Random(123), plain_extend)
+    b = select_detours(tree, path, 6, random.Random(123), plain_extend)
     assert a.detours == b.detours
 
 
 def test_select_detours_sorted_by_resume_step():
     tree = chain_tree(depth=7, branching=4)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 5, random.Random(2))
+    plan = select_detours(tree, path, 5, random.Random(2), plain_extend)
     steps = [d.resume_step for d in plan.detours]
     assert steps == sorted(steps)
 
@@ -173,7 +181,8 @@ def test_select_detours_sorted_by_resume_step():
 def test_select_detours_rejects_negative_k():
     tree = chain_tree(depth=3)
     with pytest.raises(ValueError):
-        select_detours(tree, solution_path(tree), -1, random.Random(0))
+        select_detours(tree, solution_path(tree), -1, random.Random(0),
+                       plain_extend)
 
 
 # --- linearization -----------------------------------------------------------
@@ -182,7 +191,7 @@ def test_select_detours_rejects_negative_k():
 def test_linearize_numbering_and_markers():
     tree = chain_tree(depth=4, branching=3)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 2, random.Random(9))
+    plan = select_detours(tree, path, 2, random.Random(9), plain_extend)
     trace = plain_linearize(tree, path, plan.detours)
     markers = [ev for ev in trace.events if isinstance(ev, BacktrackMarker)]
     assert len(markers) == 2
@@ -199,7 +208,7 @@ def test_linearize_numbering_and_markers():
 def test_linearize_wrong_steps_continue_numbering():
     tree = chain_tree(depth=4, branching=3)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 1, random.Random(4))
+    plan = select_detours(tree, path, 1, random.Random(4), plain_extend)
     trace = plain_linearize(tree, path, plan.detours)
     detour = plan.detours[0]
     indices = []
@@ -223,9 +232,9 @@ def test_linearize_wrong_steps_continue_numbering():
 def test_linearize_rejects_detour_off_the_path():
     tree = chain_tree(depth=3)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 1, random.Random(1))
+    plan = select_detours(tree, path, 1, random.Random(1), plain_extend)
     det = plan.detours[0]
-    bad = type(det)(det.branch_point, det.wrong_path, len(path))
+    bad = dataclasses.replace(det, resume_step=len(path))
     with pytest.raises(ValueError):
         plain_linearize(tree, path, [bad])
 
@@ -233,10 +242,10 @@ def test_linearize_rejects_detour_off_the_path():
 def test_linearize_rejects_mismatched_branch_point():
     tree = chain_tree(depth=4)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 1, random.Random(1))
+    plan = select_detours(tree, path, 1, random.Random(1), plain_extend)
     det = plan.detours[0]
     other_pos = 1 if det.resume_step != 1 else 2
-    bad = type(det)(det.branch_point, det.wrong_path, other_pos)
+    bad = dataclasses.replace(det, resume_step=other_pos)
     with pytest.raises(ValueError):
         plain_linearize(tree, path, [bad])
 
@@ -244,9 +253,9 @@ def test_linearize_rejects_mismatched_branch_point():
 def test_linearize_rejects_detached_wrong_path():
     tree = chain_tree(depth=4)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 1, random.Random(1))
+    plan = select_detours(tree, path, 1, random.Random(1), plain_extend)
     det = plan.detours[0]
-    bad = type(det)(det.branch_point, (path[-1],), det.resume_step)
+    bad = dataclasses.replace(det, wrong_path=(path[-1],))
     with pytest.raises(ValueError):
         plain_linearize(tree, path, [bad])
 
@@ -264,7 +273,7 @@ def test_linearize_rejects_detached_wrong_path():
 def test_strip_detours_recovers_plain_rendering(depth, branching, k, seed):
     tree = chain_tree(depth=depth, branching=branching)
     path = solution_path(tree)
-    plan = select_detours(tree, path, k, random.Random(seed))
+    plan = select_detours(tree, path, k, random.Random(seed), plain_extend)
     trace = plain_linearize(tree, path, plan.detours)
     plain = plain_linearize(tree, path, [])
     stripped = strip_detours(trace)
@@ -275,7 +284,7 @@ def test_strip_detours_recovers_plain_rendering(depth, branching, k, seed):
 def test_strip_detours_keeps_answer_and_meta():
     tree = chain_tree(depth=4)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 2, random.Random(8))
+    plan = select_detours(tree, path, 2, random.Random(8), plain_extend)
     trace = plain_linearize(tree, path, plan.detours)
     trace.meta["instance_id"] = 5
     stripped = strip_detours(trace)

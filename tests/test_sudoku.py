@@ -1,14 +1,18 @@
+import hashlib
 import random
+import re
 
 import pytest
 from helpers import sudoku_grid_valid, sudoku_solutions
 
+from traceforge import pipeline
 from traceforge import sudoku as sd
 from traceforge.core import (
     BacktrackMarker,
     MultipleSolutionsError,
     NoSolutionError,
     Step,
+    TaskKind,
     derive_seed,
     extract_tags,
     render_completion,
@@ -288,6 +292,54 @@ def test_trace_observation_names_a_cell():
                     or "no digit that can go in row" in ev.text)
 
 
+PLACE = re.compile(r"place (\d) at row (\d), column (\d)\.")
+PEERS = [{j for j in range(81) if j != i and (
+    j // 9 == i // 9 or j % 9 == i % 9
+    or (j // 27, j % 9 // 3) == (i // 27, i % 9 // 3))} for i in range(81)]
+
+
+def expected_observation(givens, placements, first_wrong):
+    """Why a detour is dead, worked out from the grid its steps leave: the
+    first empty cell in row-major order with no digit left, else the
+    detour's first placement (``placements[first_wrong]``), which
+    uniqueness rules out."""
+    grid = list(givens)
+    for cell, digit in placements:
+        grid[cell] = digit
+    for i in range(81):
+        if not grid[i] and not set(range(1, 10)) - {grid[j] for j in PEERS[i]}:
+            return (f"There is no digit that can go in row {i // 9 + 1}, "
+                    f"column {i % 9 + 1}.")
+    cell, digit = placements[first_wrong]
+    return (f"The digit {digit} cannot go in row {cell // 9 + 1}, "
+            f"column {cell % 9 + 1}.")
+
+
+def test_trace_observation_matches_replayed_grid_oracle():
+    # replay every step onto the givens; a marker's observation must match
+    # what the grid the detour left shows
+    stuck = wrong_digit = 0
+    for i in range(40):
+        inst, trace = sd.build_traced(i, derive_seed(606, i), 10)
+        givens = sd.puzzle_from_instance(inst).givens
+        steps = []  # (cell, digit) of steps 1..n of the current line
+        for ev in trace.events:
+            if isinstance(ev, Step):
+                d, r, c = map(int, PLACE.fullmatch(ev.text).groups())
+                del steps[ev.index - 1:]
+                steps.append(((r - 1) * 9 + c - 1, d))
+            elif isinstance(ev, BacktrackMarker):
+                pos = ev.return_to_step
+                want = expected_observation(givens, steps, pos)
+                assert f" {want} " in ev.text
+                if want.startswith("There is no digit"):
+                    stuck += 1
+                else:
+                    wrong_digit += 1
+                del steps[pos:]
+    assert (stuck, wrong_digit) == (290, 110)
+
+
 def test_trace_wrong_steps_use_solver_vocabulary():
     _, trace = sd.build_traced(3, derive_seed(29, 3), 5)
     for ev in trace.events:
@@ -314,6 +366,22 @@ def test_build_traced_deterministic():
     b = sd.build_traced(4, derive_seed(41, 4), 5)
     assert a[0] == b[0]
     assert render_completion(a[1]) == render_completion(b[1])
+
+
+# SHA-256 of emit_sft(SUDOKU, 60, 10, master_seed=0) and its manifest:
+# every record walks ten detours and states why each is dead
+SUDOKU_60_K10_GOLDEN = {
+    "sudoku_k10.jsonl": "a6c39c40e1d56c38dc30da238d084169d2253595ecf1d466b2564c837fed072a",
+    "sudoku_k10.jsonl.manifest.json": "a8d4b7e962b337844f5a05d8ca1c39233144b0e05b0e1f71aeaff53af991a6fa",
+}
+
+
+def test_sft_bytes_at_60_ids_and_ten_detours(tmp_path):
+    path = tmp_path / "sudoku_k10.jsonl"
+    pipeline.emit_sft(TaskKind.SUDOKU, 60, 10, 0, path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in (path.name, path.name + ".manifest.json")}
+    assert got == SUDOKU_60_K10_GOLDEN
 
 
 # --- answers -----------------------------------------------------------------
