@@ -47,16 +47,6 @@ def _wrote(path, manifest, what) -> None:
     print(f"sha256 {manifest.sha256}")
 
 
-def _completion(line: str) -> dict:
-    obj = json.loads(line)
-    iid, text = obj["instance_id"], obj["completion"]
-    if type(iid) is not int:
-        raise ValueError(f"instance_id must be a JSON integer, got {iid!r}")
-    if not isinstance(text, str):
-        raise ValueError(f"completion must be a string, got {text!r}")
-    return {"instance_id": iid, "completion": text}
-
-
 def _load(args):
     """The instances and completions files; with ``--task``, every instance
     must be of that task."""
@@ -65,7 +55,9 @@ def _load(args):
         if getattr(args, "task", inst.task.value) != inst.task.value:
             raise ValueError(f"instance {inst.id} is a {inst.task.value} "
                              f"instance, but --task is {args.task}")
-    return instances, pipeline.read_jsonl(args.completions, _completion)
+    return instances, pipeline.read_jsonl(
+        args.completions,
+        lambda line: reward.checked_completion(json.loads(line)))
 
 
 def _cmd_generate(args) -> int:

@@ -7,6 +7,8 @@ norm rather than an accident. Each dataset file gets a sibling
 ``<name>.manifest.json`` recording what produced it and the SHA-256 of its
 bytes. Record building is embarrassingly parallel: every record depends
 only on (master seed, instance id), so worker count cannot change output.
+Above 1 worker, a process starts one pool on first use, every later file
+(every file of ``forge build --workers N``) reuses it, and exit joins it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import json
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
@@ -208,14 +211,21 @@ def load_instances(path) -> list:
 
 # --- building ----------------------------------------------------------------
 
-def build_instances(task: TaskKind, count: int, master_seed: int) -> list:
-    """Instances for any generator-backed task, ids 0..count-1."""
-    builder = TASKS[task].build_instance
-    if builder is None:
+def _instance(task_value, master_seed, instance_id):
+    """One instance; module level, so a pool can pickle it."""
+    return TASKS[TaskKind(task_value)].build_instance(
+        instance_id, derive_seed(master_seed, instance_id))
+
+
+def build_instances(task: TaskKind, count: int, master_seed: int,
+                    workers: int = 1) -> list:
+    """Instances for any generator task, ids 0..count-1, any worker count."""
+    if TASKS[task].build_instance is None:
         raise ValueError(f"task {task.value} has no generator (verifier only)")
     if count < 1:
         raise ValueError("count must be positive")
-    return [builder(i, derive_seed(master_seed, i)) for i in range(count)]
+    return _map_ids(partial(_instance, task.value, master_seed), count,
+                    workers)
 
 
 def build_record(task: TaskKind, instance_id: int, master_seed: int,
@@ -235,6 +245,33 @@ def _record_line(task_value, master_seed, k, instance_id):
                                        master_seed, k))
 
 
+_pool = None  # (pid, workers, executor): this process's pool
+
+
+def _map_ids(fn, count: int, workers: int) -> list:
+    """``fn(i)`` for ids 0..count-1 in id order; above 1 worker, in this
+    process's pool. A new worker count or a forked child (its pid is not
+    the creator's) replaces the pool, and a broken one is dropped as it
+    raises. Workers run the package as it was when the pool forked, so a
+    later monkeypatch does not reach them, and module caches (arc1d's
+    ``_rule_analysis``) outlive a file."""
+    global _pool
+    if workers <= 1:
+        return [fn(i) for i in range(count)]
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        if _pool is not None and _pool[0] == os.getpid():
+            _pool[2].shutdown()
+        _pool = (os.getpid(), workers, ProcessPoolExecutor(workers))
+    try:
+        # map returns results in input order, so they come back in id order
+        return list(_pool[2].map(fn, range(count),
+                                 chunksize=-(-count // (4 * workers))))
+    except BrokenProcessPool:
+        _pool[2].shutdown()
+        _pool = None
+        raise
+
+
 def build_records(task: TaskKind, count: int, master_seed: int, k: int,
                   workers: int = 1) -> list:
     """JSON lines for ``count`` records, id order, any worker count."""
@@ -242,13 +279,8 @@ def build_records(task: TaskKind, count: int, master_seed: int, k: int,
         raise ValueError("count must be positive")
     if k < 0:
         raise ValueError("backtrack count must be >= 0")
-    line = partial(_record_line, task.value, master_seed, k)
-    if workers <= 1:
-        return [line(i) for i in range(count)]
-    # map returns results in input order, so lines come back in id order
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(line, range(count),
-                             chunksize=-(-count // (4 * workers))))
+    return _map_ids(partial(_record_line, task.value, master_seed, k), count,
+                    workers)
 
 
 def emit_sft(task: TaskKind, count: int, k: int, master_seed: int, out_path,
@@ -259,11 +291,11 @@ def emit_sft(task: TaskKind, count: int, k: int, master_seed: int, out_path,
                           TASKS[task].prompt_template)
 
 
-def emit_instances(task: TaskKind, count: int, master_seed: int,
-                   out_path) -> DatasetManifest:
+def emit_instances(task: TaskKind, count: int, master_seed: int, out_path,
+                   workers: int = 1) -> DatasetManifest:
     """Write an instance file plus its manifest; returns the manifest."""
     lines = [instance_to_json(i)
-             for i in build_instances(task, count, master_seed)]
+             for i in build_instances(task, count, master_seed, workers)]
     return _write_dataset(out_path, lines, task.value, None, master_seed,
                           TASKS[task].prompt_template)
 
@@ -284,19 +316,9 @@ def emit_shuffled(records, rng) -> list:
     for i in range(n - 1, 0, -1):
         j = rng.randrange(i)
         source[i], source[j] = source[j], source[i]
-    out = []
-    for m, rec in enumerate(records):
-        donor = records[source[m]]
-        out.append(SftRecord(
-            instance_id=rec.instance_id,
-            task=rec.task,
-            prompt=rec.prompt,
-            completion=donor.completion,
-            backtracks=donor.backtracks,
-            seed=rec.seed,
-            correctness_label=None,
-        ))
-    return out
+    return [replace(rec, completion=donor.completion,
+                    backtracks=donor.backtracks, correctness_label=None)
+            for rec, donor in zip(records, [records[m] for m in source])]
 
 
 def write_shuffled(in_path, out_path, seed: int) -> DatasetManifest:
@@ -321,7 +343,8 @@ def emit_layout(out, count: int, master_seed: int, workers: int = 1):
     os.makedirs(out, exist_ok=True)
     for task in sorted(t for t in TASKS if TASKS[t].build_instance):
         path = instances_path(out, task)
-        yield path, emit_instances(task, count, master_seed, path), "instances"
+        yield path, emit_instances(task, count, master_seed, path,
+                                   workers), "instances"
     for task in (t for t in TASKS if TASKS[t].build_traced):
         for k in LAYOUT_DEPTHS:
             path = traced_path(out, task, k)

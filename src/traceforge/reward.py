@@ -100,13 +100,25 @@ def pass_at_1(breakdowns) -> float:
 COLUMN_ORDER = ("AG", "CD", "ARC", "SDK", "CCR", "ZP", "LF", "SR")
 
 
+def checked_completion(item):
+    """A {"instance_id", "completion"} item, once its id is an int (not a
+    bool) and its completion a str; anything else raises ValueError."""
+    iid, text = item["instance_id"], item["completion"]
+    if type(iid) is not int:
+        raise ValueError(f"instance_id must be a JSON integer, got {iid!r}")
+    if not isinstance(text, str):
+        raise ValueError(f"completion must be a string, got {text!r}")
+    return item
+
+
 def pair_completions(instances, items) -> list:
     """``(instance, completion text)`` for each {"instance_id", "completion"}
-    item, in item order. An id that no instance has raises ValueError."""
+    item (see :func:`checked_completion`), in item order. An id that no
+    instance has raises ValueError."""
     by_id = {inst.id: inst for inst in instances}
     pairs = []
-    for item in items:
-        iid = int(item["instance_id"])
+    for item in map(checked_completion, items):
+        iid = item["instance_id"]
         if iid not in by_id:
             raise ValueError(f"completion references unknown instance {iid}")
         pairs.append((by_id[iid], item["completion"]))

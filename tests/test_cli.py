@@ -299,6 +299,17 @@ def test_build_writes_the_layout_with_golden_bytes(tmp_path, capsys):
     assert "wrote 20 shuffled records to" in out
 
 
+def test_build_workers_flag_matches_serial(tmp_path, capsys):
+    for workers in ("1", "2"):
+        code, _, _ = run(capsys, "build", "--out", str(tmp_path / workers),
+                         "--count", "20", "--seed", "0", "--workers", workers)
+        assert code == 0
+    serial = {p.name: p.read_bytes() for p in (tmp_path / "1").iterdir()}
+    assert len(serial) == 42
+    assert {p.name: p.read_bytes()
+            for p in (tmp_path / "2").iterdir()} == serial
+
+
 def test_build_with_one_record_fails_before_writing(tmp_path, capsys):
     out_dir = tmp_path / "layout"
     code, out, err = run(capsys, "build", "--out", str(out_dir),

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 from helpers import wrap
@@ -163,6 +165,74 @@ def test_build_records_worker_count_does_not_change_output(task, count):
     assert serial == parallel
     ids = [json.loads(line)["instance_id"] for line in parallel]
     assert ids == list(range(count))
+
+
+def test_reused_pool_leaks_no_state_between_files():
+    # one pool serves all four builds, so a worker that built a sudoku or an
+    # arc1d k=10 file goes on to build the next one
+    for task, count, k in ((TaskKind.COUNTDOWN, 30, 1), (TaskKind.SUDOKU, 9, 5),
+                           (TaskKind.ARC1D, 30, 10), (TaskKind.ARC1D, 30, 0)):
+        assert build_records(task, count, 77, k, workers=3) == \
+            build_records(task, count, 77, k, workers=1)
+
+
+@pytest.mark.parametrize("task", [t for t in TaskKind
+                                  if TASKS[t].build_instance])
+def test_instance_files_do_not_depend_on_worker_count(tmp_path, task):
+    one, three = tmp_path / "one.jsonl", tmp_path / "three.jsonl"
+    emit_instances(task, 13, 2025, one, workers=1)
+    emit_instances(task, 13, 2025, three, workers=3)
+    assert one.read_bytes() == three.read_bytes()
+
+
+# Run in a fresh interpreter, so no pool of the test process plays a part.
+# Prints the worker pids after each step and whether each build matched the
+# serial bytes.
+POOL_LIFECYCLE = """
+import json, multiprocessing, os, signal
+from concurrent.futures.process import BrokenProcessPool
+from traceforge.core import TaskKind
+from traceforge.pipeline import build_records
+
+def build(workers):
+    return build_records(TaskKind.COUNTDOWN, 12, 5, 1, workers) == serial
+
+def pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+serial = build_records(TaskKind.COUNTDOWN, 12, 5, 1)
+out = {"matched": [build(2)], "pids": [pids()]}
+out["matched"].append(build(2))
+out["pids"].append(pids())
+out["matched"].append(build(3))
+out["pids"].append(pids())
+os.kill(out["pids"][-1][0], signal.SIGKILL)
+try:
+    build(3)
+except BrokenProcessPool:
+    out["raised"] = True
+out["matched"].append(build(3))
+out["pids"].append(pids())
+print(json.dumps(out))
+"""
+
+
+def test_pool_lifecycle():
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", POOL_LIFECYCLE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    first, reused, replaced, fresh = out["pids"]
+    assert out["matched"] == [True] * 4
+    assert len(first) == 2 and reused == first   # the same pool, reused
+    assert len(replaced) == 3 and not set(replaced) & set(first)
+    assert out.get("raised")                     # a killed worker breaks it
+    assert len(fresh) == 3 and not set(fresh) & set(replaced)
+    for pid in first + replaced + fresh:         # all joined at exit
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_build_records_validates_arguments():

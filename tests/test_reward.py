@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from traceforge import arc1d, countdown, reward, sudoku, xtasks
 from traceforge.core import ProblemInstance, TaskKind
+from traceforge.pipeline import split_by_correctness
 from traceforge.reward import (
     CATEGORIES,
     CORRECT,
@@ -319,12 +320,27 @@ def test_evaluate_rejects_unknown_instance(cd_instance):
 def test_pair_completions_keeps_item_order_and_rejects_unknown_ids(cd_instance):
     other = xtasks.build_angle_instance(10, 31)
     items = [{"instance_id": 10, "completion": "a"},
-             {"instance_id": str(cd_instance.id), "completion": "b"},
+             {"instance_id": cd_instance.id, "completion": "b"},
              {"instance_id": 10, "completion": "c"}]
     assert pair_completions([cd_instance, other], items) == [
         (other, "a"), (cd_instance, "b"), (other, "c")]
     with pytest.raises(ValueError, match="unknown instance 99"):
         pair_completions([cd_instance], [{"instance_id": 99, "completion": ""}])
+
+
+@pytest.mark.parametrize("item,message", [
+    ({"instance_id": 1.7, "completion": "x"}, "got 1.7"),
+    ({"instance_id": True, "completion": "x"}, "got True"),
+    ({"instance_id": "0", "completion": "x"}, "got '0'"),
+    ({"instance_id": 0, "completion": 5}, "completion must be a string"),
+], ids=["float_id", "bool_id", "string_id", "int_completion"])
+def test_library_callers_get_the_completion_type_rule(cd_instance, item,
+                                                      message):
+    one = countdown.build_instance(1, 777)
+    with pytest.raises(ValueError, match=message):
+        evaluate([cd_instance, one], [item])
+    with pytest.raises(ValueError, match=message):
+        split_by_correctness([cd_instance, one], [item])
 
 
 def test_render_eval_table():
