@@ -402,11 +402,17 @@ def expected_output(task: Arc1dTask) -> tuple:
 
 
 def check(instance: ProblemInstance, text: str):
-    """(parseable, correct): correct when the grid is the expected output."""
+    """(parseable, correct): correct when the grid is the expected output.
+    A ``meta["expected"]`` that is not a list of colors 0..9 raises
+    ValueError."""
     parsed = parse_answer(text)
     if parsed is None:
         return False, False
-    return True, parsed == tuple(instance.meta["expected"])
+    expected = instance.meta["expected"]
+    if not (isinstance(expected, (list, tuple))
+            and all(type(v) is int and 0 <= v <= 9 for v in expected)):
+        raise ValueError("meta 'expected' must be a list of colors 0-9")
+    return True, parsed == tuple(expected)
 
 
 # --- instances ---------------------------------------------------------------

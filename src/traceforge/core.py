@@ -8,7 +8,9 @@ these types, so they carry no task-specific logic.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Union
 
 _MASK64 = (1 << 64) - 1
@@ -133,6 +135,11 @@ ANSWER_CLOSE = "</answer>"
 PREAMBLE = "Let me solve this step by step."
 
 
+# every tag occurrence; no two can overlap, since each starts with "<"
+_TAG = re.compile(r"</?(?:think|answer)>")
+_WELL_FORMED = [THINK_OPEN, THINK_CLOSE, ANSWER_OPEN, ANSWER_CLOSE]
+
+
 @dataclass(frozen=True)
 class TaggedOutput:
     """Result of scanning a completion for think/answer tag pairs.
@@ -140,7 +147,8 @@ class TaggedOutput:
     ``answer`` is the span between the first answer open tag and the first
     close tag that follows it, or None when no such pair exists. It is
     best-effort and populated even when the completion as a whole is not
-    well formed.
+    well formed. One scan for the tags decides ``well_formed`` and, when
+    it holds, where ``answer`` starts and ends.
     """
 
     answer: Optional[str]
@@ -163,24 +171,19 @@ def extract_tags(completion: str) -> TaggedOutput:
     Well-formed means each of the four tags occurs exactly once and they
     appear in the order think-open, think-close, answer-open, answer-close.
     That single rule covers missing tags, duplicated tags, interleaved
-    nesting, and answer-before-think orderings.
+    nesting, and answer-before-think orderings. One scan decides it: the
+    first five tag occurrences must be exactly those four. A well-formed
+    answer is cut at the positions that scan found; on a malformed
+    completion the best-effort span is searched for.
+
+    Time is linear in the length; text dense in ``<`` is the slowest
+    kind, since every ``<`` starts a match attempt.
     """
-    well_formed = (
-        completion.count(THINK_OPEN) == 1
-        and completion.count(THINK_CLOSE) == 1
-        and completion.count(ANSWER_OPEN) == 1
-        and completion.count(ANSWER_CLOSE) == 1
-    )
-    if well_formed:
-        t_open = completion.find(THINK_OPEN)
-        t_close = completion.find(THINK_CLOSE)
-        a_open = completion.find(ANSWER_OPEN)
-        a_close = completion.find(ANSWER_CLOSE)
-        well_formed = t_open < t_close < a_open < a_close
-    return TaggedOutput(
-        answer=_first_span(completion, ANSWER_OPEN, ANSWER_CLOSE),
-        well_formed=well_formed,
-    )
+    found = list(islice(_TAG.finditer(completion), 5))
+    if [m[0] for m in found] == _WELL_FORMED:
+        return TaggedOutput(completion[found[2].end():found[3].start()], True)
+    return TaggedOutput(_first_span(completion, ANSWER_OPEN, ANSWER_CLOSE),
+                        False)
 
 
 def render_think_body(events) -> str:

@@ -414,9 +414,6 @@ def make_trace(puzzle: CountdownPuzzle, k: int, rng: random.Random):
 
 # --- answer checking ---------------------------------------------------------
 
-_AST_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
-
-
 # ASCII digits, operators, parentheses and whitespace; this also rules out
 # "=", underscores in literals, and hex/octal/binary prefixes
 _EXPRESSION_CHARS = re.compile(r"[0-9+\-*/()\s]+", re.ASCII)
@@ -435,8 +432,10 @@ def parse_answer(text: str):
     Only binary + - * / over positive integer literals written with ASCII
     digits are accepted; an equals sign, names, unary operators or anything
     else fails the parse. Returns None when the text is not a valid
-    expression, or uses more than MAX_ANSWER_OPERATORS operators: each
-    operator is one level the parser and the evaluator may recurse.
+    expression, divides by zero, or uses more than MAX_ANSWER_OPERATORS
+    operators: each operator is one level the parser and the evaluator may
+    recurse. Values stay ints until a division is inexact, and are exact
+    Fractions from there on, so ``8 / 3 * 3`` is 8.
     """
     text = text.strip()
     if (not _EXPRESSION_CHARS.fullmatch(text)
@@ -448,24 +447,25 @@ def parse_answer(text: str):
         return None
     used: Counter = Counter()
 
-    def walk(n) -> Fraction:
-        if isinstance(n, ast.BinOp) and type(n.op) in _AST_OPS:
+    def walk(n):
+        if type(n) is ast.BinOp:
+            op = type(n.op)
             a = walk(n.left)
             b = walk(n.right)
-            op = _AST_OPS[type(n.op)]
-            if op == "+":
+            if op is ast.Add:
                 return a + b
-            if op == "-":
+            if op is ast.Sub:
                 return a - b
-            if op == "*":
+            if op is ast.Mult:
                 return a * b
-            if b == 0:
+            if op is not ast.Div or b == 0:
                 raise _BadExpression
-            return a / b
-        if (isinstance(n, ast.Constant) and isinstance(n.value, int)
-                and not isinstance(n.value, bool)):
+            if type(a) is int and type(b) is int and a % b == 0:
+                return a // b
+            return Fraction(a) / b
+        if type(n) is ast.Constant and type(n.value) is int:
             used[n.value] += 1
-            return Fraction(n.value)
+            return n.value
         raise _BadExpression
 
     try:
@@ -477,14 +477,22 @@ def parse_answer(text: str):
 
 def check(instance: ProblemInstance, text: str):
     """(parseable, correct): correct when the expression evaluates to the
-    target using each puzzle number at most once."""
+    target using each puzzle number at most once. A ``meta["target"]``
+    that is not an int, or ``meta["numbers"]`` that are not a list of
+    ints, raise ValueError."""
     parsed = parse_answer(text)
     if parsed is None:
         return False, False
+    target, numbers = instance.meta["target"], instance.meta["numbers"]
+    if type(target) is not int:
+        raise ValueError("meta 'target' must be an int")
+    if not (isinstance(numbers, (list, tuple))
+            and all(type(num) is int for num in numbers)):
+        raise ValueError("meta 'numbers' must be a list of ints")
     value, used = parsed
-    if value != int(instance.meta["target"]):
+    if value != target:
         return True, False
-    available = Counter(instance.meta["numbers"])
+    available = Counter(numbers)
     return True, all(available[num] >= cnt for num, cnt in used.items())
 
 

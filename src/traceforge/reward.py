@@ -48,8 +48,10 @@ def check_answer(instance: ProblemInstance, answer_text: str):
     """(parseable, correct) of an answer string under the task's grammar.
 
     An answer longer than MAX_ANSWER_CHARS once stripped is unparseable.
-    A malformed instance (a ground truth or meta field the check cannot
-    read) raises ValueError naming the task and the id; no answer does.
+    A malformed instance raises ValueError naming the task and the id; no
+    answer does. Malformed means a ground truth or meta field the check
+    cannot read, or a meta field of the wrong shape: every traced task's
+    check validates the field it compares with, once the answer parses.
     """
     if len(answer_text.strip()) > MAX_ANSWER_CHARS:
         return False, False

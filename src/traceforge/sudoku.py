@@ -13,6 +13,7 @@ room to branch.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -422,30 +423,43 @@ def render_grid(grid) -> str:
     )
 
 
-def parse_answer(text: str) -> Optional[tuple]:
-    """Strict grid parse: nine lines, nine single digits 1..9 each."""
+# a grid's 81 digits, row by row; a range of code points, so only ASCII
+_GRID_DIGITS = re.compile(r"[1-9]{81}")
+
+
+def _grid_digits(text: str) -> Optional[str]:
+    """The 81 digits of a strict grid answer as one string, or None: nine
+    lines of nine whitespace-separated single digits 1..9. 81 tokens that
+    join to 81 digits are 81 single digits."""
     lines = text.strip().split("\n")
     if len(lines) != 9:
         return None
-    out = []
+    tokens = []
     for line in lines:
-        tokens = line.split()
-        if len(tokens) != 9:
+        row = line.split()
+        if len(row) != 9:
             return None
-        for tok in tokens:
-            if len(tok) == 1 and "1" <= tok <= "9":
-                out.append(int(tok))
-            else:
-                return None
-    return tuple(out)
+        tokens += row
+    digits = "".join(tokens)
+    return digits if _GRID_DIGITS.fullmatch(digits) else None
+
+
+def parse_answer(text: str) -> Optional[tuple]:
+    """Strict grid parse: nine lines, nine single digits 1..9 each."""
+    digits = _grid_digits(text)
+    return None if digits is None else tuple(map(int, digits))
 
 
 def check(instance: ProblemInstance, text: str):
-    """(parseable, correct): correct when the grid is the unique solution."""
-    parsed = parse_answer(text)
-    if parsed is None:
+    """(parseable, correct): correct when the grid is the unique solution.
+    A ``meta["solution"]`` that is not 81 digits 1..9 raises ValueError."""
+    digits = _grid_digits(text)
+    if digits is None:
         return False, False
-    return True, parsed == tuple(int(ch) for ch in instance.meta["solution"])
+    solution = instance.meta["solution"]
+    if not (isinstance(solution, str) and _GRID_DIGITS.fullmatch(solution)):
+        raise ValueError("meta 'solution' must be 81 digits 1-9")
+    return True, digits == solution
 
 
 # --- instances ---------------------------------------------------------------

@@ -8,6 +8,11 @@ per-assignment loops) so agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import ast
+import re
+from collections import Counter
+from fractions import Fraction
+
 
 # --- countdown ---------------------------------------------------------------
 
@@ -150,6 +155,93 @@ def selfref_consistent_count(statements) -> int:
     for i, (kind, value) in enumerate(statements):
         result &= ~(_claim_table(kind, value) ^ _SAID[i]) & _FULL
     return bin(result).count("1")
+
+
+# --- answer readers ----------------------------------------------------------
+#
+# The first forms of the reward's readers, kept as oracles for the faster
+# ones: a tag scan built from counts and finds, a grid parser that reads
+# token by token, and an expression walk that is exact in Fractions
+# throughout.
+
+def tags_reference(completion: str) -> tuple:
+    """``(answer, well_formed)`` of a completion: each of the four tags
+    exactly once, in think-open, think-close, answer-open, answer-close
+    order; the answer is the span from the first answer open tag to the
+    first close tag after it."""
+    well_formed = (
+        completion.count("<think>") == 1
+        and completion.count("</think>") == 1
+        and completion.count("<answer>") == 1
+        and completion.count("</answer>") == 1
+    )
+    if well_formed:
+        well_formed = (completion.find("<think>") < completion.find("</think>")
+                       < completion.find("<answer>")
+                       < completion.find("</answer>"))
+    answer = None
+    start = completion.find("<answer>")
+    if start >= 0:
+        end = completion.find("</answer>", start + len("<answer>"))
+        if end >= 0:
+            answer = completion[start + len("<answer>"):end]
+    return answer, well_formed
+
+
+def sudoku_parse_reference(text: str):
+    """Nine lines of nine single digits 1..9 as a tuple of 81 ints, else
+    None."""
+    lines = text.strip().split("\n")
+    if len(lines) != 9:
+        return None
+    out = []
+    for line in lines:
+        tokens = line.split()
+        if len(tokens) != 9:
+            return None
+        for tok in tokens:
+            if len(tok) == 1 and "1" <= tok <= "9":
+                out.append(int(tok))
+            else:
+                return None
+    return tuple(out)
+
+
+_EXPRESSION_CHARS = re.compile(r"[0-9+\-*/()\s]+", re.ASCII)
+_FRACTION_OPS = {ast.Add: Fraction.__add__, ast.Sub: Fraction.__sub__,
+                 ast.Mult: Fraction.__mul__, ast.Div: Fraction.__truediv__}
+
+
+def countdown_parse_reference(text: str, max_operators: int = 64):
+    """``(value, number multiset)`` of a countdown answer, every value a
+    Fraction, or None: binary + - * / over ASCII integer literals, at most
+    ``max_operators`` operators, no division by zero."""
+    text = text.strip()
+    if (not _EXPRESSION_CHARS.fullmatch(text)
+            or sum(map(text.count, "+-*/")) > max_operators):
+        return None
+    try:
+        node = ast.parse(text, mode="eval").body
+    except (SyntaxError, ValueError):
+        return None
+    used: Counter = Counter()
+
+    def walk(n) -> Fraction:
+        if isinstance(n, ast.BinOp) and type(n.op) in _FRACTION_OPS:
+            a, b = walk(n.left), walk(n.right)
+            if isinstance(n.op, ast.Div) and b == 0:
+                raise ZeroDivisionError
+            return _FRACTION_OPS[type(n.op)](a, b)
+        if (isinstance(n, ast.Constant) and isinstance(n.value, int)
+                and not isinstance(n.value, bool)):
+            used[n.value] += 1
+            return Fraction(n.value)
+        raise ValueError("not a countdown expression")
+
+    try:
+        return walk(node), used
+    except (ZeroDivisionError, ValueError):
+        return None
 
 
 # --- completions -------------------------------------------------------------

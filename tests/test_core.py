@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given, settings
+from helpers import tags_reference
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traceforge.core import (
@@ -91,6 +92,21 @@ def test_extract_tags_never_raises(text):
     tags = extract_tags(text)
     if tags.well_formed:
         assert tags.answer is not None
+
+
+TAG_FRAGMENTS = ("<think>", "</think>", "<answer>", "</answer>", "<think",
+                 "</answer", "think>", "</", "<", ">", "/", "x", " ", "\n")
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(TAG_FRAGMENTS), max_size=24).map("".join))
+@example("<think>a</think><answer>b</answer>")
+@example("<think>a</think><answer>b</answer><think>")
+@example("<think><think></think><answer>b</answer>")
+@example("<<think>></think><answer></answer></answer>")
+def test_extract_tags_agrees_with_the_count_based_scan(text):
+    tags = extract_tags(text)
+    assert (tags.answer, tags.well_formed) == tags_reference(text)
 
 
 # --- rendering ---------------------------------------------------------------

@@ -4,8 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from helpers import countdown_solvable
-from hypothesis import given, settings
+from helpers import countdown_parse_reference, countdown_solvable
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traceforge import countdown as cd
@@ -337,6 +337,32 @@ def test_parse_answer_accepts_up_to_the_cap():
     value, used = cd.parse_answer("+".join(["1"] * terms))
     assert value == terms
     assert used == {1: terms}
+
+
+def expressions(max_leaves=8):
+    """Random infix text over small literals (0 included, so divisions by
+    zero and inexact divisions are common) with optional parentheses."""
+    leaf = st.integers(0, 12).map(str)
+
+    def combine(children):
+        term = st.tuples(children, st.sampled_from("+-*/"), children).map(
+            lambda t: f"{t[0]} {t[1]} {t[2]}")
+        return st.one_of(term, term.map(lambda t: f"({t})"))
+
+    return st.recursive(leaf, combine, max_leaves=max_leaves)
+
+
+@settings(max_examples=500)
+@given(st.one_of(expressions(),
+                 st.text(alphabet="0123456789+-*/() ", max_size=20)))
+@example("8 / 3 * 3")
+@example("7 / 2 - 7 / 2")
+@example("1 / (2 - 2)")
+@example("(2 - 5) / 3")
+@example("1 / 3 * (4 - 4) / 5")
+def test_parse_answer_agrees_with_the_fraction_walk(text):
+    assert cd.parse_answer(text) == countdown_parse_reference(
+        text, cd.MAX_ANSWER_OPERATORS)
 
 
 def test_verify_allows_subset_of_numbers():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -240,6 +241,9 @@ ADVERSARIAL_ANSWERS = st.one_of(
 )
 
 
+MB = 1 << 20
+
+
 @pytest.mark.parametrize("inst", every_task_instance(), ids=lambda i: i.task.value)
 @settings(max_examples=40, deadline=None)
 @given(answer=ADVERSARIAL_ANSWERS, tagged=st.booleans())
@@ -248,6 +252,10 @@ ADVERSARIAL_ANSWERS = st.one_of(
 @example(answer=_nested(1_000, "1+(", ")"), tagged=True)
 @example(answer="-" * 10_000 + "1", tagged=True)
 @example(answer="1" * 5000, tagged=True)
+# 1 MB completions; text dense in "<" is the tag scan's slowest kind
+@example(answer="<" * MB, tagged=False)
+@example(answer="<think>" * (MB // 7), tagged=False)
+@example(answer="a" * MB, tagged=False)
 def test_score_is_total_and_bounded(inst, answer, tagged):
     completion = wrap(answer) if tagged else answer
     start = time.perf_counter()
@@ -255,6 +263,40 @@ def test_score_is_total_and_bounded(inst, answer, tagged):
     assert time.perf_counter() - start < 2.0
     assert isinstance(got, ScoreBreakdown)
     assert got.category in CATEGORIES
+
+
+def _remeta(inst, **fields):
+    return dataclasses.replace(inst, meta={**inst.meta, **fields})
+
+
+def _malformed_meta_cases():
+    cd_inst = countdown.build_instance(0, 12345)
+    sd_inst = sudoku.build_instance(0, 777)
+    arc_inst = arc1d.build_instance(0, 2024)
+    solution = sd_inst.meta["solution"]
+    expected = arc_inst.meta["expected"]
+    cases = {
+        "sudoku-80-digits": _remeta(sd_inst, solution=solution[:80]),
+        "sudoku-ints": _remeta(sd_inst, solution=[int(ch) for ch in solution]),
+        "arc1d-text": _remeta(arc_inst, expected=" ".join(map(str, expected))),
+        "arc1d-strings": _remeta(arc_inst, expected=[str(v) for v in expected]),
+        "countdown-strings": _remeta(
+            cd_inst, numbers=[str(v) for v in cd_inst.meta["numbers"]]),
+        "countdown-float-target": _remeta(
+            cd_inst, target=cd_inst.meta["target"] + 0.5),
+    }
+    return [pytest.param(inst, id=name) for name, inst in cases.items()]
+
+
+@pytest.mark.parametrize("inst", _malformed_meta_cases())
+def test_malformed_meta_field_raises_named_error(inst):
+    message = f"malformed {inst.task.value} instance {inst.id}: ValueError: meta"
+    with pytest.raises(ValueError, match=message):
+        reward.check_answer(inst, inst.ground_truth)
+    with pytest.raises(ValueError, match=message):
+        score(inst, wrap(inst.ground_truth))
+    # the field is read only once the answer parses, as before
+    assert reward.check_answer(inst, "no answer = here") == (False, False)
 
 
 def test_zebra_answers():

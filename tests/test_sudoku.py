@@ -3,7 +3,9 @@ import random
 import re
 
 import pytest
-from helpers import sudoku_grid_valid, sudoku_solutions
+from helpers import sudoku_grid_valid, sudoku_parse_reference, sudoku_solutions
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from traceforge import pipeline
 from traceforge import sudoku as sd
@@ -414,6 +416,43 @@ def test_parse_answer_tolerates_surrounding_whitespace():
     puzzle = next(iter(sample_puzzles(1)))
     text = "\n " + sd.render_grid(puzzle.solution) + " \n"
     assert sd.parse_answer(text) == puzzle.solution
+
+
+CHECKED = sd.build_instance(0, derive_seed(808, 0))
+CHECKED_SOLUTION = tuple(int(ch) for ch in CHECKED.meta["solution"])
+CELL_NOISE = ("0", "٣", "１", "12", "", "x")
+SEPARATOR_NOISE = (" ", "  ", "\t", "\n", "\r\n", " \n", "\u3000", ",", "")
+
+
+@st.composite
+def perturbed_grids(draw):
+    """A rendered grid of digits 1..9 (often the solution of ``CHECKED``)
+    with a few cells replaced by digits out of range, non-ASCII digits or
+    other tokens, and a few separators by other whitespace or none."""
+    digits = draw(st.one_of(
+        st.just(CHECKED_SOLUTION),
+        st.lists(st.integers(1, 9), min_size=81, max_size=81)))
+    cells = [str(d) for d in digits]
+    seps = [" " if i % 9 else "\n" for i in range(1, 81)] + [""]
+    for _ in range(draw(st.integers(0, 2))):
+        cells[draw(st.integers(0, 80))] = draw(st.sampled_from(CELL_NOISE))
+    for _ in range(draw(st.integers(0, 2))):
+        seps[draw(st.integers(0, 80))] = draw(st.sampled_from(SEPARATOR_NOISE))
+    return "".join(c + sep for c, sep in zip(cells, seps))
+
+
+@settings(max_examples=300)
+@given(perturbed_grids())
+@example(sd.render_grid(range(81)).replace("0", "5"))
+@example(sd.render_grid([3] * 81).replace("\n", "\r\n"))
+@example(sd.render_grid([3] * 81).replace(" ", "\t"))
+@example(sd.render_grid([3] * 81).replace("3", "٣", 1))
+def test_parse_answer_agrees_with_the_token_parser(text):
+    parsed = sd.parse_answer(text)
+    assert parsed == sudoku_parse_reference(text)
+    expected = ((False, False) if parsed is None
+                else (True, parsed == CHECKED_SOLUTION))
+    assert sd.check(CHECKED, text) == expected
 
 
 def test_verify_rejects_wrong_grid():
