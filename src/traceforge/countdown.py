@@ -51,15 +51,14 @@ class CountdownPuzzle:
     target: int
 
 
-COUNT_RANGE = (4, 6)        # how many numbers a puzzle offers
+# How many numbers a puzzle offers. With at most 6 the search needs no visit
+# budget: a pair has at most 4 moves, so a solve expands the root, at most
+# 60 five-value and 60 * 40 four-value states, and ends at the first
+# three-value state it enters, since a four-value state enters only those
+# that lookup settles. A wider range must re-check that bound.
+COUNT_RANGE = (4, 6)
 VALUE_RANGE = (1, 99)
 TARGET_RANGE = (10, 999)
-# DFS visits before giving up. A visit is a state the solver expands: the
-# root, each state of four or more values not already known dead, and each
-# three-value state that lookup shows reaches the target. A three-value
-# state that lookup rules out is skipped unvisited. The most visits any of
-# 3,000 generated puzzles needed was 434.
-NODE_BUDGET = 200_000
 MAX_GENERATE_ATTEMPTS = 500
 
 
@@ -125,7 +124,7 @@ def _apply_move(values, move):
 def reachable(values, target) -> bool:
     """Exact reachability of ``target`` from a value multiset."""
     return (target in values
-            or _find_solution(list(values), target, float("inf")) is not None)
+            or _find_solution(list(values), target) is not None)
 
 
 # --- generation --------------------------------------------------------------
@@ -174,10 +173,6 @@ def generate(rng: random.Random) -> CountdownPuzzle:
 
 # --- solving -----------------------------------------------------------------
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 # (i, j, k, m): the pairs i < j of a four-value state in move order, each
 # with the positions k < m of the two values it leaves
 _SPLITS_OF_FOUR = tuple(
@@ -185,7 +180,7 @@ _SPLITS_OF_FOUR = tuple(
     for i in range(3) for j in range(i + 1, 4))
 
 
-def _find_solution(values, target, budget):
+def _find_solution(values, target):
     """First solution in move order, as the list of moves taken, or None.
 
     Exhaustive DFS in :func:`legal_moves` order. A state of four or more
@@ -194,14 +189,13 @@ def _find_solution(values, target, budget):
     pair's result lies in ``need`` of the third value, the target plus
     every value that one legal move with the third value takes to it.
     A four-value node recurses only into the children that lookup
-    settles, so only those count against ``budget``.
+    settles.
     """
     if target < 1:
         return None  # every value a move makes is a positive integer
     dead = set()
     needs = {}
     steps = []
-    visits = 0
 
     def need(w):
         s = needs.get(w)
@@ -229,11 +223,6 @@ def _find_solution(values, target, budget):
         return b % a == 0 and b // a in goals
 
     def dfs(vals, key):
-        nonlocal visits
-        visits += 1
-        if visits > budget:
-            raise _BudgetExhausted
-
         n = len(vals)
         if n == 3:
             for move in legal_moves(vals):
@@ -343,8 +332,8 @@ def solve_dfs(puzzle: CountdownPuzzle):
     The tree holds only the root-to-solution path. The detour machinery
     builds a path node's sibling moves through :meth:`_SolvedTree.expand`
     when it first branches there, so a trace without detours builds none.
-    Raises NoSolutionError when search exhausts the move space (or the
-    node budget) without reaching the target. The answer is the target
+    Raises NoSolutionError when search exhausts the move space without
+    reaching the target. The answer is the target
     when it is one of the numbers, else :func:`render_moves` of the moves.
     """
     target = puzzle.target
@@ -353,12 +342,7 @@ def solve_dfs(puzzle: CountdownPuzzle):
     if target in values:
         tree.add_node("", is_solution=True, payload=values)
         return tree, str(target)
-    try:
-        steps = _find_solution(values, target, NODE_BUDGET)
-    except _BudgetExhausted:
-        raise NoSolutionError(
-            f"search budget exhausted on {puzzle.numbers} -> {target}"
-        ) from None
+    steps = _find_solution(values, target)
     if steps is None:
         raise NoSolutionError(f"{target} is unreachable from {puzzle.numbers}")
 

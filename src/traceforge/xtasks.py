@@ -4,9 +4,9 @@ self-referential statement counting, plus verifier-only support for zebra
 puzzles and list functions.
 
 Number formatting follows one convention throughout: decimal strings are
-rounded half away from zero to a fixed number of places, and a geometry
-answer and its ground truth are read by the same grammar and compared as
-exact decimals, never as floating-point text.
+rounded half away from zero to a fixed number of places. Each check reads
+an answer and its ground truth with one grammar, so geometry compares exact
+decimals, never floating-point text, and an unreadable truth is an error.
 """
 
 from __future__ import annotations
@@ -150,28 +150,42 @@ def format_radius(value: float) -> str:
     return round_half_away(value, POINT_DECIMALS)
 
 
-# digits are ASCII only: Unicode \d would let other scripts' digits through
-_ANGLE_RE = re.compile(r"^(-?[0-9]+\.[0-9]{2})°$")
+# what round_half_away writes for one or more places, in ASCII digits:
+# Unicode \d would let other scripts' digits through
+_DECIMAL = r"(-?[0-9]+\.[0-9]{%d})"
+_ANGLE_RE = re.compile(_DECIMAL % ANGLE_DECIMALS + "°")
+_POINT_NUMBER = _DECIMAL % POINT_DECIMALS
 # coordinates separated by ", " or "," or " ", always inside parentheses
-_POINT_RE = re.compile(
-    r"^\((-?[0-9]+\.[0-9]{3})(?:, |,| )(-?[0-9]+\.[0-9]{3})\)$"
-)
-_RADIUS_RE = re.compile(r"^(-?[0-9]+\.[0-9]{3})$")
+_POINT_RE = re.compile(rf"\({_POINT_NUMBER}(?:, |,| ){_POINT_NUMBER}\)")
+_RADIUS_RE = re.compile(_POINT_NUMBER)
 
 
 def parse_angle(text: str) -> Optional[Decimal]:
-    m = _ANGLE_RE.match(text.strip())
+    m = _ANGLE_RE.fullmatch(text.strip())
     return Decimal(m.group(1)) if m else None
 
 
 def parse_point(text: str) -> Optional[tuple]:
-    m = _POINT_RE.match(text.strip())
+    m = _POINT_RE.fullmatch(text.strip())
     return (Decimal(m.group(1)), Decimal(m.group(2))) if m else None
 
 
 def parse_radius(text: str) -> Optional[Decimal]:
-    m = _RADIUS_RE.match(text.strip())
+    m = _RADIUS_RE.fullmatch(text.strip())
     return Decimal(m.group(1)) if m else None
+
+
+def _read_alike(instance: ProblemInstance, text: str, parse):
+    """(parseable, correct) of an answer read with ``parse``, which returns
+    None for text it cannot read, against the ground truth read the same
+    way. Raises ValueError when the ground truth does not parse."""
+    want = parse(instance.ground_truth)
+    if want is None:
+        raise ValueError(f"ground truth {instance.ground_truth!r} does not parse")
+    got = parse(text)
+    if got is None:
+        return False, False
+    return True, got == want
 
 
 _GEOMETRY_PARSERS = {
@@ -182,20 +196,9 @@ _GEOMETRY_PARSERS = {
 
 
 def check_geometry(instance: ProblemInstance, text: str):
-    """(parseable, correct) of a geometry answer.
-
-    The answer and the ground truth are read with the task's one grammar
-    and compared as exact decimals. Raises ValueError when the ground
-    truth itself does not parse.
-    """
-    parse = _GEOMETRY_PARSERS[instance.task]
-    want = parse(instance.ground_truth)
-    if want is None:
-        raise ValueError(f"ground truth {instance.ground_truth!r} does not parse")
-    got = parse(text)
-    if got is None:
-        return False, False
-    return True, got == want
+    """(parseable, correct) of a geometry answer, compared with the ground
+    truth as exact decimals."""
+    return _read_alike(instance, text, _GEOMETRY_PARSERS[instance.task])
 
 
 def _triangle_text(tri: Triangle) -> str:
@@ -405,7 +408,9 @@ class Statement:
             return total == self.value
         if self.kind == "at_least":
             return total >= self.value
-        return total <= self.value
+        if self.kind == "at_most":
+            return total <= self.value
+        raise ValueError(f"unknown statement kind {self.kind}")
 
 
 def selfref_count(statements) -> int:
@@ -454,12 +459,14 @@ SELFREF_PROMPT = (
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
+def _read_integer(text: str) -> Optional[int]:
+    t = text.strip()
+    return int(t) if _INTEGER_RE.fullmatch(t) else None
+
+
 def check_selfref(instance: ProblemInstance, text: str):
     """(parseable, correct) of a self_reference answer: one integer."""
-    got = text.strip()
-    if not _INTEGER_RE.fullmatch(got):
-        return False, False
-    return True, int(got) == int(instance.ground_truth)
+    return _read_alike(instance, text, _read_integer)
 
 
 def build_selfref_instance(instance_id: int, seed: int) -> ProblemInstance:
@@ -479,12 +486,13 @@ def build_selfref_instance(instance_id: int, seed: int) -> ProblemInstance:
 
 # --- name answers (color cube, zebra) ----------------------------------------
 
+def _read_name(text: str) -> Optional[str]:
+    return text.strip().lower() or None
+
+
 def check_name(instance: ProblemInstance, text: str):
     """(parseable, correct) of a color or person name, case-insensitive."""
-    got = text.strip().lower()
-    if not got:
-        return False, False
-    return True, got == instance.ground_truth.strip().lower()
+    return _read_alike(instance, text, _read_name)
 
 
 # --- list functions (verifier only) ------------------------------------------
@@ -523,15 +531,13 @@ def parse_number_list(text: str) -> Optional[tuple]:
     return tuple(out)
 
 
-def check_list(instance: ProblemInstance, text: str):
-    """(parseable, correct) of a list_functions answer.
+def _read_list(text) -> Optional[tuple]:
+    # a ground truth may also be a JSON list in externally supplied instances
+    if isinstance(text, (list, tuple)):
+        return tuple(text)
+    return parse_number_list(text)
 
-    The ground truth is list text, or a JSON list in externally supplied
-    instances.
-    """
-    got = parse_number_list(text)
-    if got is None:
-        return False, False
-    truth = instance.ground_truth
-    want = parse_number_list(truth) if isinstance(truth, str) else tuple(truth)
-    return True, got == want
+
+def check_list(instance: ProblemInstance, text: str):
+    """(parseable, correct) of a list_functions answer."""
+    return _read_alike(instance, text, _read_list)

@@ -359,8 +359,8 @@ def test_impossible_trace_request_fails_cleanly(tmp_path, capsys):
         ("geometry_incircle", "1.0.0", {}, "1.000"),
         ("zebra", 5, {}, "1.000"),
         ("list_functions", {"values": [1, 2]}, {}, "1.000"),
-        # a check reads the truth only once the answer parses
         ("self_reference", "many", {}, "2"),
+        # a traced task reads its meta only once the answer parses
         ("countdown", "1 + 2", {"numbers": [1, 2]}, "1 + 2"),
     ],
     ids=["orthocenter", "angle", "incircle", "zebra", "list_functions",

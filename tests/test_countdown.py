@@ -150,7 +150,7 @@ def test_find_solution_matches_reference_enumeration():
         n = rng.randrange(4, 7)
         vals = [rng.randrange(1, 100) for _ in range(n)]
         target = rng.randrange(10, 1000)
-        fast = cd._find_solution(vals, target, 5_000_000)
+        fast = cd._find_solution(vals, target)
         assert fast == reference_first_solution(vals, target)
 
 
@@ -165,7 +165,7 @@ def expand_path_checked(puzzle):
     branch point and check its children: one per legal move, in move
     order, the path child at the taken move's index. Returns the texts
     of every branch point's children."""
-    steps = cd._find_solution(puzzle.numbers, puzzle.target, cd.NODE_BUDGET)
+    steps = cd._find_solution(puzzle.numbers, puzzle.target)
     tree, _ = cd.solve_dfs(puzzle)
     assert len(tree.nodes) == len(steps) + 1
     path = solution_path(tree)
@@ -202,12 +202,6 @@ def test_solve_dfs_unreachable_raises():
         cd.solve_dfs(cd.CountdownPuzzle((2, 2), 9))
 
 
-def test_solve_dfs_budget_exhaustion_raises(monkeypatch):
-    monkeypatch.setattr(cd, "NODE_BUDGET", 1)
-    with pytest.raises(NoSolutionError):
-        cd.solve_dfs(cd.CountdownPuzzle((2, 3, 4, 30), 29))
-
-
 def test_solve_dfs_target_among_numbers_is_leaf_answer():
     tree, answer = cd.solve_dfs(cd.CountdownPuzzle((5, 7), 7))
     assert tree.node(tree.root).is_solution
@@ -235,7 +229,7 @@ dense_puzzles = st.lists(st.integers(1, 12), min_size=2, max_size=6).flatmap(
 @given(dense_puzzles)
 def test_find_solution_matches_reference_on_dense_inputs(puzzle):
     vals, target = puzzle
-    assert (cd._find_solution(vals, target, cd.NODE_BUDGET)
+    assert (cd._find_solution(vals, target)
             == reference_first_solution(vals, target))
 
 

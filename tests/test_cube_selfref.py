@@ -206,6 +206,8 @@ def test_statement_text_forms():
     )
     with pytest.raises(ValueError):
         xt.Statement("sometimes", 1).text()
+    with pytest.raises(ValueError):
+        xt.Statement("sometimes", 1).holds((True,) * 7, 7)
 
 
 def test_selfref_instance_round_trips():

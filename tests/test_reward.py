@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traceforge import arc1d, countdown, reward, sudoku, xtasks
-from traceforge.core import ProblemInstance, TaskKind
+from traceforge.core import ProblemInstance, TaskKind, derive_seed
 from traceforge.pipeline import split_by_correctness
 from traceforge.reward import (
     CATEGORIES,
@@ -23,6 +23,7 @@ from traceforge.reward import (
     render_eval_table,
     score,
 )
+from traceforge.tasks import TASKS
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +298,45 @@ def test_malformed_meta_field_raises_named_error(inst):
         score(inst, wrap(inst.ground_truth))
     # the field is read only once the answer parses, as before
     assert reward.check_answer(inst, "no answer = here") == (False, False)
+
+
+@pytest.fixture(scope="module")
+def malformed_instances():
+    """task -> [(malformed instance, an answer its grammar reads)]"""
+    cases = {}
+    for task, truth, answer in (
+        (TaskKind.GEOMETRY_ANGLE, "90.00", "90.00°"),
+        (TaskKind.GEOMETRY_ORTHOCENTER, "(1.0, 2.0)", "(1.000, 2.000)"),
+        (TaskKind.GEOMETRY_INCIRCLE, "1.0", "1.000"),
+        (TaskKind.COLOR_CUBE, "", "red"),
+        (TaskKind.SELF_REFERENCE, "1_0", "10"),
+        (TaskKind.ZEBRA, "   ", "Alice"),
+        (TaskKind.LIST_FUNCTIONS, "[2, 4, six]", "[2, 4, 6]"),
+    ):
+        inst = ProblemInstance(id=17, task=task, prompt="?",
+                               ground_truth=truth, seed=0)
+        cases[task] = [(inst, answer)]
+    for param in _malformed_meta_cases():
+        inst, = param.values
+        cases.setdefault(inst.task, []).append((inst, inst.ground_truth))
+    return cases
+
+
+@pytest.mark.parametrize("task", list(TASKS), ids=lambda task: task.value)
+def test_malformed_instance_raises_named_error(malformed_instances, task):
+    for inst, answer in malformed_instances[task]:
+        with pytest.raises(ValueError,
+                           match=f"malformed {task.value} instance {inst.id}: "):
+            reward.check_answer(inst, answer)
+
+
+@pytest.mark.parametrize(
+    "spec", [spec for spec in TASKS.values() if spec.build_instance],
+    ids=lambda spec: spec.kind.value)
+def test_generated_truth_reads_back_through_its_check(spec):
+    for i in range(5):
+        inst = spec.build_instance(i, derive_seed(13, i))
+        assert spec.check(inst, inst.ground_truth) == (True, True)
 
 
 def test_zebra_answers():
