@@ -16,7 +16,7 @@ from .core import (
     render_sft_record,
 )
 from .reward import ScoreBreakdown, classify, pass_at_1, score
-from .search import DetourPlan, SearchTree, select_detours, solution_path, strip_detours
+from .search import SearchTree, select_detours, solution_path, strip_detours
 
 __all__ = [
     "GenerationError",
@@ -28,7 +28,6 @@ __all__ = [
     "SftRecord",
     "TaggedOutput",
     "TaskKind",
-    "DetourPlan",
     "SearchTree",
     "classify",
     "derive_seed",

@@ -9,8 +9,9 @@ descending score order, which yields a natural search tree: plausible but
 wrong rules come first and make good detours.
 
 The rule analysis (:func:`_rule_analysis`) is shared: the solver reads
-what :func:`generate`'s uniqueness test computed for the same examples,
-and a wrong attempt's text is rendered only when a detour picks it.
+what :func:`generate`'s uniqueness test computed for the same examples.
+The solved tree is the solution path alone, and a wrong attempt's node is
+built only when a detour takes it.
 
 Grids are tuples of color digits 0..9; 0 is the background.
 """
@@ -33,7 +34,6 @@ from .core import (
 from .search import (
     SearchTree,
     build_with_retries,
-    default_extend,
     linearize,
     sample_named,
     select_detours,
@@ -285,27 +285,18 @@ def render_grid(grid) -> str:
     return " ".join(map(str, grid))
 
 
-class _AttemptTree(SearchTree):
-    """The attempt tree, holding each wrong attempt's first miss for
-    :func:`_extend` to render once a detour picks the attempt."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.misses: dict[int, tuple] = {}  # node id -> first miss
-
-
 def heuristic_solve(task: Arc1dTask):
     """Try pool rules in plausibility order; build the tree of attempts.
 
     Plausibility is cell agreement with the first example pair, ties broken
-    by pool position, so the ordering is deterministic. The tree is: root,
-    a study step, one attempt child per rule in that order, and under the
-    first fully consistent attempt the application to the test input.
-    The rule analysis is shared with :func:`generate`, and a wrong
-    attempt's text is None until a detour picks it (:func:`_extend`).
-    Raises NoSolutionError when no pool rule explains every example, and
-    MultipleSolutionsError when several do (the task did not come from
-    :func:`generate`).
+    by pool position, so the ordering is deterministic. The tree holds only
+    the solution path: root, a study step, the attempt of the first fully
+    consistent rule, and its application to the test input. The study
+    node's payload is every wrong attempt in plausibility order, as (pool
+    index, first miss), for :func:`_extend` to take. The rule analysis is
+    shared with :func:`generate`. Raises NoSolutionError when no pool rule
+    explains every example, and MultipleSolutionsError when several do
+    (the task did not come from :func:`generate`).
     """
     analysis = _rule_analysis(task.train_pairs)
     first_out = task.train_pairs[0][1]
@@ -320,49 +311,50 @@ def heuristic_solve(task: Arc1dTask):
         raise MultipleSolutionsError(f"pool rules {names} all fit every example")
     winner = RULE_POOL[fitting[0]]
 
-    tree = _AttemptTree()
+    tree = SearchTree()
     root = tree.add_node("")
     study = tree.add_node(
         "compare each example input to its output to work out the rule.",
         parent=root,
+        payload=tuple((idx, analysis[idx][1]) for idx in order
+                      if idx != fitting[0]),
     )
-    winner_node = None
-    for idx in order:
-        rule = RULE_POOL[idx]
-        miss = analysis[idx][1]
-        if miss is None:
-            winner_node = tree.add_node(
-                f"try the rule '{rule.description}': "
-                f"it matches all {len(task.train_pairs)} examples.",
-                parent=study, payload=rule)
-        else:
-            tree.misses[tree.add_node(None, parent=study, payload=rule)] = miss
+    winner_node = tree.add_node(
+        f"try the rule '{winner.description}': "
+        f"it matches all {len(task.train_pairs)} examples.",
+        parent=study)
     tree.add_node(
         f"apply the rule '{winner.description}' to the test input: "
         f"{render_grid(task.test_input)} becomes "
         f"{render_grid(winner.apply(task.test_input))}.",
         parent=winner_node,
         is_solution=True,
-        payload=winner,
     )
     return tree, winner
 
 
 # --- traces ------------------------------------------------------------------
 
-def _extend(tree: _AttemptTree, branch_id, excluded, rng):
-    """:func:`default_extend`, rendering the text of the attempt it picks;
-    the observation is the expected output of the first example its rule
-    gets wrong."""
-    wrong = default_extend(tree, branch_id, excluded, rng)
-    if wrong is None:
+def _extend(tree: SearchTree, branch_id, rng):
+    """Try one wrong rule from the study node: a random one of its wrong
+    attempts, in plausibility order, that is not yet a child there. The
+    attempt's text shows its prediction on the first example its rule gets
+    wrong, and the observation is that example's expected output. Only
+    the study node hosts detours."""
+    branch = tree.nodes[branch_id]
+    if branch.payload is None:
         return None
-    node = tree.nodes[wrong[0]]
-    m, inp, pred, out = tree.misses[node.id]
-    node.state_text = (f"try the rule '{node.payload.description}': on "
-                       f"example {m}, {render_grid(inp)} would become "
-                       f"{render_grid(pred)}.")
-    return wrong, f"The expected output for example {m} is {render_grid(out)}."
+    taken = {tree.nodes[c].payload for c in branch.children}
+    candidates = [a for a in branch.payload if a[0] not in taken]
+    if not candidates:
+        return None
+    idx, (m, inp, pred, out) = candidates[rng.randrange(len(candidates))]
+    wrong = tree.add_node(f"try the rule '{RULE_POOL[idx].description}': on "
+                          f"example {m}, {render_grid(inp)} would become "
+                          f"{render_grid(pred)}.", parent=branch_id,
+                          payload=idx)
+    return [wrong], (f"The expected output for example {m} is "
+                     f"{render_grid(out)}.")
 
 
 def make_trace(task: Arc1dTask, k: int, rng: random.Random):
@@ -376,8 +368,7 @@ def make_trace(task: Arc1dTask, k: int, rng: random.Random):
         raise ValueError(f"at most {len(RULE_POOL) - 1} detours are possible, got {k}")
     tree, rule = heuristic_solve(task)
     path = solution_path(tree)
-    plan = select_detours(tree, path, k, rng, _extend)
-    return linearize(tree, path, plan.exact(),
+    return linearize(tree, path, select_detours(tree, path, k, rng, _extend),
                      render_grid(rule.apply(task.test_input)))
 
 

@@ -8,9 +8,8 @@ dead-state memoization, which both finds the canonical solution and proves
 unsolvability when there is none; three-value states are settled by set
 lookup rather than searched. The solution's moves, rendered as infix text
 by :func:`render_moves`, are the answer. The search tree a solve returns
-is the solution path alone; a detour builds the sibling moves of the path
-node it branches from. Answers are verified only by :func:`check`,
-through :func:`parse_answer`.
+is the solution path alone; a detour adds only the moves it walks.
+Answers are verified only by :func:`check`, through :func:`parse_answer`.
 """
 
 from __future__ import annotations
@@ -288,99 +287,86 @@ def _find_solution(values, target):
 
 
 class _SolvedTree(SearchTree):
-    """A solve's root-to-solution path, for the puzzle's ``target``. Each
-    path node but the last keeps the move taken there in ``taken`` until
-    :meth:`expand` builds its other children, the sibling moves."""
+    """A search tree for the puzzle's ``target``. Each node's payload is
+    (the values it leaves, the move that made it); the root's move is
+    None."""
 
     def __init__(self, target: int) -> None:
         super().__init__()
         self.target = target
-        self.taken: dict = {}
-
-    def expand(self, nid: int) -> None:
-        """Give path node ``nid`` a child per legal move, in move order, the
-        path child at the taken move's place; a no-op once done. The taken
-        move is matched as a whole tuple: with repeated numbers, sibling
-        moves can read the same as it."""
-        move = self.taken.pop(nid, None)
-        if move is None:
-            return
-        node = self.nodes[nid]
-        path_child, = node.children
-        node.children = []
-        for m in legal_moves(node.payload):
-            if m == move:
-                node.children.append(path_child)
-            else:
-                _add_move(self, nid, m)
 
 
 def _add_move(tree: _SolvedTree, parent: int, move) -> int:
     """Add the child that ``move`` makes from ``parent``'s values."""
     _, _, op, x, y, result, _ = move
+    values = _apply_move(tree.nodes[parent].payload[0], move)
     return tree.add_node(
         f"{x} {op} {y} = {result}.",
         parent=parent,
         is_solution=(result == tree.target),
-        payload=tuple(_apply_move(tree.nodes[parent].payload, move)),
+        payload=(tuple(values), move),
     )
 
 
 def solve_dfs(puzzle: CountdownPuzzle):
     """Solve by exhaustive DFS; returns the search tree and the answer text.
 
-    The tree holds only the root-to-solution path. The detour machinery
-    builds a path node's sibling moves through :meth:`_SolvedTree.expand`
-    when it first branches there, so a trace without detours builds none.
-    Raises NoSolutionError when search exhausts the move space without
-    reaching the target. The answer is the target
+    The tree holds only the root-to-solution path; :func:`_extend` adds
+    each detour's moves when it takes one, so a trace without detours
+    builds no other node. Raises NoSolutionError when search exhausts the
+    move space without reaching the target. The answer is the target
     when it is one of the numbers, else :func:`render_moves` of the moves.
     """
     target = puzzle.target
     tree = _SolvedTree(target)
     values = tuple(puzzle.numbers)
     if target in values:
-        tree.add_node("", is_solution=True, payload=values)
+        tree.add_node("", is_solution=True, payload=(values, None))
         return tree, str(target)
     steps = _find_solution(values, target)
     if steps is None:
         raise NoSolutionError(f"{target} is unreachable from {puzzle.numbers}")
 
-    node = tree.add_node("", payload=values)
+    node = tree.add_node("", payload=(values, None))
     for step in steps:
-        tree.taken[node] = step
         node = _add_move(tree, node, step)
     return tree, render_moves(puzzle.numbers, steps)
 
 
 # --- traces ------------------------------------------------------------------
 
-def _extend(tree: _SolvedTree, branch_id, excluded, rng):
+def _extend(tree: _SolvedTree, branch_id, rng):
     """Detour extension: walk a wrong branch, then insist it is dead.
 
-    The branch point's sibling moves are built on its first visit. A
-    candidate wrong branch is accepted only when no value along it equals
-    the target and the values remaining at its end cannot reach the target
-    at all, so the trace's claim of a dead end is literally true. The
-    observation names the value the branch's last move made.
+    The first move is one of the branch point's legal moves, in move
+    order, that neither makes the target nor is already a child there
+    (the path's step or an earlier detour's), matched as the whole move
+    tuple: with repeated numbers, two moves can read alike. A walk is
+    accepted only when no value along it equals the target and the values
+    remaining at its end cannot reach the target at all, so the trace's
+    claim of a dead end is literally true; only then are its nodes added.
+    The observation names the value the branch's last move made.
     """
     target = tree.target
-    tree.expand(branch_id)
-    candidates = [c for c in tree.nodes[branch_id].children
-                  if c not in excluded and not tree.nodes[c].is_solution]
+    values = tree.nodes[branch_id].payload[0]
+    taken = [tree.nodes[c].payload[1] for c in tree.nodes[branch_id].children]
+    candidates = [m for m in legal_moves(values)
+                  if m[5] != target and m not in taken]
     rng.shuffle(candidates)
-    for cand in candidates:
-        wrong = [cand]
-        values = tree.nodes[cand].payload
-        while len(wrong) < MAX_DETOUR_DEPTH and len(values) >= 2:
-            moves = [m for m in legal_moves(values) if m[5] != target]
-            if not moves:
+    for first in candidates:
+        moves = [first]
+        end = _apply_move(values, first)
+        while len(moves) < MAX_DETOUR_DEPTH and len(end) >= 2:
+            options = [m for m in legal_moves(end) if m[5] != target]
+            if not options:
                 break
-            wrong.append(_add_move(tree, wrong[-1],
-                                   moves[rng.randrange(len(moves))]))
-            values = tree.nodes[wrong[-1]].payload
-        if not reachable(values, target):
-            return wrong, f"{values[-1]} is not the correct answer."
+            moves.append(options[rng.randrange(len(options))])
+            end = _apply_move(end, moves[-1])
+        if not reachable(end, target):
+            wrong = [branch_id]
+            for move in moves:
+                wrong.append(_add_move(tree, wrong[-1], move))
+            return wrong[1:], f"{end[-1]} is not the correct answer."
     return None
 
 
@@ -392,8 +378,8 @@ def make_trace(puzzle: CountdownPuzzle, k: int, rng: random.Random):
     """
     tree, answer = solve_dfs(puzzle)
     path = solution_path(tree)
-    plan = select_detours(tree, path, k, rng, _extend)
-    return linearize(tree, path, plan.exact(), answer)
+    return linearize(tree, path, select_detours(tree, path, k, rng, _extend),
+                     answer)
 
 
 # --- answer checking ---------------------------------------------------------

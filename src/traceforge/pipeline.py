@@ -30,7 +30,7 @@ from .core import (
     derive_seed,
     render_sft_record,
 )
-from .reward import pair_completions, score
+from .reward import CATEGORIES, pair_completions, score
 from .search import MARKER_PHRASE
 from .tasks import TASKS
 
@@ -146,15 +146,30 @@ def record_to_json(rec: SftRecord) -> str:
 
 
 def record_from_json(line: str) -> SftRecord:
+    """One record line. ``instance_id`` and ``backtracks`` must be JSON
+    integers, ``prompt`` and ``completion`` strings, and
+    ``correctness_label`` null or a reward category; anything else raises
+    ValueError."""
     obj = json.loads(line)
+    for name in ("instance_id", "backtracks"):
+        if type(obj[name]) is not int:
+            raise ValueError(
+                f"{name} must be a JSON integer, got {obj[name]!r}")
+    for name in ("prompt", "completion"):
+        if type(obj[name]) is not str:
+            raise ValueError(f"{name} must be a string, got {obj[name]!r}")
+    label = obj.get("correctness_label")
+    if label is not None and label not in CATEGORIES:
+        raise ValueError(f"correctness_label must be null or one of "
+                         f"{', '.join(CATEGORIES)}, got {label!r}")
     return SftRecord(
-        instance_id=int(obj["instance_id"]),
+        instance_id=obj["instance_id"],
         task=TaskKind(obj["task"]),
         prompt=obj["prompt"],
         completion=obj["completion"],
-        backtracks=int(obj["backtracks"]),
+        backtracks=obj["backtracks"],
         seed=int(obj["seed"], 16),
-        correctness_label=obj.get("correctness_label"),
+        correctness_label=label,
     )
 
 

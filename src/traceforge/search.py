@@ -1,11 +1,13 @@
 """Search trees and their linearization into reasoning traces.
 
-A solver produces a :class:`SearchTree` whose nodes are intermediate
-states. The trace builder walks the unique root-to-solution path, injects
-a controlled number of wrong-branch detours, and verbalizes the result as
-an ordered event list. The number of backtrack markers in the rendered
-trace equals the number of injected detours exactly, which is the knob the
-dataset builders expose.
+A solver produces a :class:`SearchTree` that holds only its
+root-to-solution path, with intermediate states as nodes. The trace
+builder injects a controlled number of wrong-branch detours, each of which
+adds its own nodes when the task's extend walks it off a path node, so a
+tree holds the path plus the detours taken and nothing else. The result is
+verbalized as an ordered event list. The number of backtrack markers in
+the rendered trace equals the number of injected detours exactly, which is
+the knob the dataset builders expose.
 """
 
 from __future__ import annotations
@@ -116,86 +118,50 @@ class Detour:
     observation: str        # the task's reason for abandoning the branch
 
 
-@dataclass
-class DetourPlan:
-    detours: list
-    requested: int
-
-    @property
-    def shortfall(self) -> int:
-        return self.requested - len(self.detours)
-
-    def exact(self) -> list:
-        """The detours, or GenerationError when fewer than requested were
-        found (callers resample a fresh puzzle)."""
-        if self.shortfall:
-            raise GenerationError(
-                f"tree hosts {len(self.detours)} of {self.requested} requested detours"
-            )
-        return self.detours
-
-
-# ``extend(tree, branch_id, excluded, rng)`` walks one wrong branch from a
-# child of the branch point not in ``excluded`` and returns (its node ids,
-# why it is dead), or None when no wrong branch is left. The observation
-# draws no random numbers.
-ExtendFn = Callable[[SearchTree, int, set, random.Random], Optional[tuple]]
-
-
-def default_extend(tree: SearchTree, branch_id: int, excluded: set,
-                   rng: random.Random) -> Optional[list]:
-    """Pick one unused non-solution child of the branch point at random.
-
-    Returns that child as a one-node wrong path, or None when every child
-    of the branch point is excluded or a solution. This is the first step
-    of the sudoku and arc1d extends: arc1d detours are this one wrong
-    attempt, and sudoku walks deeper from it.
-    """
-    candidates = [c for c in tree.nodes[branch_id].children
-                  if c not in excluded and not tree.nodes[c].is_solution]
-    if not candidates:
-        return None
-    return [candidates[rng.randrange(len(candidates))]]
+# ``extend(tree, branch_id, rng)`` walks one wrong branch from the branch
+# point, starting with a sibling step that is not yet one of its children
+# (so neither the solution path's step nor an earlier detour's), adds the
+# walk's nodes to the tree and returns (their ids, why the branch is dead),
+# or None when no wrong branch is left. The observation draws no random
+# numbers.
+ExtendFn = Callable[[SearchTree, int, random.Random], Optional[tuple]]
 
 
 def select_detours(tree: SearchTree, path: list, k: int, rng: random.Random,
-                   extend_fn: ExtendFn) -> DetourPlan:
-    """Choose up to ``k`` detours along the solution path, each built by
-    the task's ``extend_fn``.
+                   extend_fn: ExtendFn) -> list:
+    """Choose ``k`` detours along the solution path, each built by the
+    task's ``extend_fn``; returns them sorted by resume step.
 
     Branch points are drawn uniformly without replacement from the path
     positions that can host a detour (the root and the final node are
     excluded: a detour must return to an already-stated positive step, and
     branching after the solution would be vacuous). When k exceeds the
     number of eligible positions, selection continues in further rounds
-    that revisit positions with a different, previously unused wrong
-    branch. If the tree cannot host k detours at all, the plan carries all
-    it could find and reports the shortfall instead of failing.
+    that revisit positions; each visit's walk is a new child of its branch
+    point, so the next visit there starts differently. Raises
+    GenerationError when the tree cannot host k detours (callers resample
+    a fresh puzzle).
     """
     if k < 0:
         raise ValueError(f"detour count must be >= 0, got {k}")
 
-    positions = list(range(1, len(path) - 1))
-    used_first: dict[int, set] = {p: set() for p in positions}
-    active = set(positions)
+    active = set(range(1, len(path) - 1))
     detours: list[Detour] = []
     while len(detours) < k and active:
         for pos in rng.sample(sorted(active), len(active)):
             if len(detours) >= k:
                 break
-            branch_id = path[pos]
-            # never re-enter the branch we actually take, nor repeat a
-            # wrong branch already used at this position
-            excluded = used_first[pos] | {path[pos + 1]}
-            found = extend_fn(tree, branch_id, excluded, rng)
+            found = extend_fn(tree, path[pos], rng)
             if found is None:
                 active.discard(pos)
                 continue
             wrong, observation = found
-            used_first[pos].add(wrong[0])
-            detours.append(Detour(branch_id, tuple(wrong), pos, observation))
+            detours.append(Detour(path[pos], tuple(wrong), pos, observation))
+    if len(detours) < k:
+        raise GenerationError(
+            f"tree hosts {len(detours)} of {k} requested detours")
     detours.sort(key=lambda d: d.resume_step)
-    return DetourPlan(detours, k)
+    return detours
 
 
 def linearize(tree: SearchTree, path: list, detours: list,

@@ -7,7 +7,8 @@ propagating core counts completions and finds the first: it places naked
 and hidden singles until none is left, and only then branches on the
 cell with the fewest candidates. The trace solver fills cells in plain
 row-major order, where multi-candidate cells are common and give detours
-room to branch.
+room to branch; its tree is the solution path alone, and each detour adds
+only the wrong placements it walks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .search import (
     MAX_DETOUR_DEPTH,
     SearchTree,
     build_with_retries,
-    default_extend,
     linearize,
     select_detours,
     solution_path,
@@ -304,100 +304,93 @@ def from_givens(grid) -> SudokuPuzzle:
 
 # --- solving into a tree -----------------------------------------------------
 
+def _place(tree, parent, grid, cell, is_solution=False) -> int:
+    """Add the child of ``parent`` that places ``grid[cell]``."""
+    r, c, _ = UNITS[cell]
+    return tree.add_node(f"place {grid[cell]} at row {r + 1}, column {c + 1}.",
+                         parent=parent, is_solution=is_solution,
+                         payload=tuple(grid))
+
+
 def solve_dfs(puzzle: SudokuPuzzle):
     """Build the search tree for a puzzle's unique solution.
 
-    The tree mirrors a plain backtracking solver: empty cells in row-major
-    order, candidate digits ascending at each cell. Because the solution
-    is unique, any candidate other than the solution's digit is a dead
-    branch, so the root-to-solution path is the solver's successful line
-    and off-path children are the wrong placements a detour can take.
-    A puzzle from outside goes through :func:`from_givens`, which proves
-    that uniqueness first.
+    The tree is the line of a plain backtracking solver that fills the
+    empty cells in row-major order and tries candidate digits ascending,
+    and it holds only the root-to-solution path: one node per empty cell,
+    placing the solution's digit. Because the solution is unique, any
+    other candidate is a dead branch, which :func:`_extend` adds when a
+    detour takes it. A puzzle from outside goes through
+    :func:`from_givens`, which proves that uniqueness first.
     """
     prep = _prepare(puzzle.givens)
     if prep is None:
         raise NoSolutionError("puzzle givens conflict")
-    rows, cols, boxes, empties = prep
-    solution = puzzle.solution
-
+    empties = prep[3]
     tree = SearchTree()
     grid = list(puzzle.givens)
-    parent = tree.add_node("", payload=tuple(grid))
+    node = tree.add_node("", payload=tuple(grid))
     for pos, cell in enumerate(empties):
-        r, c, b = UNITS[cell]
-        mask = FULL & ~(rows[r] | cols[c] | boxes[b])
-        want = solution[cell]
-        next_parent = None
-        last = pos == len(empties) - 1
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            d = bit.bit_length() - 1
-            grid[cell] = d
-            child = tree.add_node(
-                f"place {d} at row {r + 1}, column {c + 1}.",
-                parent=parent,
-                is_solution=(last and d == want),
-                payload=tuple(grid),
-            )
-            if d == want:
-                next_parent = child
-        grid[cell] = want
-        rows[r] |= 1 << want
-        cols[c] |= 1 << want
-        boxes[b] |= 1 << want
-        parent = next_parent
-    return tree, solution
+        grid[cell] = puzzle.solution[cell]
+        node = _place(tree, node, grid, cell, pos == len(empties) - 1)
+    return tree, puzzle.solution
 
 
 # --- traces ------------------------------------------------------------------
 
-def _extend(tree, branch_id, excluded, rng):
-    """Walk :func:`default_extend`'s wrong placement deeper, following the
-    solver's cell order, and say why the branch is dead.
+def _extend(tree, branch_id, rng):
+    """Place a wrong digit, walk on in the solver's cell order, and say why
+    the branch is dead.
 
-    The branch point's children fill its grid's first empty cell, so the
-    unit masks of that grid, with the detour's placements added in cell
-    order, follow the whole walk. Every branch off the solution path is
-    dead by uniqueness, so unlike countdown no reachability check is
-    needed. The walk stops early when the next cell has no digit left. The
-    observation names the first remaining empty cell with no candidate,
-    else the first wrong placement, which the unique solution rules out.
+    The branch point's children fill its grid's first empty cell; the
+    wrong digit is drawn from that cell's candidates, ascending, that no
+    child has placed yet (the path's digit and earlier detours' digits).
+    The unit masks of the grid with the wrong digit placed, with the
+    walk's placements added in cell order, follow the whole walk. Every
+    branch off the solution path is dead by uniqueness, so unlike
+    countdown no reachability check is needed. The walk stops early when
+    the next cell has no digit left. The observation names the first
+    remaining empty cell with no candidate, else the wrong placement,
+    which the unique solution rules out.
     """
-    wrong = default_extend(tree, branch_id, excluded, rng)
-    if wrong is None:
+    branch = tree.nodes[branch_id]
+    grid = branch.payload
+    first = grid.index(0)
+    r, c, b = UNITS[first]
+    box = b // 3 * 27 + b % 3 * 3  # the box's top left cell
+    taken = {*grid[r * 9:r * 9 + 9], *grid[c::9], *grid[box:box + 3],
+             *grid[box + 9:box + 12], *grid[box + 18:box + 21]}
+    taken.update(tree.nodes[ch].payload[first] for ch in branch.children)
+    digits = [d for d in range(1, 10) if d not in taken]
+    if not digits:
         return None
-    rows, cols, boxes, empties = _prepare(tree.nodes[branch_id].payload)
-    grid = list(tree.nodes[wrong[0]].payload)
-    for cell in empties:
+    grid = list(grid)
+    grid[first] = digits[rng.randrange(len(digits))]
+    rows, cols, boxes, empties = _prepare(grid)
+    wrong = [_place(tree, branch_id, grid, first)]
+    for cell in empties[:MAX_DETOUR_DEPTH - 1]:
         r, c, b = UNITS[cell]
-        if not grid[cell]:  # past the wrong placement: walk on
-            mask = FULL & ~(rows[r] | cols[c] | boxes[b])
-            if len(wrong) == MAX_DETOUR_DEPTH or not mask:
-                break
-            bits = []
-            while mask:
-                bit = mask & -mask
-                mask ^= bit
-                bits.append(bit)
-            grid[cell] = d = bits[rng.randrange(len(bits))].bit_length() - 1
-            wrong.append(tree.add_node(
-                f"place {d} at row {r + 1}, column {c + 1}.",
-                parent=wrong[-1],
-                payload=tuple(grid),
-            ))
-        bit = 1 << grid[cell]
+        mask = FULL & ~(rows[r] | cols[c] | boxes[b])
+        if not mask:
+            break
+        bits = []
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            bits.append(bit)
+        bit = bits[rng.randrange(len(bits))]
+        grid[cell] = bit.bit_length() - 1
+        wrong.append(_place(tree, wrong[-1], grid, cell))
         rows[r] |= bit
         cols[c] |= bit
         boxes[b] |= bit
-    for cell in empties[len(wrong):]:
+    for cell in empties[len(wrong) - 1:]:
         r, c, b = UNITS[cell]
         if not FULL & ~(rows[r] | cols[c] | boxes[b]):
             return wrong, (f"There is no digit that can go in row {r + 1}, "
                            f"column {c + 1}.")
-    r, c, _ = UNITS[empties[0]]
-    return wrong, (f"The digit {grid[empties[0]]} cannot go in row {r + 1}, "
+    r, c, _ = UNITS[first]
+    return wrong, (f"The digit {grid[first]} cannot go in row {r + 1}, "
                    f"column {c + 1}.")
 
 
@@ -410,8 +403,8 @@ def make_trace(puzzle: SudokuPuzzle, k: int, rng: random.Random):
     """
     tree, solution = solve_dfs(puzzle)
     path = solution_path(tree)
-    plan = select_detours(tree, path, k, rng, _extend)
-    return linearize(tree, path, plan.exact(), render_grid(solution))
+    return linearize(tree, path, select_detours(tree, path, k, rng, _extend),
+                     render_grid(solution))
 
 
 # --- answer checking ---------------------------------------------------------

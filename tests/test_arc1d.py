@@ -121,29 +121,29 @@ def test_heuristic_solve_finds_hidden_rule():
 def test_heuristic_solve_tree_shape():
     task = next(iter(sample_tasks(1)))
     tree, winner = a1.heuristic_solve(task)
-    root = tree.node(tree.root)
-    assert len(root.children) == 1
-    study = tree.node(root.children[0])
-    assert len(study.children) == len(a1.RULE_POOL)
-    leaves = [n.id for n in tree.nodes if n.is_solution]
-    assert len(leaves) == 1
-    leaf = tree.node(leaves[0])
-    assert leaf.state_text.startswith("apply the rule ")
-    winner_children = [c for c in study.children if tree.node(c).children]
-    assert len(winner_children) == 1
-    assert tree.node(winner_children[0]).payload == winner
+    # the solution path alone: root, study, the winning attempt, its use
+    assert solution_path(tree) == [0, 1, 2, 3]
+    assert len(tree.nodes) == 4
+    _, study, attempt, leaf = tree.nodes
+    assert [n.id for n in tree.nodes if n.is_solution] == [leaf.id]
+    rule_text = f"the rule '{winner.description}'"
+    assert leaf.state_text.startswith(f"apply {rule_text}")
+    assert attempt.state_text.startswith(f"try {rule_text}")
+    # the study node offers every other pool rule as a wrong attempt
+    assert sorted(idx for idx, _ in study.payload) == [
+        idx for idx, r in enumerate(a1.RULE_POOL) if r != winner]
 
 
 def test_heuristic_order_prefers_agreement_on_first_pair():
     task = next(iter(sample_tasks(1)))
-    first = task.train_pairs[0]
+    inp, out = task.train_pairs[0]
     tree, _ = a1.heuristic_solve(task)
     study = tree.node(tree.node(tree.root).children[0])
-    inp, out = first
     agreements = []
-    for c in study.children:
-        pred = tree.node(c).payload.apply(inp)
+    for idx, _ in study.payload:
+        pred = a1.RULE_POOL[idx].apply(inp)
         agreements.append(sum(a == b for a, b in zip(pred, out)) / len(out))
+    assert len(agreements) == len(a1.RULE_POOL) - 1
     assert agreements == sorted(agreements, reverse=True)
 
 
@@ -200,9 +200,10 @@ def test_every_detour_is_one_wrong_attempt(k):
     for i, task in enumerate(sample_tasks(10)):
         tree, _ = a1.heuristic_solve(task)
         path = solution_path(tree)
-        plan = a1.select_detours(tree, path, k, random.Random(i), a1._extend)
-        assert len(plan.exact()) == k
-        assert all(len(det.wrong_path) == 1 for det in plan.detours)
+        detours = a1.select_detours(tree, path, k, random.Random(i),
+                                    a1._extend)
+        assert len(detours) == k
+        assert all(len(det.wrong_path) == 1 for det in detours)
 
 
 def _first_miss(r, pairs):

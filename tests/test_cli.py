@@ -218,6 +218,35 @@ def test_truncated_record_line_names_file_and_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("completion", None, "completion must be a string, got None"),
+    ("prompt", 5, "prompt must be a string, got 5"),
+    ("instance_id", 1.7, "instance_id must be a JSON integer, got 1.7"),
+    ("instance_id", True, "instance_id must be a JSON integer, got True"),
+    ("backtracks", "3", "backtracks must be a JSON integer, got '3'"),
+    ("backtracks", 2.9, "backtracks must be a JSON integer, got 2.9"),
+    ("correctness_label", "maybe", "correctness_label must be null or one "
+     "of correct, incorrect, incorrect_format, got 'maybe'"),
+], ids=["null_completion", "int_prompt", "float_id", "bool_id",
+        "string_backtracks", "float_backtracks", "unknown_label"])
+@pytest.mark.parametrize("command", ["stats", "shuffle"])
+def test_record_field_of_wrong_type_names_file_and_line(tmp_path, capsys,
+                                                        command, field, value,
+                                                        message):
+    run(capsys, "trace", "--task", "countdown", "--backtracks", "1",
+        "--count", "3", "--seed", "5", "--out", str(tmp_path))
+    path = tmp_path / "countdown_k1.jsonl"
+    objs = [json.loads(line) for line in path.read_text().splitlines()]
+    objs[1][field] = value
+    write_jsonl(path, objs)
+    out_args = (["--out", str(tmp_path / "shuffled.jsonl")]
+                if command == "shuffle" else [])
+    code, out, err = run(capsys, command, "--in", str(path), *out_args)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}:2: ValueError: {message}\n"
+
+
 def test_completion_line_without_text_names_file_and_line(tmp_path, capsys):
     run(capsys, "generate", "--task", "countdown", "--count", "2",
         "--seed", "1", "--out", str(tmp_path))

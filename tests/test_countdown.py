@@ -160,11 +160,25 @@ def test_solve_dfs_answer_is_verified_solution():
         assert correct(puzzle, answer)
 
 
-def expand_path_checked(puzzle):
+class ShuffleLog(random.Random):
+    """A Random that records a copy of every list it shuffles."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.shuffled = []
+
+    def shuffle(self, x):
+        self.shuffled.append(list(x))
+        super().shuffle(x)
+
+
+def extend_path_checked(puzzle):
     """Solve, check the tree is the bare path, then let extend visit each
-    branch point and check its children: one per legal move, in move
-    order, the path child at the taken move's index. Returns the texts
-    of every branch point's children."""
+    branch point once. It must draw from every legal move there, in move
+    order, except the moves that make the target and the path's own step,
+    matched as a whole tuple, and add nodes only for the walk it returns,
+    its first node a new child after the path child. Returns the texts of
+    each branch point's candidates."""
     steps = cd._find_solution(puzzle.numbers, puzzle.target)
     tree, _ = cd.solve_dfs(puzzle)
     assert len(tree.nodes) == len(steps) + 1
@@ -173,28 +187,37 @@ def expand_path_checked(puzzle):
     values = list(puzzle.numbers)
     levels = []
     for parent, taken, step in zip(path, path[1:], steps):
-        cd._extend(tree, parent, {taken}, random.Random(0))
-        moves = list(cd.legal_moves(values))
-        children = tree.node(parent).children
-        assert len(set(children)) == len(children)
-        texts = [tree.node(c).state_text for c in children]
-        assert texts == [f"{m[3]} {m[2]} {m[4]} = {m[5]}." for m in moves]
-        assert children.index(taken) == moves.index(step)
-        levels.append(texts)
+        before = len(tree.nodes)
+        rng = ShuffleLog(0)
+        found = cd._extend(tree, parent, rng)
+        moves = [m for m in cd.legal_moves(values)
+                 if m != step and m[5] != puzzle.target]
+        assert rng.shuffled == [moves]
+        wrong = [] if found is None else found[0]
+        assert wrong == list(range(before, len(tree.nodes)))
+        assert tree.node(parent).children == [taken] + wrong[:1]
+        if wrong:
+            assert tree.node(wrong[0]).payload[1] in moves
+        levels.append([f"{m[3]} {m[2]} {m[4]} = {m[5]}." for m in moves])
         values = cd._apply_move(values, step)
     return levels
 
 
 def test_solve_dfs_tree_is_the_path_until_extend_branches():
     for puzzle in sample_puzzles(5):
-        expand_path_checked(puzzle)
+        extend_path_checked(puzzle)
 
 
 def test_expanded_branch_point_keeps_textually_identical_siblings():
     # after 49 - 18 = 31 the values are [6, 31, 31]: two moves read
-    # "6 * 31 = 186.", and only one of them is the path child
-    levels = expand_path_checked(cd.CountdownPuzzle((49, 6, 31, 18), 155))
-    assert Counter(levels[1])["6 * 31 = 186."] == 2
+    # "6 * 31 = 186.", and only the path's one is not a candidate, while
+    # both moves reading "6 + 31 = 37." are
+    puzzle = cd.CountdownPuzzle((49, 6, 31, 18), 155)
+    levels = extend_path_checked(puzzle)
+    tree, _ = cd.solve_dfs(puzzle)
+    assert tree.node(2).state_text == "6 * 31 = 186."
+    assert Counter(levels[1])["6 * 31 = 186."] == 1
+    assert Counter(levels[1])["6 + 31 = 37."] == 2
 
 
 def test_solve_dfs_unreachable_raises():
@@ -419,13 +442,13 @@ def test_trace_detour_end_states_are_dead():
                 continue
         tree, _ = cd.solve_dfs(puzzle)
         path = solution_path(tree)
-        plan = cd.select_detours(
+        detours = cd.select_detours(
             tree, path, 3, random.Random(derive_seed(55, i)), cd._extend)
-        for det in plan.detours:
-            end_values = tree.node(det.wrong_path[-1]).payload
+        for det in detours:
+            end_values = tree.node(det.wrong_path[-1]).payload[0]
             assert not countdown_solvable(end_values, puzzle.target)
             for nid in det.wrong_path:
-                assert puzzle.target not in tree.node(nid).payload
+                assert puzzle.target not in tree.node(nid).payload[0]
 
 
 # SHA-256 of emit_sft(COUNTDOWN, 200, 10, master_seed=0) and its manifest:

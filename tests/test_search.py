@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceforge import arc1d, countdown
+from traceforge import arc1d, countdown, sudoku
 from traceforge.core import (
     BacktrackMarker,
     Conclusion,
@@ -18,7 +18,6 @@ from traceforge.core import (
 from traceforge.search import (
     BACKTRACK_TEMPLATE,
     SearchTree,
-    default_extend,
     linearize,
     select_detours,
     solution_path,
@@ -28,30 +27,28 @@ from traceforge.search import (
 
 def chain_tree(depth: int, branching: int = 3):
     """A solution path of ``depth`` nodes below the root, each path node
-    also carrying ``branching - 1`` dead siblings with one child each."""
+    able to host ``branching - 1`` detours through :func:`plain_extend`."""
     tree = SearchTree()
+    tree.branching = branching
     parent = tree.add_node("root")
     for level in range(depth):
-        solution_child = None
-        for b in range(branching):
-            on_path = b == 0
-            child = tree.add_node(
-                f"level {level} option {b}.",
-                parent=parent,
-                is_solution=(on_path and level == depth - 1),
-            )
-            if on_path:
-                solution_child = child
-            else:
-                tree.add_node(f"level {level} option {b} deeper.", parent=child)
-        parent = solution_child
+        parent = tree.add_node(f"level {level} option 0.", parent=parent,
+                               is_solution=(level == depth - 1))
     return tree
 
 
-def plain_extend(tree, branch_id, excluded, rng):
-    """default_extend with the same reason for every detour."""
-    wrong = default_extend(tree, branch_id, excluded, rng)
-    return None if wrong is None else (wrong, "That goes nowhere.")
+def plain_extend(tree, branch_id, rng):
+    """Add a fresh dead sibling, with one child, below the branch point
+    until it has ``branching - 1`` of them; the same reason for every
+    detour."""
+    option = len(tree.node(branch_id).children)
+    if option == tree.branching:
+        return None
+    wrong = tree.add_node(f"node {branch_id} option {option}.",
+                          parent=branch_id)
+    deeper = tree.add_node(f"node {branch_id} option {option} deeper.",
+                           parent=wrong)
+    return [wrong, deeper], "That goes nowhere."
 
 
 def plain_linearize(tree, path, detours):
@@ -112,18 +109,16 @@ def test_solution_path_picks_first_solution_in_dfs_order():
 
 def test_select_zero_detours_is_empty():
     tree = chain_tree(depth=4)
-    plan = select_detours(tree, solution_path(tree), 0, random.Random(1),
-                          plain_extend)
-    assert plan.detours == []
-    assert plan.shortfall == 0
+    assert select_detours(tree, solution_path(tree), 0, random.Random(1),
+                          plain_extend) == []
 
 
 def test_select_detours_distinct_positions_first():
     tree = chain_tree(depth=6, branching=4)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 5, random.Random(7), plain_extend)
-    assert len(plan.detours) == 5
-    positions = [d.resume_step for d in plan.detours]
+    detours = select_detours(tree, path, 5, random.Random(7), plain_extend)
+    assert len(detours) == 5
+    positions = [d.resume_step for d in detours]
     assert len(set(positions)) == 5  # enough positions, so no reuse yet
     assert all(1 <= p <= len(path) - 2 for p in positions)
 
@@ -132,30 +127,28 @@ def test_select_detours_reuses_positions_when_k_exceeds_path():
     # path positions 1..3 can host, but k=8 needs repeat visits
     tree = chain_tree(depth=5, branching=4)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 8, random.Random(3), plain_extend)
-    assert len(plan.detours) == 8
-    positions = [d.resume_step for d in plan.detours]
+    detours = select_detours(tree, path, 8, random.Random(3), plain_extend)
+    assert len(detours) == 8
+    positions = [d.resume_step for d in detours]
     assert max(positions.count(p) for p in set(positions)) > 1
     # reused positions must take different wrong branches
-    first_moves = {(d.resume_step, d.wrong_path[0]) for d in plan.detours}
+    first_moves = {(d.resume_step, d.wrong_path[0]) for d in detours}
     assert len(first_moves) == 8
 
 
-def test_select_detours_reports_shortfall_instead_of_raising():
+def test_select_detours_raises_when_the_tree_hosts_too_few():
     tree = chain_tree(depth=3, branching=2)  # 2 positions x 1 spare branch
     path = solution_path(tree)
-    plan = select_detours(tree, path, 10, random.Random(5), plain_extend)
-    assert plan.requested == 10
-    assert len(plan.detours) == 2
-    assert plan.shortfall == 8
+    with pytest.raises(GenerationError,
+                       match="^tree hosts 2 of 10 requested detours$"):
+        select_detours(tree, path, 10, random.Random(5), plain_extend)
 
 
 def test_select_detours_never_enters_the_solution_branch():
     tree = chain_tree(depth=5, branching=3)
     path = solution_path(tree)
     on_path = set(path)
-    plan = select_detours(tree, path, 8, random.Random(11), plain_extend)
-    for det in plan.detours:
+    for det in select_detours(tree, path, 8, random.Random(11), plain_extend):
         assert det.branch_point in on_path
         for nid in det.wrong_path:
             assert nid not in on_path
@@ -163,18 +156,20 @@ def test_select_detours_never_enters_the_solution_branch():
 
 
 def test_select_detours_deterministic_for_fixed_rng():
-    tree = chain_tree(depth=6, branching=4)
-    path = solution_path(tree)
-    a = select_detours(tree, path, 6, random.Random(123), plain_extend)
-    b = select_detours(tree, path, 6, random.Random(123), plain_extend)
-    assert a.detours == b.detours
+    # selection adds nodes, so each call gets its own tree
+    runs = []
+    for _ in range(2):
+        tree = chain_tree(depth=6, branching=4)
+        runs.append(select_detours(tree, solution_path(tree), 6,
+                                   random.Random(123), plain_extend))
+    assert runs[0] == runs[1]
 
 
 def test_select_detours_sorted_by_resume_step():
     tree = chain_tree(depth=7, branching=4)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 5, random.Random(2), plain_extend)
-    steps = [d.resume_step for d in plan.detours]
+    detours = select_detours(tree, path, 5, random.Random(2), plain_extend)
+    steps = [d.resume_step for d in detours]
     assert steps == sorted(steps)
 
 
@@ -185,14 +180,37 @@ def test_select_detours_rejects_negative_k():
                        plain_extend)
 
 
+@pytest.mark.parametrize("module,solve", [
+    (countdown, countdown.solve_dfs),
+    (sudoku, sudoku.solve_dfs),
+    (arc1d, arc1d.heuristic_solve),
+], ids=["countdown", "sudoku", "arc1d"])
+def test_tree_is_the_solution_path_plus_the_detours_taken(module, solve):
+    hosted = 0
+    for i in range(4):
+        for k in (1, 5, 10):
+            rng = random.Random(derive_seed(97, i))
+            tree, _ = solve(module.generate(rng))
+            path = solution_path(tree)
+            assert len(tree.nodes) == len(path)
+            try:
+                detours = select_detours(tree, path, k, rng, module._extend)
+            except GenerationError:
+                continue  # this puzzle hosts fewer than k detours
+            hosted += 1
+            assert len(tree.nodes) == len(path) + sum(
+                len(d.wrong_path) for d in detours)
+    assert hosted >= 8
+
+
 # --- linearization -----------------------------------------------------------
 
 
 def test_linearize_numbering_and_markers():
     tree = chain_tree(depth=4, branching=3)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 2, random.Random(9), plain_extend)
-    trace = plain_linearize(tree, path, plan.detours)
+    detours = select_detours(tree, path, 2, random.Random(9), plain_extend)
+    trace = plain_linearize(tree, path, detours)
     markers = [ev for ev in trace.events if isinstance(ev, BacktrackMarker)]
     assert len(markers) == 2
     assert trace.backtracks == 2
@@ -208,9 +226,8 @@ def test_linearize_numbering_and_markers():
 def test_linearize_wrong_steps_continue_numbering():
     tree = chain_tree(depth=4, branching=3)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 1, random.Random(4), plain_extend)
-    trace = plain_linearize(tree, path, plan.detours)
-    detour = plan.detours[0]
+    detour, = select_detours(tree, path, 1, random.Random(4), plain_extend)
+    trace = plain_linearize(tree, path, [detour])
     indices = []
     seen_marker = False
     for ev in trace.events:
@@ -232,8 +249,7 @@ def test_linearize_wrong_steps_continue_numbering():
 def test_linearize_rejects_detour_off_the_path():
     tree = chain_tree(depth=3)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 1, random.Random(1), plain_extend)
-    det = plan.detours[0]
+    det, = select_detours(tree, path, 1, random.Random(1), plain_extend)
     bad = dataclasses.replace(det, resume_step=len(path))
     with pytest.raises(ValueError):
         plain_linearize(tree, path, [bad])
@@ -242,8 +258,7 @@ def test_linearize_rejects_detour_off_the_path():
 def test_linearize_rejects_mismatched_branch_point():
     tree = chain_tree(depth=4)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 1, random.Random(1), plain_extend)
-    det = plan.detours[0]
+    det, = select_detours(tree, path, 1, random.Random(1), plain_extend)
     other_pos = 1 if det.resume_step != 1 else 2
     bad = dataclasses.replace(det, resume_step=other_pos)
     with pytest.raises(ValueError):
@@ -253,8 +268,7 @@ def test_linearize_rejects_mismatched_branch_point():
 def test_linearize_rejects_detached_wrong_path():
     tree = chain_tree(depth=4)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 1, random.Random(1), plain_extend)
-    det = plan.detours[0]
+    det, = select_detours(tree, path, 1, random.Random(1), plain_extend)
     bad = dataclasses.replace(det, wrong_path=(path[-1],))
     with pytest.raises(ValueError):
         plain_linearize(tree, path, [bad])
@@ -273,8 +287,10 @@ def test_linearize_rejects_detached_wrong_path():
 def test_strip_detours_recovers_plain_rendering(depth, branching, k, seed):
     tree = chain_tree(depth=depth, branching=branching)
     path = solution_path(tree)
-    plan = select_detours(tree, path, k, random.Random(seed), plain_extend)
-    trace = plain_linearize(tree, path, plan.detours)
+    hosted = min(k, (depth - 1) * (branching - 1))  # all the tree can host
+    detours = select_detours(tree, path, hosted, random.Random(seed),
+                             plain_extend)
+    trace = plain_linearize(tree, path, detours)
     plain = plain_linearize(tree, path, [])
     stripped = strip_detours(trace)
     assert stripped.backtracks == 0
@@ -284,8 +300,8 @@ def test_strip_detours_recovers_plain_rendering(depth, branching, k, seed):
 def test_strip_detours_keeps_answer_and_meta():
     tree = chain_tree(depth=4)
     path = solution_path(tree)
-    plan = select_detours(tree, path, 2, random.Random(8), plain_extend)
-    trace = plain_linearize(tree, path, plan.detours)
+    detours = select_detours(tree, path, 2, random.Random(8), plain_extend)
+    trace = plain_linearize(tree, path, detours)
     trace.meta["instance_id"] = 5
     stripped = strip_detours(trace)
     assert stripped.answer == trace.answer

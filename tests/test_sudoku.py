@@ -252,15 +252,30 @@ def test_solve_dfs_path_is_row_major():
         )
 
 
-def test_solve_dfs_children_are_ascending_candidates():
+def test_detours_at_a_branch_point_take_distinct_candidates():
+    # extend until a branch point has no wrong digit left: the first
+    # digits taken there are every candidate of its cell but the solution's
     puzzle = next(iter(sample_puzzles(1)))
     tree, _ = sd.solve_dfs(puzzle)
     path = solution_path(tree)
+    assert len(tree.nodes) == len(path)
+    rng = random.Random(5)
+    branched = 0
     for nid in path[:-1]:
-        digits = [int(tree.node(c).state_text.split()[1])
-                  for c in tree.node(nid).children]
-        assert digits == sorted(digits)
-        assert len(set(digits)) == len(digits)
+        grid = tree.node(nid).payload
+        cell = grid.index(0)
+        r, c = divmod(cell, 9)
+        peers = {grid[p] for p in range(81)
+                 if p // 9 == r or p % 9 == c
+                 or (p // 27, p % 9 // 3) == (r // 3, c // 3)}
+        candidates = set(range(1, 10)) - peers
+        firsts = []
+        while (found := sd._extend(tree, nid, rng)) is not None:
+            firsts.append(tree.node(found[0][0]).payload[cell])
+        assert len(firsts) == len(set(firsts))
+        assert set(firsts) == candidates - {puzzle.solution[cell]}
+        branched += len(firsts) > 1
+    assert branched
 
 
 def test_solve_dfs_validate_flag():
