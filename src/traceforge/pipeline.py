@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import random
+import re
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -130,6 +131,17 @@ def _write_dataset(out_path, lines, task: str, backtracks: Optional[int],
 
 # --- record serialization ----------------------------------------------------
 
+_SEED = re.compile(r"[0-9a-f]{16}")
+
+
+def _read_seed(value) -> int:
+    """A ``seed`` as written: 16 lowercase hex digits, else ValueError."""
+    if type(value) is not str or not _SEED.fullmatch(value):
+        raise ValueError(
+            f"seed must be 16 lowercase hex digits, got {value!r}")
+    return int(value, 16)
+
+
 def record_to_json(rec: SftRecord) -> str:
     return json.dumps(
         {
@@ -148,8 +160,8 @@ def record_to_json(rec: SftRecord) -> str:
 def record_from_json(line: str) -> SftRecord:
     """One record line. ``instance_id`` and ``backtracks`` must be JSON
     integers, ``prompt`` and ``completion`` strings, and
-    ``correctness_label`` null or a reward category; anything else raises
-    ValueError."""
+    ``correctness_label`` null or a reward category, and ``seed`` 16
+    lowercase hex digits; anything else raises ValueError."""
     obj = json.loads(line)
     for name in ("instance_id", "backtracks"):
         if type(obj[name]) is not int:
@@ -168,7 +180,7 @@ def record_from_json(line: str) -> SftRecord:
         prompt=obj["prompt"],
         completion=obj["completion"],
         backtracks=obj["backtracks"],
-        seed=int(obj["seed"], 16),
+        seed=_read_seed(obj["seed"]),
         correctness_label=label,
     )
 
@@ -196,9 +208,9 @@ def instance_to_json(instance: ProblemInstance) -> str:
 
 
 def instance_from_json(line: str) -> ProblemInstance:
-    """One instance line. The id must be a JSON integer, and the ground
-    truth a string, except that a list_functions truth may also be a JSON
-    list of numbers."""
+    """One instance line. The id must be a JSON integer, the seed 16
+    lowercase hex digits, and the ground truth a string, except that a
+    list_functions truth may also be a JSON list of numbers."""
     obj = json.loads(line)
     if type(obj["id"]) is not int:
         raise ValueError(f"id must be a JSON integer, got {obj['id']!r}")
@@ -207,7 +219,7 @@ def instance_from_json(line: str) -> ProblemInstance:
         task=TaskKind(obj["task"]),
         prompt=obj["prompt"],
         ground_truth=obj["ground_truth"],
-        seed=int(obj["seed"], 16),
+        seed=_read_seed(obj["seed"]),
         meta=obj.get("meta", {}),
     )
     truth = instance.ground_truth

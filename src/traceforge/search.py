@@ -1,10 +1,11 @@
 """Search trees and their linearization into reasoning traces.
 
 A solver produces a :class:`SearchTree` that holds only its
-root-to-solution path, with intermediate states as nodes. The trace
-builder injects a controlled number of wrong-branch detours, each of which
-adds its own nodes when the task's extend walks it off a path node, so a
-tree holds the path plus the detours taken and nothing else. The result is
+root-to-solution path, with intermediate states as nodes, so each path
+node's first child is the next path step. The trace builder injects a
+controlled number of wrong-branch detours, each of which adds its own
+nodes when the task's extend walks it off a path node, so a tree holds
+the path plus the detours taken and nothing else. The result is
 verbalized as an ordered event list. The number of backtrack markers in
 the rendered trace equals the number of injected detours exactly, which is
 the knob the dataset builders expose.
@@ -60,8 +61,8 @@ class SearchTree:
     """Rooted tree built incrementally by solvers.
 
     Node ids are assigned sequentially; the first node added is the root.
-    Child order is meaningful: it is the solver's deterministic visit
-    order, and every traversal here respects it.
+    Child order is meaningful: the solver adds the path child first, and
+    detours append later children.
     """
 
     def __init__(self) -> None:
@@ -86,35 +87,28 @@ class SearchTree:
 
 
 def solution_path(tree: SearchTree) -> list[int]:
-    """Node ids from the root to the first solution in DFS child order."""
+    """Node ids from the root to the solution node, following first
+    children: a solver adds each path node before any detour there."""
     if tree.root is None:
         raise NoSolutionError("empty tree")
-    path: list[int] = []
-
-    def dfs(nid: int) -> bool:
-        path.append(nid)
-        node = tree.nodes[nid]
-        if node.is_solution:
-            return True
-        for child in node.children:
-            if dfs(child):
-                return True
-        path.pop()
-        return False
-
-    if not dfs(tree.root):
-        raise NoSolutionError("tree contains no solution node")
+    path = [tree.root]
+    node = tree.nodes[tree.root]
+    while not node.is_solution:
+        if not node.children:
+            raise NoSolutionError("first-child walk ends before a solution")
+        path.append(node.children[0])
+        node = tree.nodes[node.children[0]]
     return path
 
 
 @dataclass(frozen=True)
 class Detour:
-    """One wrong excursion: where it branches, which nodes it visits, the
-    step number the trace returns to afterwards, and why it is dead."""
+    """One wrong excursion: which nodes it visits, the step number of its
+    branch point (the trace returns there afterwards), and why it is
+    dead."""
 
-    branch_point: int       # node id on the solution path
     wrong_path: tuple       # node ids walked down the wrong branch
-    resume_step: int        # 1-based step index of the branch point
+    resume_step: int        # 1-based path index of the branch point
     observation: str        # the task's reason for abandoning the branch
 
 
@@ -156,7 +150,7 @@ def select_detours(tree: SearchTree, path: list, k: int, rng: random.Random,
                 active.discard(pos)
                 continue
             wrong, observation = found
-            detours.append(Detour(path[pos], tuple(wrong), pos, observation))
+            detours.append(Detour(tuple(wrong), pos, observation))
     if len(detours) < k:
         raise GenerationError(
             f"tree hosts {len(detours)} of {k} requested detours")
@@ -173,19 +167,17 @@ def linearize(tree: SearchTree, path: list, detours: list,
     continue the numbering, the backtrack marker names the branch-point
     step and carries the detour's observation, and numbering resumes from
     there. The trace ends with ``CONCLUSION`` and carries ``answer``.
-    Malformed detour references (branch point not on the path at the
-    stated position, or a wrong path that does not start at a child of the
-    branch point) raise ValueError.
+    Malformed detour references (a resume step off the path, or a wrong
+    path that does not start at a child of the path node at that step)
+    raise ValueError.
     """
     by_position: dict[int, list] = {}
     for det in detours:
         if det.resume_step < 1 or det.resume_step >= len(path):
             raise ValueError(f"detour resume step {det.resume_step} is off the path")
-        if path[det.resume_step] != det.branch_point:
-            raise ValueError("detour branch point does not match the path")
         if not det.wrong_path:
             raise ValueError("detour has an empty wrong path")
-        if det.wrong_path[0] not in tree.nodes[det.branch_point].children:
+        if det.wrong_path[0] not in tree.nodes[path[det.resume_step]].children:
             raise ValueError("detour does not start at a child of its branch point")
         by_position.setdefault(det.resume_step, []).append(det)
 

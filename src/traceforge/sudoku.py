@@ -1,14 +1,15 @@
-"""9x9 Sudoku: full-grid generation, hole digging that preserves solution
-uniqueness, exact solving, and trace construction.
+"""9x9 Sudoku: full-grid generation, hole digging that proves solution
+uniqueness, and trace construction. Only puzzles sampled here are solved,
+so each one comes with its unique solution.
 
 Cells are indexed 0..80 row-major; digits are 1..9 with 0 for blanks.
 Solvers keep one 9-bit candidate mask per row, column and box. One
-propagating core counts completions and finds the first: it places naked
-and hidden singles until none is left, and only then branches on the
-cell with the fewest candidates. The trace solver fills cells in plain
-row-major order, where multi-candidate cells are common and give detours
-room to branch; its tree is the solution path alone, and each detour adds
-only the wrong placements it walks.
+propagating core counts completions: it places naked and hidden singles
+until none is left, and only then branches on the cell with the fewest
+candidates. The trace solver fills cells in plain row-major order, where
+multi-candidate cells are common and give detours room to branch; its
+tree is the solution path alone, and each detour adds only the wrong
+placements it walks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    MultipleSolutionsError,
     NoSolutionError,
     ProblemInstance,
     TaskKind,
@@ -77,7 +77,7 @@ def _prepare(grid):
     return rows, cols, boxes, empties
 
 
-def _count(rows, cols, boxes, empties, limit, grid, found) -> int:
+def _count(rows, cols, boxes, empties, limit) -> int:
     """Completions of the position the unit masks describe, capped at
     ``limit``.
 
@@ -87,9 +87,8 @@ def _count(rows, cols, boxes, empties, limit, grid, found) -> int:
     column or box) are placed until none is left; a cell with no
     candidate or a digit with no place in a unit ends the branch. Only
     then does the search branch on the cell with the fewest candidates,
-    giving each digit its own copies of the masks. Placed digits are
-    written into ``grid``, and the first full grid reached is appended to
-    ``found``. The masks and ``empties`` are consumed.
+    giving each digit its own copies of the masks. The masks and
+    ``empties`` are consumed.
     """
     while empties:
         # naked singles, placed as they are found
@@ -105,7 +104,6 @@ def _count(rows, cols, boxes, empties, limit, grid, found) -> int:
                 rows[r] |= m
                 cols[c] |= m
                 boxes[b] |= m
-                grid[i] = m.bit_length() - 1
             else:
                 return 0
         if len(keep) < len(empties):
@@ -138,7 +136,6 @@ def _count(rows, cols, boxes, empties, limit, grid, found) -> int:
             rows[r] |= h
             cols[c] |= h
             boxes[b] |= h
-            grid[i] = h.bit_length() - 1
         if len(keep) < len(empties):
             empties = keep
             continue
@@ -156,35 +153,18 @@ def _count(rows, cols, boxes, empties, limit, grid, found) -> int:
             rs[r] |= bit
             cs[c] |= bit
             bs[b] |= bit
-            grid[i] = bit.bit_length() - 1
-            total += _count(rs, cs, bs, rest[:], limit - total, grid, found)
+            total += _count(rs, cs, bs, rest[:], limit - total)
             if total >= limit:
                 break
         return total
-    if not found:
-        found.append(tuple(grid))
     return 1
-
-
-def _search(grid, limit: int):
-    """(completions of ``grid`` capped at ``limit``, the first one found or
-    None). Conflicting givens count as zero completions."""
-    prep = _prepare(grid)
-    if prep is None:
-        return 0, None
-    found = []
-    return _count(*prep, limit, list(grid), found), (found[0] if found else None)
 
 
 def count_solutions(grid, limit: int = 2) -> int:
     """Number of completions of ``grid``, capped at ``limit``; conflicting
     givens count as zero."""
-    return _search(grid, limit)[0]
-
-
-def solve_grid(grid) -> Optional[tuple]:
-    """A completion of ``grid`` (the completion when it is unique), or None."""
-    return _search(grid, 1)[1]
+    prep = _prepare(grid)
+    return 0 if prep is None else _count(*prep, limit)
 
 
 def generate_full(rng: random.Random) -> tuple:
@@ -253,7 +233,6 @@ def dig_holes(solution, blanks: int, rng: random.Random) -> SudokuPuzzle:
         raise ValueError("dig_holes needs a complete, conflict-free grid")
     rows, cols, boxes, empties = prep
     grid = list(solution)
-    scratch = [0] * 81
     order = rng.sample(range(81), 81)
     for cell in order:
         if len(empties) >= blanks:
@@ -271,7 +250,7 @@ def dig_holes(solution, blanks: int, rng: random.Random) -> SudokuPuzzle:
             rs[r] |= alt
             cs[c] |= alt
             bs[b] |= alt
-            if _count(rs, cs, bs, empties[:], 1, scratch, []):
+            if _count(rs, cs, bs, empties[:], 1):
                 rows[r] |= bit
                 cols[c] |= bit
                 boxes[b] |= bit
@@ -286,20 +265,6 @@ def generate(rng: random.Random) -> SudokuPuzzle:
     full = generate_full(rng)
     blanks = rng.randint(*BLANK_RANGE)
     return dig_holes(full, blanks, rng)
-
-
-def from_givens(grid) -> SudokuPuzzle:
-    """Wrap an untrusted givens grid, proving it has exactly one solution;
-    raises ValueError unless the grid is 81 ints in 0..9."""
-    if len(grid) != 81 or not all(type(v) is int and 0 <= v <= 9
-                                  for v in grid):
-        raise ValueError("a sudoku grid is 81 integers in 0..9")
-    count, solved = _search(grid, 2)
-    if count == 0:
-        raise NoSolutionError("grid has no completion")
-    if count > 1:
-        raise MultipleSolutionsError("grid has more than one completion")
-    return SudokuPuzzle(tuple(grid), solved, sum(1 for v in grid if v == 0))
 
 
 # --- solving into a tree -----------------------------------------------------
@@ -320,8 +285,8 @@ def solve_dfs(puzzle: SudokuPuzzle):
     and it holds only the root-to-solution path: one node per empty cell,
     placing the solution's digit. Because the solution is unique, any
     other candidate is a dead branch, which :func:`_extend` adds when a
-    detour takes it. A puzzle from outside goes through
-    :func:`from_givens`, which proves that uniqueness first.
+    detour takes it. :func:`dig_holes` proves that uniqueness for every
+    generated puzzle.
     """
     prep = _prepare(puzzle.givens)
     if prep is None:
@@ -435,12 +400,6 @@ def _grid_digits(text: str) -> Optional[str]:
         tokens += row
     digits = "".join(tokens)
     return digits if _GRID_DIGITS.fullmatch(digits) else None
-
-
-def parse_answer(text: str) -> Optional[tuple]:
-    """Strict grid parse: nine lines, nine single digits 1..9 each."""
-    digits = _grid_digits(text)
-    return None if digits is None else tuple(map(int, digits))
 
 
 def check(instance: ProblemInstance, text: str):

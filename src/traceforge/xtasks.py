@@ -341,12 +341,9 @@ def cube_generate(rng: random.Random) -> CubeProblem:
 
 def cube_prompt(problem: CubeProblem) -> str:
     phrases = [ROTATION_PHRASES[r] for r in problem.rotations]
-    if len(phrases) == 1:
-        sequence = f"first it is {phrases[0]}"
-    else:
-        steps = [f"first it is {phrases[0]}"]
-        steps += [f"then it is {p}" for p in phrases[1:]]
-        sequence = ", ".join(steps)
+    steps = [f"first it is {phrases[0]}"]
+    steps += [f"then it is {p}" for p in phrases[1:]]
+    sequence = ", ".join(steps)
     named = dict(zip(FACES, problem.initial))
     return CUBE_PROMPT.format(n=len(problem.rotations), sequence=sequence,
                               query=problem.query, **named)

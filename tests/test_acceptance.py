@@ -277,7 +277,6 @@ def test_solver_oracle_agreement():
         givens = tuple(int(ch) for ch in inst.meta["givens"])
         found = sudoku_solutions(givens, limit=2)
         assert len(found) == 1
-        assert found[0] == sudoku.solve_grid(givens)
         assert "".join(map(str, found[0])) == inst.meta["solution"]
         assert sudoku.count_solutions(givens, limit=2) == 1
 

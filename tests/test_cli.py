@@ -227,8 +227,14 @@ def test_truncated_record_line_names_file_and_line(tmp_path, capsys):
     ("backtracks", 2.9, "backtracks must be a JSON integer, got 2.9"),
     ("correctness_label", "maybe", "correctness_label must be null or one "
      "of correct, incorrect, incorrect_format, got 'maybe'"),
+    ("seed", "-1", "seed must be 16 lowercase hex digits, got '-1'"),
+    ("seed", " 1_f ", "seed must be 16 lowercase hex digits, got ' 1_f '"),
+    ("seed", "00000000000000AB",
+     "seed must be 16 lowercase hex digits, got '00000000000000AB'"),
+    ("seed", 5, "seed must be 16 lowercase hex digits, got 5"),
 ], ids=["null_completion", "int_prompt", "float_id", "bool_id",
-        "string_backtracks", "float_backtracks", "unknown_label"])
+        "string_backtracks", "float_backtracks", "unknown_label",
+        "signed_seed", "padded_seed", "upper_seed", "int_seed"])
 @pytest.mark.parametrize("command", ["stats", "shuffle"])
 def test_record_field_of_wrong_type_names_file_and_line(tmp_path, capsys,
                                                         command, field, value,
@@ -297,6 +303,23 @@ def test_instance_id_that_is_not_an_integer_names_file_and_line(tmp_path,
     assert code == 1
     assert err == (f"error: {inst_path}:1: ValueError: id must be a JSON "
                    f"integer, got '7'\n")
+
+
+@pytest.mark.parametrize("seed", ["-1", " 1_f ", "0" * 17, 0],
+                         ids=["signed", "padded", "long", "int"])
+def test_instance_seed_not_as_written_names_file_and_line(tmp_path, capsys,
+                                                          seed):
+    inst_path = tmp_path / "instances.jsonl"
+    write_jsonl(inst_path, [{"id": 7, "task": "countdown", "prompt": "?",
+                             "ground_truth": "1 + 2", "seed": seed,
+                             "meta": {"numbers": [1, 2], "target": 3}}])
+    comp_path = tmp_path / "completions.jsonl"
+    write_jsonl(comp_path, [{"instance_id": 7, "completion": wrap("1 + 2")}])
+    code, _, err = run(capsys, "eval", "--instances", str(inst_path),
+                       "--completions", str(comp_path))
+    assert code == 1
+    assert err == (f"error: {inst_path}:1: ValueError: seed must be 16 "
+                   f"lowercase hex digits, got {seed!r}\n")
 
 
 def test_instances_of_another_task_are_a_validation_error(tmp_path, capsys):

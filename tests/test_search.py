@@ -104,6 +104,22 @@ def test_solution_path_picks_first_solution_in_dfs_order():
     assert solution_path(tree) == [0, 1, 2]
 
 
+def test_solution_path_of_empty_tree_raises():
+    with pytest.raises(NoSolutionError, match="^empty tree$"):
+        solution_path(SearchTree())
+
+
+def test_solution_path_follows_first_children_only():
+    # the path child comes first; a solution behind a later child is a
+    # tree no solver here builds, and the walk does not search for it
+    tree = SearchTree()
+    root = tree.add_node("root")
+    tree.add_node("dead end", parent=root)
+    tree.add_node("win", parent=root, is_solution=True)
+    with pytest.raises(NoSolutionError):
+        solution_path(tree)
+
+
 # --- detour selection --------------------------------------------------------
 
 
@@ -149,7 +165,7 @@ def test_select_detours_never_enters_the_solution_branch():
     path = solution_path(tree)
     on_path = set(path)
     for det in select_detours(tree, path, 8, random.Random(11), plain_extend):
-        assert det.branch_point in on_path
+        assert det.wrong_path[0] in tree.node(path[det.resume_step]).children
         for nid in det.wrong_path:
             assert nid not in on_path
             assert not tree.node(nid).is_solution
@@ -200,6 +216,9 @@ def test_tree_is_the_solution_path_plus_the_detours_taken(module, solve):
             hosted += 1
             assert len(tree.nodes) == len(path) + sum(
                 len(d.wrong_path) for d in detours)
+            # detours come after the path child, so the first-child walk
+            # still finds the path
+            assert solution_path(tree) == path
     assert hosted >= 8
 
 
