@@ -14,7 +14,6 @@ Answers are verified only by :func:`check`, through :func:`parse_answer`.
 
 from __future__ import annotations
 
-import ast
 import random
 import re
 from collections import Counter
@@ -384,65 +383,123 @@ def make_trace(puzzle: CountdownPuzzle, k: int, rng: random.Random):
 
 # --- answer checking ---------------------------------------------------------
 
-# ASCII digits, operators, parentheses and whitespace; this also rules out
-# "=", underscores in literals, and hex/octal/binary prefixes
-_EXPRESSION_CHARS = re.compile(r"[0-9+\-*/()\s]+", re.ASCII)
-# Most operators an answer may use: far more than a puzzle's numbers need,
-# and few enough that ast.parse and the evaluator never recurse out
+# Most operators an answer may use: far more than a puzzle's numbers need.
+# It bounds the arithmetic one reading does, at most this many int or
+# Fraction operations on literals of at most 4,300 digits.
 MAX_ANSWER_OPERATORS = 64
+# Most parentheses an answer may hold open at once
+MAX_ANSWER_DEPTH = 200
 
-
-class _BadExpression(Exception):
-    pass
+# One token after any spaces, tabs and form feeds: a zero literal, another
+# literal, or any one character, which the reader rejects unless it is an
+# operator, a parenthesis, or a line break inside parentheses
+_TOKEN = re.compile(r"[ \t\f]*(0+|[1-9][0-9]*|.)", re.DOTALL)
+# Binding strength on the operator stack; "(" binds nothing, so no
+# operator read inside a group applies what lies below it
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "(": 0}
+# Closes the token list: it applies every operator still on the stack
+_END = "<end>"
 
 
 def parse_answer(text: str):
-    """Parse an arithmetic expression into (value, number multiset).
+    """Read an arithmetic answer into (value, counts), or None.
 
-    Only binary + - * / over positive integer literals written with ASCII
-    digits are accepted; an equals sign, names, unary operators or anything
-    else fails the parse. Returns None when the text is not a valid
-    expression, divides by zero, or uses more than MAX_ANSWER_OPERATORS
-    operators: each operator is one level the parser and the evaluator may
-    recurse. Values stay ints until a division is inexact, and are exact
-    Fractions from there on, so ``8 / 3 * 3`` is 8.
+    The grammar, over the text with surrounding whitespace stripped::
+
+        expr    := term (("+" | "-") term)*
+        term    := operand (("*" | "/") operand)*
+        operand := literal | "(" expr ")"
+        literal := "0"+ | [1-9] [0-9]*
+
+    Operators are binary and group left to right. Spaces, tabs and form
+    feeds may sit between tokens; line breaks (line feed or carriage
+    return) only inside parentheses; no other character anywhere, so
+    ``00`` is 0 but ``01``, an equals sign, names, unary signs, ``//``,
+    ``**``, ``()`` and juxtaposition such as ``(1)(2)`` are rejected. An
+    answer may use at most MAX_ANSWER_OPERATORS operators and hold at most
+    MAX_ANSWER_DEPTH parentheses open at once; a literal other than zeros
+    may have at most ``int``'s digit limit (4,300 by default). On these
+    characters this is the language ``ast.parse`` accepts on CPython 3.11.
+
+    Values stay ints until a division is inexact, and are exact Fractions
+    from there on, so ``8 / 3 * 3`` is 8; a division by zero gives None.
+    ``counts`` maps each literal's value to the times it is used. The text
+    is read in one pass with an explicit operator stack (shunting yard)
+    and no recursion, so every string gets an answer in time bounded by
+    its length.
     """
-    text = text.strip()
-    if (not _EXPRESSION_CHARS.fullmatch(text)
-            or sum(map(text.count, "+-*/")) > MAX_ANSWER_OPERATORS):
-        return None
-    try:
-        node = ast.parse(text, mode="eval").body
-    except (SyntaxError, ValueError):
-        return None
-    used: Counter = Counter()
-
-    def walk(n):
-        if type(n) is ast.BinOp:
-            op = type(n.op)
-            a = walk(n.left)
-            b = walk(n.right)
-            if op is ast.Add:
-                return a + b
-            if op is ast.Sub:
-                return a - b
-            if op is ast.Mult:
-                return a * b
-            if op is not ast.Div or b == 0:
-                raise _BadExpression
-            if type(a) is int and type(b) is int and a % b == 0:
-                return a // b
-            return Fraction(a) / b
-        if type(n) is ast.Constant and type(n.value) is int:
-            used[n.value] += 1
-            return n.value
-        raise _BadExpression
-
-    try:
-        value = walk(node)
-    except _BadExpression:
-        return None
-    return value, used
+    tokens = _TOKEN.findall(text.strip())
+    tokens.append(_END)
+    ops = []
+    values = []
+    counts = {}
+    depth = 0
+    operators = 0
+    want_operand = True
+    for tok in tokens:
+        if want_operand:
+            c = tok[0]
+            if c == "0":
+                v = 0
+            elif "1" <= c <= "9":
+                try:
+                    v = int(tok)
+                except ValueError:  # past the interpreter's digit limit
+                    return None
+            elif tok == "(":
+                if depth == MAX_ANSWER_DEPTH:
+                    return None
+                depth += 1
+                ops.append(tok)
+                continue
+            elif depth and tok in "\n\r":
+                continue
+            else:
+                return None
+            values.append(v)
+            counts[v] = counts.get(v, 0) + 1
+            want_operand = False
+            continue
+        # after an operand: an operator, ")", a line break or the end
+        prec = _PRECEDENCE.get(tok)
+        if prec:
+            operators += 1
+            if operators > MAX_ANSWER_OPERATORS:
+                return None
+            want_operand = True
+        elif depth:
+            if tok == ")":
+                depth -= 1
+                prec = 1
+            elif tok in "\n\r":
+                continue
+            else:
+                return None
+        elif tok is _END:
+            prec = 1
+        else:
+            return None
+        while ops and _PRECEDENCE[ops[-1]] >= prec:
+            op = ops.pop()
+            b = values.pop()
+            a = values[-1]
+            if op == "+":
+                values[-1] = a + b
+            elif op == "-":
+                values[-1] = a - b
+            elif op == "*":
+                values[-1] = a * b
+            elif b == 0:
+                return None
+            elif type(a) is int and type(b) is int and a % b == 0:
+                values[-1] = a // b
+            else:
+                values[-1] = Fraction(a) / b
+        if want_operand:
+            ops.append(tok)
+        elif tok == ")":
+            ops.pop()  # its "("
+    return values[0], counts
 
 
 def check(instance: ProblemInstance, text: str):

@@ -316,6 +316,45 @@ def test_parse_answer_rejects(text):
     assert cd.parse_answer(text) is None
 
 
+NEST_200 = "(" * 200 + "1" + ")" * 200
+NEST_201 = "(" * 201 + "1" + ")" * 201
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("00", 0),
+        ("0+00", 0),
+        ("(1\n+2)", 3),
+        ("( \r\n 1)", 1),
+        ("1\x0c+2", 3),
+        ("1\t+2", 3),
+        pytest.param(NEST_200, 1, id="nest-200"),
+        ("01", None),
+        ("007", None),
+        ("1\n+2", None),
+        ("1\r+2", None),
+        ("1\x0b+2", None),
+        ("(1\x0b+2)", None),
+        pytest.param(NEST_201, None, id="nest-201"),
+        ("1//2", None),
+        ("1**2", None),
+        ("(1)(2)", None),
+        ("1 (2)", None),
+        ("()", None),
+        ("0 0", None),
+    ],
+)
+def test_parse_answer_pins_the_accepted_language(text, value):
+    """Zero literals may repeat their zero, other literals take no leading
+    zero; space, tab and form feed may sit between tokens, newlines only
+    inside parentheses, vertical tab nowhere; at most 200 open
+    parentheses at once."""
+    parsed = cd.parse_answer(text)
+    assert (None if parsed is None else parsed[0]) == value
+    assert parsed == countdown_parse_reference(text, cd.MAX_ANSWER_OPERATORS)
+
+
 def test_verify_checks_multiset_usage():
     puzzle = cd.CountdownPuzzle((5, 5, 3), 13)
     assert cd.check(instance_of(puzzle), "5 + 5 + 3") == (True, True)
@@ -342,11 +381,22 @@ def test_check_over_count_answer_keeps_its_parse_label():
         "+".join(["1"] * (cd.MAX_ANSWER_OPERATORS + 2)),
         "+".join(["1"] * 5000),
         "-" * 10_000 + "1",
+        "9" * 5000,
+        "(" * 1000 + "1" + ")" * 1000,
     ],
-    ids=["over-cap", "5000-term", "unary-chain"],
+    ids=["over-cap", "5000-term", "unary-chain", "5000-digit", "nest-1000"],
 )
 def test_parse_answer_rejects_long_input(text):
     assert cd.parse_answer(text) is None
+
+
+@settings(max_examples=300)
+@given(st.text())
+def test_parse_answer_is_total(text):
+    """Any string reads to None or a value, never an exception; the
+    reward's length cap is not what keeps the reader safe."""
+    parsed = cd.parse_answer(text)
+    assert parsed is None or type(parsed[0]) in (int, Fraction)
 
 
 def test_parse_answer_accepts_up_to_the_cap():
@@ -358,20 +408,34 @@ def test_parse_answer_accepts_up_to_the_cap():
 
 def expressions(max_leaves=8):
     """Random infix text over small literals (0 included, so divisions by
-    zero and inexact divisions are common) with optional parentheses."""
-    leaf = st.integers(0, 12).map(str)
+    zero and inexact divisions are common, and some written with leading
+    zeros) with optional parentheses and assorted whitespace between
+    tokens."""
+    leaf = st.one_of(
+        st.integers(0, 12).map(str),
+        st.tuples(st.integers(1, 3), st.integers(0, 12)).map(
+            lambda t: "0" * t[0] + str(t[1])))
+    gap = st.sampled_from(["", " ", "  ", "\t", "\f", "\n", "\r\n", "\v"])
 
     def combine(children):
-        term = st.tuples(children, st.sampled_from("+-*/"), children).map(
-            lambda t: f"{t[0]} {t[1]} {t[2]}")
+        term = st.tuples(children, gap, st.sampled_from("+-*/"), gap,
+                         children).map("".join)
         return st.one_of(term, term.map(lambda t: f"({t})"))
 
     return st.recursive(leaf, combine, max_leaves=max_leaves)
 
 
+def deep_nests():
+    """An expression inside 190 to 210 parentheses, around the 200 that
+    may be open at once."""
+    return st.tuples(expressions(4), st.integers(190, 210)).map(
+        lambda t: "(" * t[1] + t[0] + ")" * t[1])
+
+
 @settings(max_examples=500)
-@given(st.one_of(expressions(),
-                 st.text(alphabet="0123456789+-*/() ", max_size=20)))
+@given(st.one_of(
+    expressions(), deep_nests(),
+    st.text(alphabet="0123456789+-*/() \n\r\t\f\v", max_size=20)))
 @example("8 / 3 * 3")
 @example("7 / 2 - 7 / 2")
 @example("1 / (2 - 2)")
@@ -380,6 +444,13 @@ def expressions(max_leaves=8):
 def test_parse_answer_agrees_with_the_fraction_walk(text):
     assert cd.parse_answer(text) == countdown_parse_reference(
         text, cd.MAX_ANSWER_OPERATORS)
+
+
+def test_parse_answer_keeps_ints_until_a_division_is_inexact():
+    value, _ = cd.parse_answer("6 / 3 * 2")
+    assert type(value) is int and value == 4
+    value, _ = cd.parse_answer("7 / 2")
+    assert type(value) is Fraction and value == Fraction(7, 2)
 
 
 def test_verify_allows_subset_of_numbers():
