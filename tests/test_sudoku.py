@@ -198,6 +198,30 @@ def test_dig_holes_unique_and_kept_givens_stay_needed():
                 assert len(sudoku_solutions(grid, limit=2)) == 2
 
 
+def test_dig_holes_decides_each_cell_on_the_grid_as_it_stood():
+    # replay the walk: a visited cell is blanked exactly when the grid of
+    # that moment, with the cell blanked too, still has one completion
+    for i in range(12):
+        rng = random.Random(derive_seed(67, i))
+        full = sd.generate_full(rng)
+        blanks = rng.randint(*sd.BLANK_RANGE)
+        replay = random.Random()
+        replay.setstate(rng.getstate())
+        puzzle = sd.dig_holes(full, blanks, rng)
+        grid = list(full)
+        removed = 0
+        for cell in replay.sample(range(81), 81):
+            if removed >= blanks:
+                break
+            grid[cell] = 0
+            if len(sudoku_solutions(grid, limit=2)) == 1:
+                removed += 1
+            else:
+                grid[cell] = full[cell]
+        assert tuple(grid) == puzzle.givens
+        assert removed == puzzle.blanks
+
+
 def test_solve_dfs_path_is_row_major():
     puzzle = next(iter(sample_puzzles(1)))
     tree, solution = sd.solve_dfs(puzzle)
