@@ -6,10 +6,14 @@ Cells are indexed 0..80 row-major; digits are 1..9 with 0 for blanks.
 Solvers keep one 9-bit candidate mask per row, column and box. One
 propagating core counts completions: it places naked and hidden singles
 until none is left, and only then branches on the cell with the fewest
-candidates. The trace solver fills cells in plain row-major order, where
-multi-candidate cells are common and give detours room to branch; its
-tree is the solution path alone, and each detour adds only the wrong
-placements it walks.
+candidates. Hole digging proves uniqueness removal by removal: a swap of
+two digits over a group of blank cells that every unit meets in both or
+neither of its cells holding them is a second completion found with no
+search, and the counting core runs only when no such group exists. The
+trace solver fills cells in plain row-major order, where multi-candidate
+cells are common and give detours room to branch; its tree is the
+solution path alone, and each detour adds only the wrong placements it
+walks.
 """
 
 from __future__ import annotations
@@ -210,20 +214,66 @@ def generate_full(rng: random.Random) -> tuple:
             return tuple(grid)
 
 
+def _unit_places(solution) -> list:
+    """``where[d][u]``: the cell of the complete grid ``solution`` that
+    holds digit ``d`` in unit ``u``, where rows are units 0..8, columns
+    9..17 and boxes 18..26."""
+    where = [[0] * 27 for _ in range(10)]
+    for i, (r, c, b) in enumerate(UNITS):
+        at = where[solution[i]]
+        at[r] = at[9 + c] = at[18 + b] = i
+    return where
+
+
+def _swap_group(solution, grid, cell, alt, where) -> Optional[set]:
+    """The cells over which swapping ``solution[cell]`` and ``alt`` turns
+    ``solution`` into a second completion of ``grid``, or None when a
+    given is in the way; ``cell`` itself counts as blank.
+
+    The group is the closure of ``cell`` among the cells whose solution
+    digit is one of the two: each member brings in the cell holding the
+    other digit in its row, column and box (``where`` is
+    :func:`_unit_places`).
+    """
+    pair = solution[cell] + alt
+    group = {cell}
+    stack = [cell]
+    while stack:
+        x = stack.pop()
+        r, c, b = UNITS[x]
+        other = where[pair - solution[x]]
+        for y in (other[r], other[9 + c], other[18 + b]):
+            if y not in group:
+                if grid[y]:
+                    return None
+                group.add(y)
+                stack.append(y)
+    return group
+
+
 def dig_holes(solution, blanks: int, rng: random.Random) -> SudokuPuzzle:
     """Remove givens from a complete grid, keeping the solution unique.
 
     A cell may be blanked only if no alternative digit there admits any
     completion. The row, column and box masks are kept across removals:
-    blanking a cell clears its digit's bit, and each alternative digit the
-    masks still allow is tried through the propagating counter with
-    ``limit=1``. A cell with no alternative is blanked without a search,
-    and a rejected removal puts the bit back. Once a removal is rejected
-    it stays impossible (removing more givens only widens the
-    alternative's options), so one pass over a shuffled cell order is
-    exhaustive. When fewer than ``blanks`` cells can be removed the puzzle
-    reports the achieved count in its ``blanks`` field rather than
-    failing.
+    blanking a cell clears its digit's bit, and the alternatives are the
+    digits the masks then allow. A cell with no alternative is blanked
+    without a search. Otherwise each alternative is first offered a
+    certificate that needs no search: the group of cells over which the
+    alternative swaps with the cell's digit (:func:`_swap_group`). Every
+    unit holds each digit once, so the group meets a unit in both of its
+    cells holding the two digits or in neither, and the swap gives another
+    valid grid. When the whole group is blank, that grid agrees with every
+    given, so it is a second completion and the removal is rejected. Only
+    when no alternative has a certificate does each one go through the
+    propagating counter with ``limit=1``; the cell is blanked when none
+    admits a completion. Which alternative rejects a removal does not
+    matter, so the certificate changes no result. A rejected removal puts
+    the bit back. Once a removal is rejected it stays impossible
+    (removing more givens only widens the alternative's options), so one
+    pass over a shuffled cell order is exhaustive. When fewer than
+    ``blanks`` cells can be removed the puzzle reports the achieved count
+    in its ``blanks`` field rather than failing.
     """
     lo, hi = BLANK_RANGE
     if not lo <= blanks <= hi:
@@ -232,6 +282,7 @@ def dig_holes(solution, blanks: int, rng: random.Random) -> SudokuPuzzle:
     if prep is None or prep[3]:
         raise ValueError("dig_holes needs a complete, conflict-free grid")
     rows, cols, boxes, empties = prep
+    where = _unit_places(solution)
     grid = list(solution)
     order = rng.sample(range(81), 81)
     for cell in order:
@@ -243,21 +294,26 @@ def dig_holes(solution, blanks: int, rng: random.Random) -> SudokuPuzzle:
         cols[c] ^= bit
         boxes[b] ^= bit
         others = FULL & ~(rows[r] | cols[c] | boxes[b] | bit)
-        while others:
-            alt = others & -others
-            others ^= alt
-            rs, cs, bs = rows[:], cols[:], boxes[:]
-            rs[r] |= alt
-            cs[c] |= alt
-            bs[b] |= alt
-            if _count(rs, cs, bs, empties[:], 1):
-                rows[r] |= bit
-                cols[c] |= bit
-                boxes[b] |= bit
+        alts = [d for d in range(1, 10) if others >> d & 1]
+        for d in alts:
+            if _swap_group(solution, grid, cell, d, where) is not None:
                 break
         else:
-            grid[cell] = 0
-            empties.append(cell)
+            for d in alts:
+                alt = 1 << d
+                rs, cs, bs = rows[:], cols[:], boxes[:]
+                rs[r] |= alt
+                cs[c] |= alt
+                bs[b] |= alt
+                if _count(rs, cs, bs, empties[:], 1):
+                    break
+            else:
+                grid[cell] = 0
+                empties.append(cell)
+                continue
+        rows[r] |= bit
+        cols[c] |= bit
+        boxes[b] |= bit
     return SudokuPuzzle(tuple(grid), tuple(solution), len(empties))
 
 

@@ -222,6 +222,59 @@ def test_dig_holes_decides_each_cell_on_the_grid_as_it_stood():
         assert removed == puzzle.blanks
 
 
+# rows 7 and 8 hold 5 and 1 in columns 1 and 8, crosswise: a rectangle
+# across boxes 6 and 8 (cells 54, 61, 63 and 70)
+RECTANGLE_SOLUTION = tuple(int(ch) for ch in (
+    "713265984258479361694138572425817639836592147971346825"
+    "589723416167984253342651798"))
+RECTANGLE = {54, 61, 63, 70}
+
+
+def test_swap_group_of_a_blank_rectangle_is_a_certificate():
+    assert [RECTANGLE_SOLUTION[i] for i in sorted(RECTANGLE)] == [5, 1, 1, 5]
+    grid = list(RECTANGLE_SOLUTION)
+    for cell in RECTANGLE:
+        grid[cell] = 0
+    where = sd._unit_places(RECTANGLE_SOLUTION)
+    assert sd._swap_group(RECTANGLE_SOLUTION, grid, 54, 1, where) == RECTANGLE
+    assert sd._swap_group(RECTANGLE_SOLUTION, grid, 61, 5, where) == RECTANGLE
+
+
+@pytest.mark.parametrize("given", [61, 63, 70])
+def test_swap_group_with_a_given_is_no_certificate(given):
+    grid = list(RECTANGLE_SOLUTION)
+    for cell in RECTANGLE - {given}:
+        grid[cell] = 0
+    where = sd._unit_places(RECTANGLE_SOLUTION)
+    assert sd._swap_group(RECTANGLE_SOLUTION, grid, 54, 1, where) is None
+
+
+def test_swap_group_certificate_is_a_second_completion():
+    # whenever the certificate fires, the swapped grid is valid, keeps
+    # every given but the cell's own and holds the alternative digit there
+    fired = 0
+    for i in range(30):
+        rng = random.Random(derive_seed(73, i))
+        solution = sd.generate_full(rng)
+        where = sd._unit_places(solution)
+        share = rng.uniform(0.3, 0.9)
+        grid = [0 if rng.random() < share else v for v in solution]
+        for cell in range(81):
+            for alt in set(range(1, 10)) - {solution[cell]}:
+                group = sd._swap_group(solution, grid, cell, alt, where)
+                if group is None:
+                    continue
+                fired += 1
+                pair = {solution[cell], alt}
+                swapped = [(pair - {v}).pop() if j in group else v
+                           for j, v in enumerate(solution)]
+                assert sudoku_grid_valid(swapped)
+                assert all(grid[j] in (0, swapped[j])
+                           for j in range(81) if j != cell)
+                assert swapped[cell] == alt
+    assert fired > 100
+
+
 def test_solve_dfs_path_is_row_major():
     puzzle = next(iter(sample_puzzles(1)))
     tree, solution = sd.solve_dfs(puzzle)
