@@ -3,8 +3,6 @@ backtrack-controlled reasoning traces."""
 
 from .core import (
     GenerationError,
-    MultipleSolutionsError,
-    NoSolutionError,
     ProblemInstance,
     ReasoningTrace,
     SftRecord,
@@ -20,8 +18,6 @@ from .search import SearchTree, select_detours, solution_path, strip_detours
 
 __all__ = [
     "GenerationError",
-    "MultipleSolutionsError",
-    "NoSolutionError",
     "ProblemInstance",
     "ReasoningTrace",
     "ScoreBreakdown",

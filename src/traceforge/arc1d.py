@@ -26,8 +26,6 @@ from typing import Callable, Optional
 
 from .core import (
     GenerationError,
-    MultipleSolutionsError,
-    NoSolutionError,
     ProblemInstance,
     TaskKind,
 )
@@ -289,27 +287,21 @@ def heuristic_solve(task: Arc1dTask):
     """Try pool rules in plausibility order; build the tree of attempts.
 
     Plausibility is cell agreement with the first example pair, ties broken
-    by pool position, so the ordering is deterministic. The tree holds only
-    the solution path: root, a study step, the attempt of the first fully
-    consistent rule, and its application to the test input. The study
+    by pool position, so the ordering is deterministic. The winner is the
+    first rule in that order that fits every example; :func:`generate`
+    proves it is the only one, and the rule analysis is shared with it.
+    The tree holds only the solution path: root, a study step, the attempt
+    of the winner, and its application to the test input. The study
     node's payload is every wrong attempt in plausibility order, as (pool
-    index, first miss), for :func:`_extend` to take. The rule analysis is
-    shared with :func:`generate`. Raises NoSolutionError when no pool rule
-    explains every example, and MultipleSolutionsError when several do
-    (the task did not come from :func:`generate`).
+    index, first miss), for :func:`_extend` to take.
     """
     analysis = _rule_analysis(task.train_pairs)
     first_out = task.train_pairs[0][1]
     agreement = [sum(map(eq, first, first_out)) for first, _ in analysis]
     order = sorted(range(len(RULE_POOL)), key=agreement.__getitem__,
                    reverse=True)
-    fitting = [idx for idx in order if analysis[idx][1] is None]
-    if not fitting:
-        raise NoSolutionError("no pool rule is consistent with all examples")
-    if len(fitting) > 1:
-        names = ", ".join(repr(RULE_POOL[idx].description) for idx in fitting)
-        raise MultipleSolutionsError(f"pool rules {names} all fit every example")
-    winner = RULE_POOL[fitting[0]]
+    win = next(idx for idx in order if analysis[idx][1] is None)
+    winner = RULE_POOL[win]
 
     tree = SearchTree()
     root = tree.add_node("")
@@ -317,7 +309,7 @@ def heuristic_solve(task: Arc1dTask):
         "compare each example input to its output to work out the rule.",
         parent=root,
         payload=tuple((idx, analysis[idx][1]) for idx in order
-                      if idx != fitting[0]),
+                      if idx != win),
     )
     winner_node = tree.add_node(
         f"try the rule '{winner.description}': "
@@ -328,7 +320,6 @@ def heuristic_solve(task: Arc1dTask):
         f"{render_grid(task.test_input)} becomes "
         f"{render_grid(winner.apply(task.test_input))}.",
         parent=winner_node,
-        is_solution=True,
     )
     return tree, winner
 
@@ -431,20 +422,6 @@ def _instance(instance_id: int, seed: int, task: Arc1dTask) -> ProblemInstance:
             "rule": [task.hidden_rule.name, list(task.hidden_rule.params)],
             "expected": list(expected),
         },
-    )
-
-
-def task_from_instance(instance: ProblemInstance) -> Arc1dTask:
-    name, params = instance.meta["rule"]
-    rule = next((r for r in RULE_POOL
-                 if r.name == name and list(r.params) == list(params)), None)
-    if rule is None:
-        raise ValueError(f"malformed arc1d instance {instance.id}: unknown "
-                         f"rule {name!r} with params {params!r}")
-    return Arc1dTask(
-        tuple((tuple(i), tuple(o)) for i, o in instance.meta["train_pairs"]),
-        tuple(instance.meta["test_input"]),
-        rule,
     )
 
 

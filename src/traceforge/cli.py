@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict
 
 from . import pipeline, reward
-from .core import GenerationError, MultipleSolutionsError, NoSolutionError, TaskKind
+from .core import GenerationError, TaskKind
 from .tasks import TASKS
 
 GENERATE_TASKS = sorted(t.value for t, spec in TASKS.items() if spec.build_instance)
@@ -30,8 +30,8 @@ def _parse_seed(text: str) -> int:
         value = int(text, 0)  # accepts decimal and 0x-prefixed hex
     except ValueError:
         raise ValueError(f"seed must be an integer, got {text!r}") from None
-    if value < 0:
-        raise ValueError("seed must be non-negative")
+    if not 0 <= value < 1 << 64:  # derive_seed would alias a wider one
+        raise ValueError(f"seed must be 0 to 2**64 - 1, got {text!r}")
     return value
 
 
@@ -199,8 +199,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.fn(args)
-    except (ValueError, KeyError, GenerationError, NoSolutionError,
-            MultipleSolutionsError) as exc:
+    except (ValueError, KeyError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -43,14 +43,6 @@ class GenerationError(RuntimeError):
     """Raised when a generator cannot produce a valid artifact in budget."""
 
 
-class NoSolutionError(RuntimeError):
-    """Raised when exact search proves (or gives up on) unsolvability."""
-
-
-class MultipleSolutionsError(RuntimeError):
-    """Raised when a puzzle that must be unique has more than one solution."""
-
-
 def derive_seed(master: int, index: int) -> int:
     """Derive a per-item 64-bit seed from a master seed and an index.
 

@@ -3,12 +3,13 @@
 integer and every division exact.
 
 Generation works backwards: random legal combines of a few sampled numbers
-give a reachable target. Solving is exhaustive DFS over combine moves with
-dead-state memoization, which both finds the canonical solution and proves
-unsolvability when there is none; three-value states are settled by set
-lookup rather than searched. The solution's moves, rendered as infix text
-by :func:`render_moves`, are the answer. The search tree a solve returns
-is the solution path alone; a detour adds only the moves it walks.
+give the target, and a target among the numbers is rejected, so every
+puzzle has a solution of at least one move. Solving is DFS over combine
+moves with dead-state memoization, which finds the first solution in move
+order; three-value states are settled by set lookup rather than searched.
+The solution's moves, rendered as infix text by :func:`render_moves`, are
+the answer. The tree a solve returns is the solution path alone; a detour
+adds only the moves it walks.
 Answers are verified only by :func:`check`, through :func:`parse_answer`.
 """
 
@@ -19,10 +20,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .core import (
     GenerationError,
-    NoSolutionError,
     ProblemInstance,
     TaskKind,
 )
@@ -285,47 +286,25 @@ def _find_solution(values, target):
     return None
 
 
-class _SolvedTree(SearchTree):
-    """A search tree for the puzzle's ``target``. Each node's payload is
-    (the values it leaves, the move that made it); the root's move is
-    None."""
-
-    def __init__(self, target: int) -> None:
-        super().__init__()
-        self.target = target
-
-
-def _add_move(tree: _SolvedTree, parent: int, move) -> int:
+def _add_move(tree: SearchTree, parent: int, move) -> int:
     """Add the child that ``move`` makes from ``parent``'s values."""
     _, _, op, x, y, result, _ = move
     values = _apply_move(tree.nodes[parent].payload[0], move)
-    return tree.add_node(
-        f"{x} {op} {y} = {result}.",
-        parent=parent,
-        is_solution=(result == tree.target),
-        payload=(tuple(values), move),
-    )
+    return tree.add_node(f"{x} {op} {y} = {result}.", parent=parent,
+                         payload=(tuple(values), move))
 
 
 def solve_dfs(puzzle: CountdownPuzzle):
-    """Solve by exhaustive DFS; returns the search tree and the answer text.
+    """Solve a generated puzzle; returns the search tree and the answer.
 
-    The tree holds only the root-to-solution path; :func:`_extend` adds
-    each detour's moves when it takes one, so a trace without detours
-    builds no other node. Raises NoSolutionError when search exhausts the
-    move space without reaching the target. The answer is the target
-    when it is one of the numbers, else :func:`render_moves` of the moves.
+    The tree holds only the path of :func:`_find_solution`: the root, then
+    one node per move. Each node's payload is (the values it leaves, the
+    move that made it, None at the root); :func:`_extend` adds a detour's
+    moves when it takes one. The answer is :func:`render_moves` of the moves.
     """
-    target = puzzle.target
-    tree = _SolvedTree(target)
     values = tuple(puzzle.numbers)
-    if target in values:
-        tree.add_node("", is_solution=True, payload=(values, None))
-        return tree, str(target)
-    steps = _find_solution(values, target)
-    if steps is None:
-        raise NoSolutionError(f"{target} is unreachable from {puzzle.numbers}")
-
+    steps = _find_solution(values, puzzle.target)
+    tree = SearchTree()
     node = tree.add_node("", payload=(values, None))
     for step in steps:
         node = _add_move(tree, node, step)
@@ -334,7 +313,7 @@ def solve_dfs(puzzle: CountdownPuzzle):
 
 # --- traces ------------------------------------------------------------------
 
-def _extend(tree: _SolvedTree, branch_id, rng):
+def _extend(target: int, tree: SearchTree, branch_id, rng):
     """Detour extension: walk a wrong branch, then insist it is dead.
 
     The first move is one of the branch point's legal moves, in move
@@ -345,8 +324,8 @@ def _extend(tree: _SolvedTree, branch_id, rng):
     remaining at its end cannot reach the target at all, so the trace's
     claim of a dead end is literally true; only then are its nodes added.
     The observation names the value the branch's last move made.
+    :func:`make_trace` binds ``target``.
     """
-    target = tree.target
     values = tree.nodes[branch_id].payload[0]
     taken = [tree.nodes[c].payload[1] for c in tree.nodes[branch_id].children]
     candidates = [m for m in legal_moves(values)
@@ -377,7 +356,8 @@ def make_trace(puzzle: CountdownPuzzle, k: int, rng: random.Random):
     """
     tree, answer = solve_dfs(puzzle)
     path = solution_path(tree)
-    return linearize(tree, path, select_detours(tree, path, k, rng, _extend),
+    extend = partial(_extend, puzzle.target)
+    return linearize(tree, path, select_detours(tree, path, k, rng, extend),
                      answer)
 
 
@@ -540,11 +520,6 @@ def _instance(instance_id: int, seed: int, puzzle: CountdownPuzzle,
         seed=seed,
         meta={"numbers": list(puzzle.numbers), "target": puzzle.target},
     )
-
-
-def puzzle_from_instance(instance: ProblemInstance) -> CountdownPuzzle:
-    return CountdownPuzzle(tuple(instance.meta["numbers"]),
-                           int(instance.meta["target"]))
 
 
 def build_instance(instance_id: int, seed: int) -> ProblemInstance:

@@ -21,7 +21,6 @@ from .core import (
     BacktrackMarker,
     Conclusion,
     GenerationError,
-    NoSolutionError,
     ReasoningTrace,
     Step,
     derive_seed,
@@ -50,19 +49,16 @@ MAX_DETOUR_DEPTH = 2
 
 @dataclass
 class SearchNode:
-    id: int
     state_text: str
     children: list = field(default_factory=list)  # child ids, DFS order
-    is_solution: bool = False
     payload: object = None  # task-specific state snapshot
 
 
 class SearchTree:
-    """Rooted tree built incrementally by solvers.
+    """A generated puzzle's solution path plus the detours taken.
 
-    Node ids are assigned sequentially; the first node added is the root.
-    Child order is meaningful: the solver adds the path child first, and
-    detours append later children.
+    Node ids are list positions; the first node added is the root. The
+    solver adds each path child first, and detours append later children.
     """
 
     def __init__(self) -> None:
@@ -70,10 +66,9 @@ class SearchTree:
         self.root: Optional[int] = None
 
     def add_node(self, state_text: str, parent: Optional[int] = None,
-                 is_solution: bool = False, payload: object = None) -> int:
+                 payload: object = None) -> int:
         nid = len(self.nodes)
-        node = SearchNode(nid, state_text, [], is_solution, payload)
-        self.nodes.append(node)
+        self.nodes.append(SearchNode(state_text, [], payload))
         if parent is None:
             if self.root is not None:
                 raise ValueError("tree already has a root")
@@ -87,17 +82,14 @@ class SearchTree:
 
 
 def solution_path(tree: SearchTree) -> list[int]:
-    """Node ids from the root to the solution node, following first
-    children: a solver adds each path node before any detour there."""
-    if tree.root is None:
-        raise NoSolutionError("empty tree")
+    """Node ids from the root to the first leaf along first children: the
+    solution path, since a solver adds each path node before any detour
+    there and no detour branches from the solution node."""
     path = [tree.root]
-    node = tree.nodes[tree.root]
-    while not node.is_solution:
-        if not node.children:
-            raise NoSolutionError("first-child walk ends before a solution")
-        path.append(node.children[0])
-        node = tree.nodes[node.children[0]]
+    children = tree.nodes[tree.root].children
+    while children:
+        path.append(children[0])
+        children = tree.nodes[children[0]].children
     return path
 
 
@@ -236,20 +228,21 @@ def build_with_retries(task: str, instance_id: int, seed: int, k: int,
 
     Attempt ``a`` draws from ``random.Random(derive_seed(seed, a))``:
     ``sample(rng)`` makes a puzzle, then ``make_trace(puzzle, k, rng)``
-    linearizes it, raising GenerationError or NoSolutionError when the
-    puzzle cannot host ``k`` detours. Gives up after
-    ``MAX_TRACE_RETRIES`` attempts with a GenerationError naming the task,
-    id, k and seed. A GenerationError from ``sample`` itself is not
-    retried; :func:`sample_named` re-raises it naming the task, id and
-    seed. Returns (puzzle, trace), with the instance id stamped into the
-    trace's meta.
+    linearizes it. Only a GenerationError from ``make_trace`` (the puzzle
+    cannot host ``k`` detours) moves on to attempt ``a + 1``; any other
+    exception is a fault and propagates from the attempt that raised it.
+    Gives up after ``MAX_TRACE_RETRIES`` attempts with a GenerationError
+    naming the task, id, k and seed. A GenerationError from ``sample``
+    itself is not retried; :func:`sample_named` re-raises it naming the
+    task, id and seed. Returns (puzzle, trace), with the
+    instance id stamped into the trace's meta.
     """
     for attempt in range(MAX_TRACE_RETRIES):
         rng = random.Random(derive_seed(seed, attempt))
         puzzle = sample_named(task, instance_id, seed, sample, rng)
         try:
             trace = make_trace(puzzle, k, rng)
-        except (GenerationError, NoSolutionError):
+        except GenerationError:
             continue
         trace.meta["instance_id"] = instance_id
         return puzzle, trace

@@ -23,11 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (
-    NoSolutionError,
-    ProblemInstance,
-    TaskKind,
-)
+from .core import ProblemInstance, TaskKind
 from .search import (
     MAX_DETOUR_DEPTH,
     SearchTree,
@@ -325,12 +321,11 @@ def generate(rng: random.Random) -> SudokuPuzzle:
 
 # --- solving into a tree -----------------------------------------------------
 
-def _place(tree, parent, grid, cell, is_solution=False) -> int:
+def _place(tree, parent, grid, cell) -> int:
     """Add the child of ``parent`` that places ``grid[cell]``."""
     r, c, _ = UNITS[cell]
     return tree.add_node(f"place {grid[cell]} at row {r + 1}, column {c + 1}.",
-                         parent=parent, is_solution=is_solution,
-                         payload=tuple(grid))
+                         parent=parent, payload=tuple(grid))
 
 
 def solve_dfs(puzzle: SudokuPuzzle):
@@ -344,16 +339,13 @@ def solve_dfs(puzzle: SudokuPuzzle):
     detour takes it. :func:`dig_holes` proves that uniqueness for every
     generated puzzle.
     """
-    prep = _prepare(puzzle.givens)
-    if prep is None:
-        raise NoSolutionError("puzzle givens conflict")
-    empties = prep[3]
     tree = SearchTree()
     grid = list(puzzle.givens)
     node = tree.add_node("", payload=tuple(grid))
-    for pos, cell in enumerate(empties):
-        grid[cell] = puzzle.solution[cell]
-        node = _place(tree, node, grid, cell, pos == len(empties) - 1)
+    for cell in range(81):
+        if not puzzle.givens[cell]:
+            grid[cell] = puzzle.solution[cell]
+            node = _place(tree, node, grid, cell)
     return tree, puzzle.solution
 
 
@@ -489,12 +481,6 @@ def _instance(instance_id: int, seed: int, puzzle: SudokuPuzzle) -> ProblemInsta
             "blanks": puzzle.blanks,
         },
     )
-
-
-def puzzle_from_instance(instance: ProblemInstance) -> SudokuPuzzle:
-    givens = tuple(int(ch) for ch in instance.meta["givens"])
-    solution = tuple(int(ch) for ch in instance.meta["solution"])
-    return SudokuPuzzle(givens, solution, sum(1 for v in givens if v == 0))
 
 
 def build_instance(instance_id: int, seed: int) -> ProblemInstance:

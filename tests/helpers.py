@@ -1,4 +1,5 @@
-"""Independent reference implementations used to cross-check the package.
+"""Independent reference implementations used to cross-check the package,
+and readers that rebuild a generated puzzle from its instance.
 
 Everything here is deliberately written in a different style from the
 code under test (set closures instead of ordered DFS, explicit set
@@ -12,6 +13,8 @@ import ast
 import re
 from collections import Counter
 from fractions import Fraction
+
+from traceforge import arc1d, countdown, sudoku
 
 
 # --- countdown ---------------------------------------------------------------
@@ -108,6 +111,33 @@ def sudoku_solutions(grid, limit: int = 2) -> list:
 
     rec(0)
     return sols
+
+
+# --- instance readers --------------------------------------------------------
+#
+# The package's solvers see only the puzzles its generators make; these
+# rebuild such a puzzle from the instance written for it.
+
+def countdown_puzzle(instance) -> countdown.CountdownPuzzle:
+    return countdown.CountdownPuzzle(tuple(instance.meta["numbers"]),
+                                     instance.meta["target"])
+
+
+def sudoku_puzzle(instance) -> sudoku.SudokuPuzzle:
+    givens = tuple(map(int, instance.meta["givens"]))
+    solution = tuple(map(int, instance.meta["solution"]))
+    return sudoku.SudokuPuzzle(givens, solution, givens.count(0))
+
+
+def arc1d_task(instance) -> arc1d.Arc1dTask:
+    name, params = instance.meta["rule"]
+    rule = next(r for r in arc1d.RULE_POOL
+                if r.name == name and list(r.params) == params)
+    return arc1d.Arc1dTask(
+        tuple((tuple(i), tuple(o)) for i, o in instance.meta["train_pairs"]),
+        tuple(instance.meta["test_input"]),
+        rule,
+    )
 
 
 # --- self-referential statements ---------------------------------------------

@@ -15,8 +15,8 @@ import re
 import time
 from decimal import Decimal
 
-from helpers import countdown_solvable, selfref_consistent_count, \
-    sudoku_solutions, wrap
+from helpers import arc1d_task, countdown_puzzle, countdown_solvable, \
+    selfref_consistent_count, sudoku_puzzle, sudoku_solutions, wrap
 
 from traceforge import arc1d, countdown, pipeline, sudoku, xtasks
 from traceforge.core import (
@@ -224,11 +224,11 @@ def test_reward_semantics_golden_suite():
 
 def test_trace_construction_all_tasks_and_depths():
     jobs = (
-        (countdown.build_traced, countdown.puzzle_from_instance,
+        (countdown.build_traced, countdown_puzzle,
          countdown.make_trace, SEED_TRACES),
-        (sudoku.build_traced, sudoku.puzzle_from_instance,
+        (sudoku.build_traced, sudoku_puzzle,
          sudoku.make_trace, SEED_TRACES + 1),
-        (arc1d.build_traced, arc1d.task_from_instance,
+        (arc1d.build_traced, arc1d_task,
          arc1d.make_trace, SEED_TRACES + 2),
     )
     count = 1000
@@ -268,7 +268,7 @@ def test_trace_construction_all_tasks_and_depths():
 def test_solver_oracle_agreement():
     for i in range(500):
         inst = countdown.build_instance(i, derive_seed(SEED_ORACLE, i))
-        puzzle = countdown.puzzle_from_instance(inst)
+        puzzle = countdown_puzzle(inst)
         assert countdown.check(inst, inst.ground_truth) == (True, True)
         assert countdown_solvable(puzzle.numbers, puzzle.target)
 

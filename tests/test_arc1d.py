@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from helpers import arc1d_task
 
 from traceforge import arc1d as a1
 from traceforge import pipeline
@@ -125,7 +126,7 @@ def test_heuristic_solve_tree_shape():
     assert solution_path(tree) == [0, 1, 2, 3]
     assert len(tree.nodes) == 4
     _, study, attempt, leaf = tree.nodes
-    assert [n.id for n in tree.nodes if n.is_solution] == [leaf.id]
+    assert leaf.children == []
     rule_text = f"the rule '{winner.description}'"
     assert leaf.state_text.startswith(f"apply {rule_text}")
     assert attempt.state_text.startswith(f"try {rule_text}")
@@ -158,29 +159,6 @@ def test_consistent_rules_accepts_lists_and_matches_direct_check():
              [[2, 0, 0, 0, 0], [0, 0, 2, 0, 0]]]
     assert a1.consistent_rules(pairs[:1]) == [rule("shift_right", 1)]
     assert a1.consistent_rules(pairs) == []
-
-
-def test_heuristic_solve_rejects_foreign_task():
-    task = a1.Arc1dTask(
-        train_pairs=(((1, 2, 3), (9, 9, 9)),),
-        test_input=(1, 2, 3),
-        hidden_rule=a1.RULE_POOL[0],
-    )
-    with pytest.raises(a1.NoSolutionError):
-        a1.heuristic_solve(task)
-
-
-def test_heuristic_solve_rejects_ambiguous_task():
-    # "shift left by 1" and "move the block to the left edge" both fit
-    task = a1.Arc1dTask(
-        train_pairs=(((0, 2, 1, 0, 0, 0), (2, 1, 0, 0, 0, 0)),),
-        test_input=(0, 0, 3, 0, 0, 0),
-        hidden_rule=rule("shift_left", -1),
-    )
-    with pytest.raises(a1.MultipleSolutionsError) as err:
-        a1.heuristic_solve(task)
-    assert "left by 1" in str(err.value)
-    assert "left edge" in str(err.value)
 
 
 # --- traces ------------------------------------------------------------------
@@ -272,7 +250,7 @@ def test_trace_answer_is_expected_output():
 
 def test_trace_observation_reveals_expected_output():
     inst, trace = a1.build_traced(2, derive_seed(57, 2), 5)
-    task = a1.task_from_instance(inst)
+    task = arc1d_task(inst)
     for ev in trace.events:
         if isinstance(ev, BacktrackMarker):
             assert ev.text.count("The expected output for example") == 1
@@ -283,7 +261,7 @@ def test_trace_observation_reveals_expected_output():
 def test_strip_detours_matches_plain_build():
     for k in (1, 5, 10):
         inst, trace = a1.build_traced(0, derive_seed(59, 0), k)
-        task = a1.task_from_instance(inst)
+        task = arc1d_task(inst)
         plain = a1.make_trace(task, 0, random.Random(0))
         assert render_completion(strip_detours(trace)) == render_completion(plain)
 
@@ -315,16 +293,9 @@ def test_parse_answer_rejects(text):
     assert a1.parse_answer(text) is None
 
 
-def test_task_from_instance_rejects_unknown_rule():
-    inst = a1.build_instance(7, derive_seed(606, 7))
-    inst.meta["rule"] = ["spin", []]
-    with pytest.raises(ValueError, match=r"arc1d instance 7: unknown rule 'spin'"):
-        a1.task_from_instance(inst)
-
-
 def test_verify_checks_exact_grid():
     inst = a1.build_instance(0, derive_seed(606, 0))
-    task = a1.task_from_instance(inst)
+    task = arc1d_task(inst)
     good = a1.render_grid(a1.expected_output(task))
     assert a1.check(inst, good) == (True, True)
     assert a1.check(inst, good + " 0") == (True, False)

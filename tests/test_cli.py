@@ -86,6 +86,34 @@ def test_bad_seed_is_a_validation_error(tmp_path, capsys):
     assert code == 1
 
 
+# derive_seed keeps 64 bits, so a seed of 2**64 would write --seed 0's bytes
+@pytest.mark.parametrize("seed", ["0x10000000000000000", str(2**64)])
+def test_seed_above_64_bits_is_a_validation_error(tmp_path, capsys, seed):
+    code, _, err = run(capsys, "generate", "--task", "countdown", "--count", "3",
+                       "--seed", seed, "--out", str(tmp_path))
+    assert code == 1
+    assert err == f"error: seed must be 0 to 2**64 - 1, got {seed!r}\n"
+    assert not (tmp_path / "countdown_instances.jsonl").exists()
+
+
+def test_env_seed_above_64_bits_is_a_validation_error(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setenv("FORGE_SEED", "0x10000000000000000")
+    code, _, err = run(capsys, "generate", "--task", "countdown", "--count", "3",
+                       "--out", str(tmp_path))
+    assert code == 1
+    assert "'0x10000000000000000'" in err
+
+
+def test_largest_seed_accepted(tmp_path, capsys):
+    code, _, _ = run(capsys, "generate", "--task", "countdown", "--count", "3",
+                     "--seed", "0xffffffffffffffff", "--out", str(tmp_path))
+    assert code == 0
+    manifest = json.loads(
+        (tmp_path / "countdown_instances.jsonl.manifest.json").read_text())
+    assert manifest["master_seed"] == "f" * 16
+
+
 def test_shuffle_round_trip(tmp_path, capsys):
     run(capsys, "trace", "--task", "countdown", "--backtracks", "1",
         "--count", "6", "--seed", "3", "--out", str(tmp_path))

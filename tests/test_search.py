@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from traceforge.core import (
     BacktrackMarker,
     Conclusion,
     GenerationError,
-    NoSolutionError,
+    ReasoningTrace,
     Step,
     derive_seed,
     render_completion,
@@ -18,6 +19,7 @@ from traceforge.core import (
 from traceforge.search import (
     BACKTRACK_TEMPLATE,
     SearchTree,
+    build_with_retries,
     linearize,
     select_detours,
     solution_path,
@@ -32,8 +34,7 @@ def chain_tree(depth: int, branching: int = 3):
     tree.branching = branching
     parent = tree.add_node("root")
     for level in range(depth):
-        parent = tree.add_node(f"level {level} option 0.", parent=parent,
-                               is_solution=(level == depth - 1))
+        parent = tree.add_node(f"level {level} option 0.", parent=parent)
     return tree
 
 
@@ -80,44 +81,20 @@ def test_solution_path_follows_child_order():
     tree = chain_tree(depth=3)
     path = solution_path(tree)
     assert path[0] == tree.root
-    assert tree.node(path[-1]).is_solution
+    assert tree.node(path[-1]).children == []
     assert len(path) == 4
     # each hop must be parent -> child
     for parent, child in zip(path, path[1:]):
         assert child in tree.node(parent).children
 
 
-def test_solution_path_without_solution_raises():
-    tree = SearchTree()
-    root = tree.add_node("root")
-    tree.add_node("dead", parent=root)
-    with pytest.raises(NoSolutionError):
-        solution_path(tree)
-
-
 def test_solution_path_picks_first_solution_in_dfs_order():
     tree = SearchTree()
     root = tree.add_node("root")
     first = tree.add_node("first", parent=root)
-    tree.add_node("early win", parent=first, is_solution=True)
-    tree.add_node("late win", parent=root, is_solution=True)
+    tree.add_node("first leaf", parent=first)
+    tree.add_node("later leaf", parent=root)
     assert solution_path(tree) == [0, 1, 2]
-
-
-def test_solution_path_of_empty_tree_raises():
-    with pytest.raises(NoSolutionError, match="^empty tree$"):
-        solution_path(SearchTree())
-
-
-def test_solution_path_follows_first_children_only():
-    # the path child comes first; a solution behind a later child is a
-    # tree no solver here builds, and the walk does not search for it
-    tree = SearchTree()
-    root = tree.add_node("root")
-    tree.add_node("dead end", parent=root)
-    tree.add_node("win", parent=root, is_solution=True)
-    with pytest.raises(NoSolutionError):
-        solution_path(tree)
 
 
 # --- detour selection --------------------------------------------------------
@@ -168,7 +145,7 @@ def test_select_detours_never_enters_the_solution_branch():
         assert det.wrong_path[0] in tree.node(path[det.resume_step]).children
         for nid in det.wrong_path:
             assert nid not in on_path
-            assert not tree.node(nid).is_solution
+    assert tree.node(path[-1]).children == []
 
 
 def test_select_detours_deterministic_for_fixed_rng():
@@ -196,21 +173,26 @@ def test_select_detours_rejects_negative_k():
                        plain_extend)
 
 
-@pytest.mark.parametrize("module,solve", [
-    (countdown, countdown.solve_dfs),
-    (sudoku, sudoku.solve_dfs),
-    (arc1d, arc1d.heuristic_solve),
+@pytest.mark.parametrize("module,solve,extend_for", [
+    (countdown, countdown.solve_dfs,
+     lambda puzzle: partial(countdown._extend, puzzle.target)),
+    (sudoku, sudoku.solve_dfs, lambda puzzle: sudoku._extend),
+    (arc1d, arc1d.heuristic_solve, lambda puzzle: arc1d._extend),
 ], ids=["countdown", "sudoku", "arc1d"])
-def test_tree_is_the_solution_path_plus_the_detours_taken(module, solve):
+def test_tree_is_the_solution_path_plus_the_detours_taken(module, solve,
+                                                          extend_for):
     hosted = 0
     for i in range(4):
         for k in (1, 5, 10):
             rng = random.Random(derive_seed(97, i))
-            tree, _ = solve(module.generate(rng))
+            puzzle = module.generate(rng)
+            tree, _ = solve(puzzle)
             path = solution_path(tree)
             assert len(tree.nodes) == len(path)
+            assert tree.node(path[-1]).children == []
             try:
-                detours = select_detours(tree, path, k, rng, module._extend)
+                detours = select_detours(tree, path, k, rng,
+                                         extend_for(puzzle))
             except GenerationError:
                 continue  # this puzzle hosts fewer than k detours
             hosted += 1
@@ -347,3 +329,59 @@ def test_sampling_failure_names_task_id_and_seed(monkeypatch, module, build):
     with pytest.raises(GenerationError,
                        match=rf"^{task} id 3: .* \(seed {seed:#018x}\)$"):
         build(module, 3, seed)
+
+
+# --- retries -----------------------------------------------------------------
+
+
+class RetryStub:
+    """``sample`` and ``make_trace`` stand-ins: a puzzle is the attempt
+    generator's first draw, and ``make_trace`` raises the queued errors
+    one per call, then succeeds."""
+
+    def __init__(self, *errors):
+        self.errors = list(errors)
+        self.sampled = []
+
+    def sample(self, rng):
+        self.sampled.append(rng.random())
+        return self.sampled[-1]
+
+    def make_trace(self, puzzle, k, rng):
+        if self.errors:
+            raise self.errors.pop(0)
+        return ReasoningTrace(events=(), answer=str(puzzle), backtracks=k)
+
+
+def test_generation_error_moves_to_the_next_attempt():
+    seed = derive_seed(71, 2)
+    stub = RetryStub(GenerationError("too few detours"))
+    puzzle, trace = build_with_retries("stub", 2, seed, 3, stub.sample,
+                                       stub.make_trace)
+    assert stub.sampled == [random.Random(derive_seed(seed, a)).random()
+                            for a in (0, 1)]
+    assert puzzle == stub.sampled[1]
+    assert trace.meta == {"instance_id": 2}
+
+
+def test_other_errors_propagate_from_the_attempt_that_raised():
+    stub = RetryStub(RuntimeError("solver fault"))
+    with pytest.raises(RuntimeError, match="^solver fault$"):
+        build_with_retries("stub", 0, derive_seed(71, 0), 1, stub.sample,
+                           stub.make_trace)
+    assert len(stub.sampled) == 1
+
+
+def test_arc1d_detour_cap_is_raised_not_resampled(monkeypatch):
+    calls = []
+    make_trace = arc1d.make_trace
+
+    def counted(task, k, rng):
+        calls.append(k)
+        return make_trace(task, k, rng)
+
+    monkeypatch.setattr(arc1d, "make_trace", counted)
+    with pytest.raises(ValueError,
+                       match="^at most 16 detours are possible, got 17$"):
+        arc1d.build_traced(0, derive_seed(71, 0), 17)
+    assert calls == [17]

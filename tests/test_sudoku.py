@@ -3,7 +3,8 @@ import random
 import re
 
 import pytest
-from helpers import sudoku_grid_valid, sudoku_parse_reference, sudoku_solutions
+from helpers import sudoku_grid_valid, sudoku_parse_reference, sudoku_puzzle, \
+    sudoku_solutions
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -332,7 +333,7 @@ def test_trace_marker_count_is_exact(k):
 
 def test_trace_answer_is_solution_grid():
     inst, trace = sd.build_traced(0, derive_seed(19, 0), 5)
-    puzzle = sd.puzzle_from_instance(inst)
+    puzzle = sudoku_puzzle(inst)
     assert sd.check(inst, trace.answer) == (True, True)
     assert trace.answer == sd.render_grid(puzzle.solution)
 
@@ -374,7 +375,7 @@ def test_trace_observation_matches_replayed_grid_oracle():
     stuck = wrong_digit = 0
     for i in range(40):
         inst, trace = sd.build_traced(i, derive_seed(606, i), 10)
-        givens = sd.puzzle_from_instance(inst).givens
+        givens = sudoku_puzzle(inst).givens
         steps = []  # (cell, digit) of steps 1..n of the current line
         for ev in trace.events:
             if isinstance(ev, Step):
@@ -403,7 +404,7 @@ def test_trace_wrong_steps_use_solver_vocabulary():
 def test_strip_detours_matches_plain_build():
     for k in (1, 5, 10):
         inst, trace = sd.build_traced(0, derive_seed(31, 0), k)
-        puzzle = sd.puzzle_from_instance(inst)
+        puzzle = sudoku_puzzle(inst)
         plain = sd.make_trace(puzzle, 0, random.Random(0))
         assert render_completion(strip_detours(trace)) == render_completion(plain)
 
@@ -506,6 +507,6 @@ def test_parse_answer_agrees_with_the_token_parser(text):
 
 def test_verify_rejects_wrong_grid():
     inst = sd.build_instance(0, derive_seed(808, 0))
-    wrong = list(sd.puzzle_from_instance(inst).solution)
+    wrong = list(sudoku_puzzle(inst).solution)
     wrong[0], wrong[1] = wrong[1], wrong[0]
     assert sd.check(inst, sd.render_grid(wrong)) == (True, False)
