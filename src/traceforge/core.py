@@ -1,5 +1,6 @@
 """Shared vocabulary for the toolkit: task identifiers, problem instances,
-trace events, the tagged output grammar, and deterministic seed derivation.
+reasoning traces and their text format, the tagged output grammar, and
+deterministic seed derivation.
 
 Everything downstream (generators, solvers, the reward) speaks in terms of
 these types, so they carry no task-specific logic.
@@ -11,7 +12,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Optional, Union
+from typing import Optional
 
 _MASK64 = (1 << 64) - 1
 
@@ -68,40 +69,48 @@ class ProblemInstance:
     meta: dict = field(default_factory=dict)
 
 
-# --- trace events ------------------------------------------------------------
+# --- reasoning traces --------------------------------------------------------
+
+# Opening of every backtrack; counting it recovers a completion's
+# backtrack count when the trace itself is not at hand.
+MARKER_PHRASE = "Wait, this doesn't lead to the correct solution."
+
+# Template for every backtrack. The observation sentence is task-specific;
+# the surrounding wording is fixed so traces are uniform across tasks.
+BACKTRACK_TEMPLATE = (
+    MARKER_PHRASE + " {observation} "
+    "Let me go back to step {step} and keep thinking from there."
+)
+
+# Closing sentence of every trace.
+CONCLUSION = "This matches the problem statement. This is the solution."
+
 
 @dataclass(frozen=True)
-class Step:
-    """A numbered reasoning step. ``index`` is 1-based."""
+class Detour:
+    """One wrong excursion: the step it branches from (the trace returns
+    there afterwards), the texts of the wrong steps it walks, and why the
+    branch is dead."""
 
-    index: int
-    text: str
-
-
-@dataclass(frozen=True)
-class BacktrackMarker:
-    """Marks abandoning the current branch and returning to an earlier step."""
-
-    return_to_step: int
-    text: str
-
-
-@dataclass(frozen=True)
-class Conclusion:
-    text: str
-
-
-TraceEvent = Union[Step, BacktrackMarker, Conclusion]
+    resume_step: int        # 1-based number of the branch-point step
+    steps: tuple            # wrong step texts, in walk order
+    observation: str        # the task's reason for abandoning the branch
 
 
 @dataclass
 class ReasoningTrace:
-    """A linearized search: ordered events, final answer, backtrack count."""
+    """A solve with its detours: the solution path's step texts, the
+    detours sorted by resume step (those at one step in selection order),
+    and the final answer."""
 
-    events: tuple
+    steps: tuple
+    detours: tuple
     answer: str
-    backtracks: int
     meta: dict = field(default_factory=dict)
+
+    @property
+    def backtracks(self) -> int:
+        return len(self.detours)
 
 
 @dataclass
@@ -178,32 +187,42 @@ def extract_tags(completion: str) -> TaggedOutput:
                         False)
 
 
-def render_think_body(events) -> str:
-    """Join trace events into the text inside the think block.
+def render_think_body(trace: ReasoningTrace) -> str:
+    """The text inside the think block.
 
-    Events are joined by single spaces; each backtrack marker ends its
-    line, so every return to an earlier step starts on a fresh line.
+    Steps are numbered from 1 and joined by single spaces. Each detour
+    follows its resume step: its wrong steps continue the numbering, and
+    the backtrack marker names the resume step, carries the observation
+    and ends the line, so numbering resumes on a fresh line. The
+    conclusion closes the last line. Raises ValueError for a detour that
+    cannot be placed: its resume step is not a step of the trace, or it
+    comes after a detour at a later step.
     """
     lines = []
     current: list[str] = []
-    for ev in events:
-        if isinstance(ev, Step):
-            current.append(f"Step {ev.index}: {ev.text}")
-        elif isinstance(ev, BacktrackMarker):
-            current.append(ev.text)
+    detours = iter(trace.detours)
+    det = next(detours, None)
+    for pos, text in enumerate(trace.steps, start=1):
+        current.append(f"Step {pos}: {text}")
+        while det is not None and det.resume_step == pos:
+            current.extend(f"Step {i}: {t}"
+                           for i, t in enumerate(det.steps, start=pos + 1))
+            current.append(BACKTRACK_TEMPLATE.format(
+                observation=det.observation, step=pos))
             lines.append(" ".join(current))
             current = []
-        elif isinstance(ev, Conclusion):
-            current.append(ev.text)
-        else:
-            raise TypeError(f"unknown trace event: {ev!r}")
+            det = next(detours, None)
+    if det is not None:
+        raise ValueError(f"detour at step {det.resume_step} is off the "
+                         f"{len(trace.steps)} steps or out of order")
+    current.append(CONCLUSION)
     lines.append(" ".join(current))
     return "\n".join(lines)
 
 
 def render_completion(trace: ReasoningTrace) -> str:
     """Render a trace into the exact completion format used for training."""
-    body = render_think_body(trace.events)
+    body = render_think_body(trace)
     return (
         f"{PREAMBLE}\n"
         f"{THINK_OPEN}\n"
@@ -224,11 +243,6 @@ def render_sft_record(instance: ProblemInstance, trace: ReasoningTrace) -> SftRe
     if traced_id is not None and traced_id != instance.id:
         raise ValueError(
             f"trace belongs to instance {traced_id}, not {instance.id}"
-        )
-    markers = sum(1 for ev in trace.events if isinstance(ev, BacktrackMarker))
-    if markers != trace.backtracks:
-        raise ValueError(
-            f"trace claims {trace.backtracks} backtracks but has {markers} markers"
         )
     return SftRecord(
         instance_id=instance.id,

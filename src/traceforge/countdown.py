@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -499,8 +498,7 @@ def check(instance: ProblemInstance, text: str):
     value, used = parsed
     if value != target:
         return True, False
-    available = Counter(numbers)
-    return True, all(available[num] >= cnt for num, cnt in used.items())
+    return True, all(numbers.count(num) >= cnt for num, cnt in used.items())
 
 
 # --- instances ---------------------------------------------------------------

@@ -25,6 +25,7 @@ from functools import partial
 from typing import Optional
 
 from .core import (
+    MARKER_PHRASE,
     ProblemInstance,
     SftRecord,
     TaskKind,
@@ -32,7 +33,6 @@ from .core import (
     render_sft_record,
 )
 from .reward import CATEGORIES, pair_completions, score
-from .search import MARKER_PHRASE
 from .tasks import TASKS
 
 SCHEMA_VERSION = 1

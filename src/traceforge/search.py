@@ -5,10 +5,11 @@ root-to-solution path, with intermediate states as nodes, so each path
 node's first child is the next path step. The trace builder injects a
 controlled number of wrong-branch detours, each of which adds its own
 nodes when the task's extend walks it off a path node, so a tree holds
-the path plus the detours taken and nothing else. The result is
-verbalized as an ordered event list. The number of backtrack markers in
-the rendered trace equals the number of injected detours exactly, which is
-the knob the dataset builders expose.
+the path plus the detours taken and nothing else. The result is a
+:class:`~traceforge.core.ReasoningTrace`: the path's step texts plus each
+detour's wrong step texts, so the rendered trace holds exactly one
+backtrack marker per injected detour, which is the knob the dataset
+builders expose.
 """
 
 from __future__ import annotations
@@ -17,28 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core import (
-    BacktrackMarker,
-    Conclusion,
-    GenerationError,
-    ReasoningTrace,
-    Step,
-    derive_seed,
-)
-
-# Opening of every backtrack; counting it recovers a completion's
-# backtrack count when the trace itself is not at hand.
-MARKER_PHRASE = "Wait, this doesn't lead to the correct solution."
-
-# Template for every backtrack. The observation sentence is task-specific;
-# the surrounding wording is fixed so traces are uniform across tasks.
-BACKTRACK_TEMPLATE = (
-    MARKER_PHRASE + " {observation} "
-    "Let me go back to step {step} and keep thinking from there."
-)
-
-# Closing sentence of every trace.
-CONCLUSION = "This matches the problem statement. This is the solution."
+from .core import Detour, GenerationError, ReasoningTrace, derive_seed
 
 # Puzzles sampled per traced record before giving up.
 MAX_TRACE_RETRIES = 50
@@ -93,17 +73,6 @@ def solution_path(tree: SearchTree) -> list[int]:
     return path
 
 
-@dataclass(frozen=True)
-class Detour:
-    """One wrong excursion: which nodes it visits, the step number of its
-    branch point (the trace returns there afterwards), and why it is
-    dead."""
-
-    wrong_path: tuple       # node ids walked down the wrong branch
-    resume_step: int        # 1-based path index of the branch point
-    observation: str        # the task's reason for abandoning the branch
-
-
 # ``extend(tree, branch_id, rng)`` walks one wrong branch from the branch
 # point, starting with a sibling step that is not yet one of its children
 # (so neither the solution path's step nor an earlier detour's), adds the
@@ -116,7 +85,8 @@ ExtendFn = Callable[[SearchTree, int, random.Random], Optional[tuple]]
 def select_detours(tree: SearchTree, path: list, k: int, rng: random.Random,
                    extend_fn: ExtendFn) -> list:
     """Choose ``k`` detours along the solution path, each built by the
-    task's ``extend_fn``; returns them sorted by resume step.
+    task's ``extend_fn`` and read off as its walk's state texts; returns
+    them sorted by resume step, those at one step in selection order.
 
     Branch points are drawn uniformly without replacement from the path
     positions that can host a detour (the root and the final node are
@@ -142,7 +112,9 @@ def select_detours(tree: SearchTree, path: list, k: int, rng: random.Random,
                 active.discard(pos)
                 continue
             wrong, observation = found
-            detours.append(Detour(tuple(wrong), pos, observation))
+            detours.append(Detour(
+                pos, tuple(tree.nodes[nid].state_text for nid in wrong),
+                observation))
     if len(detours) < k:
         raise GenerationError(
             f"tree hosts {len(detours)} of {k} requested detours")
@@ -152,63 +124,17 @@ def select_detours(tree: SearchTree, path: list, k: int, rng: random.Random,
 
 def linearize(tree: SearchTree, path: list, detours: list,
               answer: str) -> ReasoningTrace:
-    """Interleave the solution path with detours into an event sequence.
-
-    Each node's step text is its stored state text. Each detour is
-    inserted immediately after its branch-point step: the wrong steps
-    continue the numbering, the backtrack marker names the branch-point
-    step and carries the detour's observation, and numbering resumes from
-    there. The trace ends with ``CONCLUSION`` and carries ``answer``.
-    Malformed detour references (a resume step off the path, or a wrong
-    path that does not start at a child of the path node at that step)
-    raise ValueError.
-    """
-    by_position: dict[int, list] = {}
-    for det in detours:
-        if det.resume_step < 1 or det.resume_step >= len(path):
-            raise ValueError(f"detour resume step {det.resume_step} is off the path")
-        if not det.wrong_path:
-            raise ValueError("detour has an empty wrong path")
-        if det.wrong_path[0] not in tree.nodes[path[det.resume_step]].children:
-            raise ValueError("detour does not start at a child of its branch point")
-        by_position.setdefault(det.resume_step, []).append(det)
-
-    events: list = []
-    for pos in range(1, len(path)):
-        events.append(Step(pos, tree.nodes[path[pos]].state_text))
-        for det in by_position.get(pos, ()):  # noqa: B020 - insertion order
-            for widx, nid in enumerate(det.wrong_path, start=pos + 1):
-                events.append(Step(widx, tree.nodes[nid].state_text))
-            events.append(BacktrackMarker(pos, BACKTRACK_TEMPLATE.format(
-                observation=det.observation, step=pos)))
-    events.append(Conclusion(CONCLUSION))
-    return ReasoningTrace(
-        events=tuple(events),
-        answer=answer,
-        backtracks=len(detours),
-    )
+    """The trace of a solve: the state texts of the path after the root as
+    its steps, ``detours`` as :func:`select_detours` returns them, and
+    ``answer``."""
+    return ReasoningTrace(tuple(tree.nodes[nid].state_text for nid in path[1:]),
+                          tuple(detours), answer)
 
 
 def strip_detours(trace: ReasoningTrace) -> ReasoningTrace:
-    """Remove every detour, recovering the direct solution trace.
-
-    Replays the event list with a stack: a backtrack marker pops all steps
-    numbered above its return target, and the marker itself is dropped.
-    The result renders identically to a trace built with zero detours.
-    """
-    kept: list = []
-    for ev in trace.events:
-        if isinstance(ev, BacktrackMarker):
-            while kept and isinstance(kept[-1], Step) and kept[-1].index > ev.return_to_step:
-                kept.pop()
-        else:
-            kept.append(ev)
-    return ReasoningTrace(
-        events=tuple(kept),
-        answer=trace.answer,
-        backtracks=0,
-        meta=dict(trace.meta),
-    )
+    """The same solve without its detours, which renders identically to a
+    trace built with zero detours."""
+    return ReasoningTrace(trace.steps, (), trace.answer, dict(trace.meta))
 
 
 def sample_named(task: str, instance_id: int, seed: int, sample: Callable,

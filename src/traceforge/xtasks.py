@@ -15,7 +15,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -26,30 +26,25 @@ from .core import ProblemInstance, TaskKind
 def round_half_away(value, places: int) -> str:
     """Fixed-point string with ties rounded away from zero.
 
-    Accepts float, Fraction or Decimal. Fractions are rounded exactly,
-    without passing through binary floating point. Negative zero is
-    normalized to plain zero.
+    Accepts float, Fraction or Decimal, and rounds it exactly: a float is
+    read as the shortest decimal that gives it back (its ``repr``), never
+    through binary floating point. Negative zero is normalized to plain
+    zero.
     """
-    if isinstance(value, Fraction):
-        scaled = value * 10 ** places
-        sign = -1 if scaled < 0 else 1
-        n, d = abs(scaled.numerator), scaled.denominator
-        q, r = divmod(n, d)
-        if 2 * r >= d:
-            q += 1
-        q *= sign
-        if places:
-            digits = str(abs(q)).rjust(places + 1, "0")
-            out = f"{digits[:-places]}.{digits[-places:]}"
-        else:
-            out = str(abs(q))
-        return f"-{out}" if q < 0 else out
-    quantum = Decimal(1).scaleb(-places)
-    d = Decimal(repr(value)) if isinstance(value, float) else Decimal(value)
-    d = d.quantize(quantum, rounding=ROUND_HALF_UP)
-    if d.is_zero():
-        d = abs(d)
-    return str(d)
+    exact = Fraction(repr(value)) if isinstance(value, float) else Fraction(value)
+    scaled = exact * 10 ** places
+    sign = -1 if scaled < 0 else 1
+    n, d = abs(scaled.numerator), scaled.denominator
+    q, r = divmod(n, d)
+    if 2 * r >= d:
+        q += 1
+    q *= sign
+    if places:
+        digits = str(abs(q)).rjust(places + 1, "0")
+        out = f"{digits[:-places]}.{digits[-places:]}"
+    else:
+        out = str(abs(q))
+    return f"-{out}" if q < 0 else out
 
 
 # --- triangle geometry -------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import re
 from collections import Counter
+from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from traceforge import arc1d, countdown, sudoku
@@ -138,6 +139,35 @@ def arc1d_task(instance) -> arc1d.Arc1dTask:
         tuple(instance.meta["test_input"]),
         rule,
     )
+
+
+# --- decimal formatting ------------------------------------------------------
+
+def round_half_away_reference(value, places: int) -> str:
+    """Half-away-from-zero rounding as the package once did it: Fractions
+    by integer division, anything else through ``Decimal.quantize`` on its
+    ``repr``. Values past 28 significant digits at ``places`` overflow the
+    default decimal context."""
+    if isinstance(value, Fraction):
+        scaled = value * 10 ** places
+        sign = -1 if scaled < 0 else 1
+        n, d = abs(scaled.numerator), scaled.denominator
+        q, r = divmod(n, d)
+        if 2 * r >= d:
+            q += 1
+        q *= sign
+        if places:
+            digits = str(abs(q)).rjust(places + 1, "0")
+            out = f"{digits[:-places]}.{digits[-places:]}"
+        else:
+            out = str(abs(q))
+        return f"-{out}" if q < 0 else out
+    quantum = Decimal(1).scaleb(-places)
+    d = Decimal(repr(value)) if isinstance(value, float) else Decimal(value)
+    d = d.quantize(quantum, rounding=ROUND_HALF_UP)
+    if d.is_zero():
+        d = abs(d)
+    return str(d)
 
 
 # --- self-referential statements ---------------------------------------------

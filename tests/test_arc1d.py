@@ -7,8 +7,7 @@ from helpers import arc1d_task
 from traceforge import arc1d as a1
 from traceforge import pipeline
 from traceforge.core import (
-    BacktrackMarker,
-    Step,
+    MARKER_PHRASE,
     TaskKind,
     derive_seed,
     extract_tags,
@@ -167,8 +166,7 @@ def test_consistent_rules_accepts_lists_and_matches_direct_check():
 @pytest.mark.parametrize("k", [0, 1, 5, 10])
 def test_trace_marker_count_is_exact(k):
     inst, trace = a1.build_traced(1, derive_seed(51, 1), k)
-    markers = [ev for ev in trace.events if isinstance(ev, BacktrackMarker)]
-    assert len(markers) == k
+    assert render_completion(trace).count(MARKER_PHRASE) == k
     assert trace.backtracks == k
 
 
@@ -181,7 +179,7 @@ def test_every_detour_is_one_wrong_attempt(k):
         detours = a1.select_detours(tree, path, k, random.Random(i),
                                     a1._extend)
         assert len(detours) == k
-        assert all(len(det.wrong_path) == 1 for det in detours)
+        assert all(len(det.steps) == 1 for det in detours)
 
 
 def _first_miss(r, pairs):
@@ -196,22 +194,20 @@ def test_attempt_text_and_observation_match_first_miss_oracle():
     for i, task in enumerate(sample_tasks(50, master=717)):
         pairs = task.train_pairs
         trace = a1.make_trace(task, 16, random.Random(i))
-        events = list(trace.events)
         seen = set()
-        for ev, nxt in zip(events, events[1:]):
-            if not isinstance(nxt, BacktrackMarker):
-                continue
-            assert isinstance(ev, Step)
-            d = ev.text.split("'")[1]
+        for det in trace.detours:
+            attempt, = det.steps
+            d = attempt.split("'")[1]
             r = descriptions[d]
             m = _first_miss(r, pairs)
             assert m is not None
             inp = pairs[m - 1][0]
-            assert ev.text == (f"try the rule '{d}': on example {m}, "
+            assert attempt == (f"try the rule '{d}': on example {m}, "
                                f"{a1.render_grid(inp)} would become "
                                f"{a1.render_grid(r.apply(inp))}.")
-            assert (f"The expected output for example {m} is "
-                    f"{a1.render_grid(pairs[m - 1][1])}.") in nxt.text
+            assert det.observation == (
+                f"The expected output for example {m} is "
+                f"{a1.render_grid(pairs[m - 1][1])}.")
             seen.add(r)
         assert len(seen) == 16 and task.hidden_rule not in seen
 
@@ -251,11 +247,10 @@ def test_trace_answer_is_expected_output():
 def test_trace_observation_reveals_expected_output():
     inst, trace = a1.build_traced(2, derive_seed(57, 2), 5)
     task = arc1d_task(inst)
-    for ev in trace.events:
-        if isinstance(ev, BacktrackMarker):
-            assert ev.text.count("The expected output for example") == 1
-            m = int(ev.text.split("example ")[1].split(" ")[0])
-            assert 1 <= m <= len(task.train_pairs)
+    for det in trace.detours:
+        assert det.observation.count("The expected output for example") == 1
+        m = int(det.observation.split("example ")[1].split(" ")[0])
+        assert 1 <= m <= len(task.train_pairs)
 
 
 def test_strip_detours_matches_plain_build():

@@ -4,12 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traceforge.core import (
-    BacktrackMarker,
-    Conclusion,
+    BACKTRACK_TEMPLATE,
+    CONCLUSION,
     PREAMBLE,
+    Detour,
     ProblemInstance,
     ReasoningTrace,
-    Step,
     TaskKind,
     derive_seed,
     extract_tags,
@@ -128,23 +128,12 @@ GOLDEN_COMPLETION = (
 
 
 def _golden_trace():
-    marker = (
-        "Wait, this doesn't lead to the correct solution. 885 is not the "
-        "correct answer. Let me go back to step 2 and keep thinking from there."
-    )
     return ReasoningTrace(
-        events=(
-            Step(1, "51 - 23 = 28."),
-            Step(2, "28 * 36 = 1008."),
-            Step(3, "1008 - 57 = 951."),
-            Step(4, "951 - 48 = 885."),
-            BacktrackMarker(2, marker),
-            Step(3, "1008 - 27 = 981."),
-            Step(4, "981 - 48 = 933."),
-            Conclusion("This matches the problem statement. This is the solution."),
-        ),
+        steps=("51 - 23 = 28.", "28 * 36 = 1008.", "1008 - 27 = 981.",
+               "981 - 48 = 933."),
+        detours=(Detour(2, ("1008 - 57 = 951.", "951 - 48 = 885."),
+                        "885 is not the correct answer."),),
         answer="51 - 36 * 36 - 57 - 48 - 27",
-        backtracks=1,
     )
 
 
@@ -159,25 +148,53 @@ def test_rendered_completion_is_well_formed():
 
 
 def test_render_think_body_marker_ends_its_line():
-    events = (
-        Step(1, "a."),
-        BacktrackMarker(1, "Wait. Back to step 1."),
-        Step(2, "b."),
-        Conclusion("done."),
-    )
-    assert render_think_body(events) == "Step 1: a. Wait. Back to step 1.\nStep 2: b. done."
+    trace = ReasoningTrace(("a.", "b."), (Detour(1, (), "Dead."),), "x")
+    assert render_think_body(trace) == (
+        "Step 1: a. " + BACKTRACK_TEMPLATE.format(observation="Dead.", step=1)
+        + "\nStep 2: b. " + CONCLUSION)
 
 
 def test_render_think_body_no_marker_single_line():
-    events = (Step(1, "a."), Step(2, "b."), Conclusion("done."))
-    body = render_think_body(events)
+    body = render_think_body(ReasoningTrace(("a.", "b."), (), "x"))
     assert "\n" not in body
-    assert body == "Step 1: a. Step 2: b. done."
+    assert body == "Step 1: a. Step 2: b. " + CONCLUSION
 
 
-def test_render_think_body_rejects_unknown_events():
-    with pytest.raises(TypeError):
-        render_think_body(("not an event",))
+# two detours at one step, rendered in selection order, each restarting
+# the numbering after step 1, frozen character for character
+TWO_AT_ONE_STEP = (
+    "Step 1: 6 + 4 = 10. Step 2: 10 * 3 = 30. Step 3: 30 - 2 = 28. "
+    "Wait, this doesn't lead to the correct solution. 28 is not the correct "
+    "answer. Let me go back to step 1 and keep thinking from there.\n"
+    "Step 2: 10 - 3 = 7. "
+    "Wait, this doesn't lead to the correct solution. 7 is not the correct "
+    "answer. Let me go back to step 1 and keep thinking from there.\n"
+    "Step 2: 10 + 3 = 13. Step 3: 13 + 2 = 15. "
+    "This matches the problem statement. This is the solution."
+)
+
+
+def test_render_think_body_two_detours_at_one_step():
+    trace = ReasoningTrace(
+        steps=("6 + 4 = 10.", "10 + 3 = 13.", "13 + 2 = 15."),
+        detours=(Detour(1, ("10 * 3 = 30.", "30 - 2 = 28."),
+                        "28 is not the correct answer."),
+                 Detour(1, ("10 - 3 = 7.",), "7 is not the correct answer.")),
+        answer="6 + 4 + 3 + 2",
+    )
+    assert render_think_body(trace) == TWO_AT_ONE_STEP
+    assert trace.backtracks == 2
+
+
+# past the last step: test_search::test_linearize_rejects_detour_off_the_path
+@pytest.mark.parametrize("resume_steps", [(0,), (3, 2)],
+                         ids=["before-step-1", "out-of-order"])
+def test_render_think_body_rejects_a_detour_it_cannot_place(resume_steps):
+    trace = ReasoningTrace(
+        ("a.", "b.", "c.", "d."),
+        tuple(Detour(p, ("wrong.",), "Dead.") for p in resume_steps), "x")
+    with pytest.raises(ValueError, match="off the 4 steps or out of order"):
+        render_think_body(trace)
 
 
 def test_render_completion_shape():
@@ -218,13 +235,6 @@ def test_render_sft_record_rejects_foreign_trace():
         render_sft_record(_instance(7), trace)
 
 
-def test_render_sft_record_rejects_marker_miscount():
-    trace = _golden_trace()
-    trace.backtracks = 3
-    with pytest.raises(ValueError):
-        render_sft_record(_instance(), trace)
-
-
 def test_task_kind_round_trips_through_value():
     for kind in TaskKind:
         assert TaskKind(kind.value) is kind
@@ -233,9 +243,6 @@ def test_task_kind_round_trips_through_value():
 @settings(max_examples=50)
 @given(st.lists(st.text(alphabet="ab ", min_size=1, max_size=8), min_size=1, max_size=6))
 def test_render_think_body_line_count_tracks_markers(texts):
-    events = [Step(i + 1, t) for i, t in enumerate(texts)]
-    events.append(BacktrackMarker(1, "Wait. Back to step 1."))
-    events.append(Step(2, "resume."))
-    events.append(Conclusion("done."))
-    body = render_think_body(events)
-    assert body.count("\n") == 1
+    trace = ReasoningTrace((texts[0], "resume."),
+                           (Detour(1, tuple(texts[1:]), "Dead."),), "x")
+    assert render_think_body(trace).count("\n") == 1

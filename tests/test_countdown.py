@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from traceforge import countdown as cd
 from traceforge import pipeline, search
 from traceforge.core import (
-    BacktrackMarker,
+    MARKER_PHRASE,
     GenerationError,
     ProblemInstance,
-    Step,
     TaskKind,
     derive_seed,
     render_completion,
@@ -350,6 +349,8 @@ def test_verify_checks_multiset_usage():
     assert cd.check(instance_of(puzzle), "5 + 5 + 3") == (True, True)
     # third 5 not available
     assert cd.check(instance_of(puzzle), "5 + 5 + 5 - 2") == (True, False)
+    assert cd.check(instance_of(cd.CountdownPuzzle((5, 5, 3), 15)),
+                    "5 + 5 + 5") == (True, False)
     # no 4 in the puzzle
     assert cd.check(instance_of(puzzle), "5 + 5 + 4") == (True, False)
     # wrong value
@@ -467,8 +468,7 @@ def test_witness_render_parse_roundtrip(seed):
 @pytest.mark.parametrize("k", [0, 1, 5, 10])
 def test_trace_marker_count_is_exact(k):
     inst, trace = cd.build_traced(3, derive_seed(11, 3), k)
-    markers = [ev for ev in trace.events if isinstance(ev, BacktrackMarker)]
-    assert len(markers) == k
+    assert render_completion(trace).count(MARKER_PHRASE) == k
     assert trace.backtracks == k
 
 
@@ -483,8 +483,8 @@ def test_trace_exactly_one_step_reaches_target():
     for i in range(8):
         inst, trace = cd.build_traced(i, derive_seed(33, i), 5)
         target = inst.meta["target"]
-        hits = [ev for ev in trace.events
-                if isinstance(ev, Step) and ev.text.endswith(f"= {target}.")]
+        texts = trace.steps + tuple(t for d in trace.detours for t in d.steps)
+        hits = [t for t in texts if t.endswith(f"= {target}.")]
         assert len(hits) == 1
 
 
@@ -503,14 +503,16 @@ def test_trace_detour_end_states_are_dead():
                 continue
         tree, _ = cd.solve_dfs(puzzle)
         path = solution_path(tree)
-        detours = cd.select_detours(
-            tree, path, 3, random.Random(derive_seed(55, i)),
-            partial(cd._extend, puzzle.target))
-        for det in detours:
-            end_values = tree.node(det.wrong_path[-1]).payload[0]
-            assert not countdown_solvable(end_values, puzzle.target)
-            for nid in det.wrong_path:
-                assert puzzle.target not in tree.node(nid).payload[0]
+        cd.select_detours(tree, path, 3, random.Random(derive_seed(55, i)),
+                          partial(cd._extend, puzzle.target))
+        # the nodes added after the solve are the detours' moves, and
+        # those without children end a detour
+        detour_nodes = tree.nodes[len(path):]
+        assert sum(not node.children for node in detour_nodes) == 3
+        for node in detour_nodes:
+            assert puzzle.target not in node.payload[0]
+            if not node.children:
+                assert not countdown_solvable(node.payload[0], puzzle.target)
 
 
 # SHA-256 of emit_sft(COUNTDOWN, 200, 10, master_seed=0) and its manifest:

@@ -4,7 +4,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from helpers import round_half_away_reference
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traceforge import xtasks as xt
@@ -65,6 +66,21 @@ def test_round_half_away_fraction_characterization(num, den, places):
         assert len(out.split(".")[1]) == places
     else:
         assert "." not in out
+
+
+@settings(max_examples=500)
+@given(value=st.floats(-1e16, 1e16) | st.decimals(-1000, 1000, places=4),
+       places=st.integers(0, 3))
+@example(2.675, 2)
+@example(-2.675, 2)
+@example(1.0005, 3)
+@example(-0.0, 2)
+@example(1e-07, 3)
+@example(-1e-07, 0)
+@example(1e16, 3)
+def test_round_half_away_matches_the_decimal_reference(value, places):
+    assert xt.round_half_away(value, places) == \
+        round_half_away_reference(value, places)
 
 
 def test_round_half_away_fraction_avoids_float_artifacts():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from functools import partial
 
 import pytest
@@ -8,16 +9,16 @@ from hypothesis import strategies as st
 
 from traceforge import arc1d, countdown, sudoku
 from traceforge.core import (
-    BacktrackMarker,
-    Conclusion,
+    BACKTRACK_TEMPLATE,
+    CONCLUSION,
+    MARKER_PHRASE,
     GenerationError,
     ReasoningTrace,
-    Step,
     derive_seed,
     render_completion,
+    render_think_body,
 )
 from traceforge.search import (
-    BACKTRACK_TEMPLATE,
     SearchTree,
     build_with_retries,
     linearize,
@@ -125,7 +126,7 @@ def test_select_detours_reuses_positions_when_k_exceeds_path():
     positions = [d.resume_step for d in detours]
     assert max(positions.count(p) for p in set(positions)) > 1
     # reused positions must take different wrong branches
-    first_moves = {(d.resume_step, d.wrong_path[0]) for d in detours}
+    first_moves = {(d.resume_step, d.steps[0]) for d in detours}
     assert len(first_moves) == 8
 
 
@@ -140,11 +141,17 @@ def test_select_detours_raises_when_the_tree_hosts_too_few():
 def test_select_detours_never_enters_the_solution_branch():
     tree = chain_tree(depth=5, branching=3)
     path = solution_path(tree)
-    on_path = set(path)
-    for det in select_detours(tree, path, 8, random.Random(11), plain_extend):
-        assert det.wrong_path[0] in tree.node(path[det.resume_step]).children
-        for nid in det.wrong_path:
-            assert nid not in on_path
+    solved = len(tree.nodes)
+    select_detours(tree, path, 8, random.Random(11), plain_extend)
+    parent = {child: nid for nid, node in enumerate(tree.nodes)
+              for child in node.children}
+    # every node a detour added hangs below a path node other than the
+    # root and the solution, through detour nodes only
+    for nid in range(solved, len(tree.nodes)):
+        up = parent[nid]
+        while up >= solved:
+            up = parent[up]
+        assert up in path[1:-1]
     assert tree.node(path[-1]).children == []
 
 
@@ -197,7 +204,7 @@ def test_tree_is_the_solution_path_plus_the_detours_taken(module, solve,
                 continue  # this puzzle hosts fewer than k detours
             hosted += 1
             assert len(tree.nodes) == len(path) + sum(
-                len(d.wrong_path) for d in detours)
+                len(d.steps) for d in detours)
             # detours come after the path child, so the first-child walk
             # still finds the path
             assert solution_path(tree) == path
@@ -212,16 +219,16 @@ def test_linearize_numbering_and_markers():
     path = solution_path(tree)
     detours = select_detours(tree, path, 2, random.Random(9), plain_extend)
     trace = plain_linearize(tree, path, detours)
-    markers = [ev for ev in trace.events if isinstance(ev, BacktrackMarker)]
-    assert len(markers) == 2
+    assert trace.steps == tuple(tree.node(nid).state_text for nid in path[1:])
     assert trace.backtracks == 2
-    assert isinstance(trace.events[-1], Conclusion)
-    # each marker names the step right before its detour began
-    for marker in markers:
-        text = BACKTRACK_TEMPLATE.format(
-            observation="That goes nowhere.", step=marker.return_to_step
-        )
-        assert marker.text == text
+    body = render_think_body(trace)
+    assert body.count(MARKER_PHRASE) == 2
+    assert body.endswith(CONCLUSION)
+    # each marker names the step right before its detour began and ends
+    # its line
+    for det, line in zip(trace.detours, body.split("\n")):
+        assert line.endswith(BACKTRACK_TEMPLATE.format(
+            observation="That goes nowhere.", step=det.resume_step))
 
 
 def test_linearize_wrong_steps_continue_numbering():
@@ -229,18 +236,12 @@ def test_linearize_wrong_steps_continue_numbering():
     path = solution_path(tree)
     detour, = select_detours(tree, path, 1, random.Random(4), plain_extend)
     trace = plain_linearize(tree, path, [detour])
-    indices = []
-    seen_marker = False
-    for ev in trace.events:
-        if isinstance(ev, BacktrackMarker):
-            seen_marker = True
-            continue
-        if isinstance(ev, Step):
-            indices.append(ev.index)
-    assert seen_marker
+    body = render_think_body(trace)
+    assert MARKER_PHRASE in body
+    indices = [int(n) for n in re.findall(r"Step (\d+): ", body)]
     # numbering climbs 1..pos, pos+1..pos+len(wrong), then back to pos+1
     pos = detour.resume_step
-    wrong = len(detour.wrong_path)
+    wrong = len(detour.steps)
     expect = list(range(1, pos + 1))
     expect += list(range(pos + 1, pos + wrong + 1))
     expect += list(range(pos + 1, len(path)))
@@ -248,31 +249,13 @@ def test_linearize_wrong_steps_continue_numbering():
 
 
 def test_linearize_rejects_detour_off_the_path():
+    # the renderer is where a detour meets the steps it resumes from
     tree = chain_tree(depth=3)
     path = solution_path(tree)
     det, = select_detours(tree, path, 1, random.Random(1), plain_extend)
     bad = dataclasses.replace(det, resume_step=len(path))
-    with pytest.raises(ValueError):
-        plain_linearize(tree, path, [bad])
-
-
-def test_linearize_rejects_mismatched_branch_point():
-    tree = chain_tree(depth=4)
-    path = solution_path(tree)
-    det, = select_detours(tree, path, 1, random.Random(1), plain_extend)
-    other_pos = 1 if det.resume_step != 1 else 2
-    bad = dataclasses.replace(det, resume_step=other_pos)
-    with pytest.raises(ValueError):
-        plain_linearize(tree, path, [bad])
-
-
-def test_linearize_rejects_detached_wrong_path():
-    tree = chain_tree(depth=4)
-    path = solution_path(tree)
-    det, = select_detours(tree, path, 1, random.Random(1), plain_extend)
-    bad = dataclasses.replace(det, wrong_path=(path[-1],))
-    with pytest.raises(ValueError):
-        plain_linearize(tree, path, [bad])
+    with pytest.raises(ValueError, match="off the 3 steps or out of order"):
+        render_completion(plain_linearize(tree, path, [bad]))
 
 
 # --- detour removal ----------------------------------------------------------
@@ -313,7 +296,7 @@ def test_strip_detours_is_identity_on_clean_traces():
     tree = chain_tree(depth=5)
     path = solution_path(tree)
     trace = plain_linearize(tree, path, [])
-    assert strip_detours(trace).events == trace.events
+    assert strip_detours(trace) == trace
 
 
 @pytest.mark.parametrize("module", [countdown, arc1d],
@@ -350,7 +333,7 @@ class RetryStub:
     def make_trace(self, puzzle, k, rng):
         if self.errors:
             raise self.errors.pop(0)
-        return ReasoningTrace(events=(), answer=str(puzzle), backtracks=k)
+        return ReasoningTrace(steps=(), detours=(), answer=str(puzzle))
 
 
 def test_generation_error_moves_to_the_next_attempt():

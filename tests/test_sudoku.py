@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from traceforge import pipeline
 from traceforge import sudoku as sd
 from traceforge.core import (
-    BacktrackMarker,
-    Step,
+    MARKER_PHRASE,
     TaskKind,
     derive_seed,
     extract_tags,
@@ -326,8 +325,7 @@ def test_detours_at_a_branch_point_take_distinct_candidates():
 @pytest.mark.parametrize("k", [0, 1, 5, 10])
 def test_trace_marker_count_is_exact(k):
     inst, trace = sd.build_traced(2, derive_seed(17, 2), k)
-    markers = [ev for ev in trace.events if isinstance(ev, BacktrackMarker)]
-    assert len(markers) == k
+    assert render_completion(trace).count(MARKER_PHRASE) == k
     assert trace.backtracks == k
 
 
@@ -340,10 +338,9 @@ def test_trace_answer_is_solution_grid():
 
 def test_trace_observation_names_a_cell():
     _, trace = sd.build_traced(1, derive_seed(23, 1), 5)
-    for ev in trace.events:
-        if isinstance(ev, BacktrackMarker):
-            assert ("cannot go in row" in ev.text
-                    or "no digit that can go in row" in ev.text)
+    for det in trace.detours:
+        assert ("cannot go in row" in det.observation
+                or "no digit that can go in row" in det.observation)
 
 
 PLACE = re.compile(r"place (\d) at row (\d), column (\d)\.")
@@ -369,36 +366,36 @@ def expected_observation(givens, placements, first_wrong):
             f"column {cell % 9 + 1}.")
 
 
+def place(text):
+    """(cell, digit) of a ``place d at row r, column c.`` step."""
+    d, r, c = map(int, PLACE.fullmatch(text).groups())
+    return (r - 1) * 9 + c - 1, d
+
+
 def test_trace_observation_matches_replayed_grid_oracle():
-    # replay every step onto the givens; a marker's observation must match
-    # what the grid the detour left shows
+    # replay each detour's steps onto the givens after the path steps up
+    # to its resume step; its observation must match what that grid shows
     stuck = wrong_digit = 0
     for i in range(40):
         inst, trace = sd.build_traced(i, derive_seed(606, i), 10)
         givens = sudoku_puzzle(inst).givens
-        steps = []  # (cell, digit) of steps 1..n of the current line
-        for ev in trace.events:
-            if isinstance(ev, Step):
-                d, r, c = map(int, PLACE.fullmatch(ev.text).groups())
-                del steps[ev.index - 1:]
-                steps.append(((r - 1) * 9 + c - 1, d))
-            elif isinstance(ev, BacktrackMarker):
-                pos = ev.return_to_step
-                want = expected_observation(givens, steps, pos)
-                assert f" {want} " in ev.text
-                if want.startswith("There is no digit"):
-                    stuck += 1
-                else:
-                    wrong_digit += 1
-                del steps[pos:]
+        path = [place(text) for text in trace.steps]
+        for det in trace.detours:
+            pos = det.resume_step
+            steps = path[:pos] + [place(text) for text in det.steps]
+            want = expected_observation(givens, steps, pos)
+            assert det.observation == want
+            if want.startswith("There is no digit"):
+                stuck += 1
+            else:
+                wrong_digit += 1
     assert (stuck, wrong_digit) == (290, 110)
 
 
 def test_trace_wrong_steps_use_solver_vocabulary():
     _, trace = sd.build_traced(3, derive_seed(29, 3), 5)
-    for ev in trace.events:
-        if isinstance(ev, Step):
-            assert ev.text.startswith("place ")
+    for text in trace.steps + tuple(t for d in trace.detours for t in d.steps):
+        assert text.startswith("place ")
 
 
 def test_strip_detours_matches_plain_build():
