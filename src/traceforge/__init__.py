@@ -14,7 +14,7 @@ from .core import (
     render_sft_record,
 )
 from .reward import ScoreBreakdown, classify, pass_at_1, score
-from .search import SearchTree, select_detours, solution_path, strip_detours
+from .search import select_detours, solution_path, strip_detours
 
 __all__ = [
     "GenerationError",
@@ -24,7 +24,6 @@ __all__ = [
     "SftRecord",
     "TaggedOutput",
     "TaskKind",
-    "SearchTree",
     "classify",
     "derive_seed",
     "extract_tags",

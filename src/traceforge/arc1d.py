@@ -5,13 +5,13 @@ drawn from a fixed pool, plus a test input. Generation guarantees that
 exactly one rule in the pool explains all example pairs, so the intended
 rule is recoverable. The solver scores every pool rule against the first
 example (number of cells it predicts correctly) and tries rules in
-descending score order, which yields a natural search tree: plausible but
-wrong rules come first and make good detours.
+descending score order, so plausible but wrong rules come first and make
+good detours.
 
 The rule analysis (:func:`_rule_analysis`) is shared: the solver reads
 what :func:`generate`'s uniqueness test computed for the same examples.
-The solved tree is the solution path alone, and a wrong attempt's node is
-built only when a detour takes it.
+A solve returns the solution path alone, and a wrong attempt's text is
+made only when a detour takes it.
 
 Grids are tuples of color digits 0..9; 0 is the background.
 """
@@ -30,7 +30,7 @@ from .core import (
     TaskKind,
 )
 from .search import (
-    SearchTree,
+    SearchNode,
     build_with_retries,
     linearize,
     sample_named,
@@ -284,16 +284,18 @@ def render_grid(grid) -> str:
 
 
 def heuristic_solve(task: Arc1dTask):
-    """Try pool rules in plausibility order; build the tree of attempts.
+    """Try pool rules in plausibility order; returns the solution path and
+    the winning rule.
 
     Plausibility is cell agreement with the first example pair, ties broken
     by pool position, so the ordering is deterministic. The winner is the
     first rule in that order that fits every example; :func:`generate`
     proves it is the only one, and the rule analysis is shared with it.
-    The tree holds only the solution path: root, a study step, the attempt
-    of the winner, and its application to the test input. The study
-    node's payload is every wrong attempt in plausibility order, as (pool
-    index, first miss), for :func:`_extend` to take.
+    The path is four nodes: root, a study step, the attempt of the winner,
+    and its application to the test input. A node's payload is the wrong
+    attempts left to try after it, for :func:`_extend` to take: at the
+    study node every one in plausibility order, as (pool index, first
+    miss), and none at the winner's. No node has a key.
     """
     analysis = _rule_analysis(task.train_pairs)
     first_out = task.train_pairs[0][1]
@@ -303,63 +305,50 @@ def heuristic_solve(task: Arc1dTask):
     win = next(idx for idx in order if analysis[idx][1] is None)
     winner = RULE_POOL[win]
 
-    tree = SearchTree()
-    root = tree.add_node("")
-    study = tree.add_node(
-        "compare each example input to its output to work out the rule.",
-        parent=root,
-        payload=tuple((idx, analysis[idx][1]) for idx in order
-                      if idx != win),
-    )
-    winner_node = tree.add_node(
-        f"try the rule '{winner.description}': "
-        f"it matches all {len(task.train_pairs)} examples.",
-        parent=study)
-    tree.add_node(
-        f"apply the rule '{winner.description}' to the test input: "
-        f"{render_grid(task.test_input)} becomes "
-        f"{render_grid(winner.apply(task.test_input))}.",
-        parent=winner_node,
-    )
-    return tree, winner
+    return [
+        SearchNode(""),
+        SearchNode(
+            "compare each example input to its output to work out the rule.",
+            tuple((idx, analysis[idx][1]) for idx in order if idx != win)),
+        SearchNode(f"try the rule '{winner.description}': "
+                   f"it matches all {len(task.train_pairs)} examples.", ()),
+        SearchNode(f"apply the rule '{winner.description}' to the test input: "
+                   f"{render_grid(task.test_input)} becomes "
+                   f"{render_grid(winner.apply(task.test_input))}."),
+    ], winner
 
 
 # --- traces ------------------------------------------------------------------
 
-def _extend(tree: SearchTree, branch_id, rng):
+def _extend(attempts, taken, rng):
     """Try one wrong rule from the study node: a random one of its wrong
-    attempts, in plausibility order, that is not yet a child there. The
-    attempt's text shows its prediction on the first example its rule gets
-    wrong, and the observation is that example's expected output. Only
-    the study node hosts detours."""
-    branch = tree.nodes[branch_id]
-    if branch.payload is None:
-        return None
-    taken = {tree.nodes[c].payload for c in branch.children}
-    candidates = [a for a in branch.payload if a[0] not in taken]
+    ``attempts``, in plausibility order, whose pool index is not in
+    ``taken``. The attempt's text shows its prediction on the first
+    example its rule gets wrong, and the observation is that example's
+    expected output. Returns (the pool index, the one attempt text, the
+    observation), or None when no attempt is left."""
+    candidates = [a for a in attempts if a[0] not in taken]
     if not candidates:
         return None
     idx, (m, inp, pred, out) = candidates[rng.randrange(len(candidates))]
-    wrong = tree.add_node(f"try the rule '{RULE_POOL[idx].description}': on "
-                          f"example {m}, {render_grid(inp)} would become "
-                          f"{render_grid(pred)}.", parent=branch_id,
-                          payload=idx)
-    return [wrong], (f"The expected output for example {m} is "
-                     f"{render_grid(out)}.")
+    text = (f"try the rule '{RULE_POOL[idx].description}': on example {m}, "
+            f"{render_grid(inp)} would become {render_grid(pred)}.")
+    return idx, [text], (f"The expected output for example {m} is "
+                         f"{render_grid(out)}.")
 
 
 def make_trace(task: Arc1dTask, k: int, rng: random.Random):
     """Trace the rule search with exactly ``k`` wrong attempts.
 
-    Every detour tries one inconsistent rule and abandons it; attempt
-    nodes have no children, so a detour is one wrong node and k is capped
-    by the pool size minus the hidden rule.
+    Every detour tries one inconsistent rule and abandons it, so a detour
+    is one wrong step and k is capped by the pool size minus the hidden
+    rule.
     """
     if k >= len(RULE_POOL):
         raise ValueError(f"at most {len(RULE_POOL) - 1} detours are possible, got {k}")
-    tree, rule = heuristic_solve(task)
-    path = solution_path(tree)
-    return linearize(tree, path, select_detours(tree, path, k, rng, _extend),
+    nodes, rule = heuristic_solve(task)
+    path = solution_path(nodes)
+    return linearize(nodes, path, select_detours(nodes, path, k, rng, _extend),
                      render_grid(rule.apply(task.test_input)))
 
 

@@ -35,6 +35,18 @@ def _parse_seed(text: str) -> int:
     return value
 
 
+def _worker_count(text: str) -> int:
+    """A --workers value: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _seed_from(args) -> int:
     env = os.environ.get("FORGE_SEED")
     if env is not None:
@@ -145,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", required=True, type=int)
     p.add_argument("--seed", default="0")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser("build", help="write the paper's dataset layout")
@@ -153,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", required=True, type=int,
                    help="instances per task and records per traced file")
     p.add_argument("--seed", default="0")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("shuffle", help="derange completions across records")

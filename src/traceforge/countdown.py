@@ -8,8 +8,8 @@ puzzle has a solution of at least one move. Solving is DFS over combine
 moves with dead-state memoization, which finds the first solution in move
 order; three-value states are settled by set lookup rather than searched.
 The solution's moves, rendered as infix text by :func:`render_moves`, are
-the answer. The tree a solve returns is the solution path alone; a detour
-adds only the moves it walks.
+the answer. A solve returns the solution path alone, and a detour is the
+texts of the moves it walks.
 Answers are verified only by :func:`check`, through :func:`parse_answer`.
 """
 
@@ -28,7 +28,7 @@ from .core import (
 )
 from .search import (
     MAX_DETOUR_DEPTH,
-    SearchTree,
+    SearchNode,
     build_with_retries,
     linearize,
     sample_named,
@@ -285,48 +285,42 @@ def _find_solution(values, target):
     return None
 
 
-def _add_move(tree: SearchTree, parent: int, move) -> int:
-    """Add the child that ``move`` makes from ``parent``'s values."""
+def _move_text(move) -> str:
     _, _, op, x, y, result, _ = move
-    values = _apply_move(tree.nodes[parent].payload[0], move)
-    return tree.add_node(f"{x} {op} {y} = {result}.", parent=parent,
-                         payload=(tuple(values), move))
+    return f"{x} {op} {y} = {result}."
 
 
 def solve_dfs(puzzle: CountdownPuzzle):
-    """Solve a generated puzzle; returns the search tree and the answer.
+    """Solve a generated puzzle; returns the solution path and the answer.
 
-    The tree holds only the path of :func:`_find_solution`: the root, then
-    one node per move. Each node's payload is (the values it leaves, the
-    move that made it, None at the root); :func:`_extend` adds a detour's
-    moves when it takes one. The answer is :func:`render_moves` of the moves.
+    The path is that of :func:`_find_solution`: the root, then one node
+    per move, whose payload is the values it leaves and whose key is the
+    move. The answer is :func:`render_moves` of the moves.
     """
     values = tuple(puzzle.numbers)
     steps = _find_solution(values, puzzle.target)
-    tree = SearchTree()
-    node = tree.add_node("", payload=(values, None))
+    nodes = [SearchNode("", values)]
     for step in steps:
-        node = _add_move(tree, node, step)
-    return tree, render_moves(puzzle.numbers, steps)
+        values = tuple(_apply_move(values, step))
+        nodes.append(SearchNode(_move_text(step), values, step))
+    return nodes, render_moves(puzzle.numbers, steps)
 
 
 # --- traces ------------------------------------------------------------------
 
-def _extend(target: int, tree: SearchTree, branch_id, rng):
-    """Detour extension: walk a wrong branch, then insist it is dead.
+def _extend(target: int, values, taken, rng):
+    """Walk a wrong branch from ``values``, then insist it is dead.
 
-    The first move is one of the branch point's legal moves, in move
-    order, that neither makes the target nor is already a child there
-    (the path's step or an earlier detour's), matched as the whole move
-    tuple: with repeated numbers, two moves can read alike. A walk is
-    accepted only when no value along it equals the target and the values
-    remaining at its end cannot reach the target at all, so the trace's
-    claim of a dead end is literally true; only then are its nodes added.
-    The observation names the value the branch's last move made.
-    :func:`make_trace` binds ``target``.
+    The first move is one of the legal moves on ``values``, in move order,
+    that neither makes the target nor is in ``taken`` (the path's step or
+    an earlier detour's there), matched as the whole move tuple: with
+    repeated numbers, two moves can read alike. A walk is accepted only
+    when no value along it equals the target and the values remaining at
+    its end cannot reach the target at all, so the trace's claim of a dead
+    end is literally true. Returns (the first move, the walk's move texts,
+    an observation naming the value the last move made), or None when no
+    candidate's walk is dead. :func:`make_trace` binds ``target``.
     """
-    values = tree.nodes[branch_id].payload[0]
-    taken = [tree.nodes[c].payload[1] for c in tree.nodes[branch_id].children]
     candidates = [m for m in legal_moves(values)
                   if m[5] != target and m not in taken]
     rng.shuffle(candidates)
@@ -340,23 +334,21 @@ def _extend(target: int, tree: SearchTree, branch_id, rng):
             moves.append(options[rng.randrange(len(options))])
             end = _apply_move(end, moves[-1])
         if not reachable(end, target):
-            wrong = [branch_id]
-            for move in moves:
-                wrong.append(_add_move(tree, wrong[-1], move))
-            return wrong[1:], f"{end[-1]} is not the correct answer."
+            return (first, [_move_text(m) for m in moves],
+                    f"{end[-1]} is not the correct answer.")
     return None
 
 
 def make_trace(puzzle: CountdownPuzzle, k: int, rng: random.Random):
     """Solve and linearize with exactly ``k`` backtracks.
 
-    Raises GenerationError when the puzzle's tree cannot host k dead
-    detours (callers resample a fresh puzzle).
+    Raises GenerationError when the puzzle's solution path cannot host k
+    dead detours (callers resample a fresh puzzle).
     """
-    tree, answer = solve_dfs(puzzle)
-    path = solution_path(tree)
+    nodes, answer = solve_dfs(puzzle)
+    path = solution_path(nodes)
     extend = partial(_extend, puzzle.target)
-    return linearize(tree, path, select_detours(tree, path, k, rng, extend),
+    return linearize(nodes, path, select_detours(nodes, path, k, rng, extend),
                      answer)
 
 

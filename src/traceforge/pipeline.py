@@ -43,7 +43,9 @@ LAYOUT_DEPTHS = (0, 1, 5, 10)
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Provenance for one emitted file; enough to regenerate it exactly."""
+    """The schema, task, count, backtracks, seed and SHA-256 of one
+    emitted file. They regenerate an instances or traced file; a shuffled
+    file's manifest omits its source and the source's k (ROADMAP item 7)."""
 
     schema_version: int
     task: str

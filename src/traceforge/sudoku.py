@@ -11,9 +11,8 @@ two digits over a group of blank cells that every unit meets in both or
 neither of its cells holding them is a second completion found with no
 search, and the counting core runs only when no such group exists. The
 trace solver fills cells in plain row-major order, where multi-candidate
-cells are common and give detours room to branch; its tree is the
-solution path alone, and each detour adds only the wrong placements it
-walks.
+cells are common and give detours room to branch; it returns the solution
+path alone, and each detour is the texts of the wrong placements it walks.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Optional
 from .core import ProblemInstance, TaskKind
 from .search import (
     MAX_DETOUR_DEPTH,
-    SearchTree,
+    SearchNode,
     build_with_retries,
     linearize,
     select_detours,
@@ -319,68 +318,64 @@ def generate(rng: random.Random) -> SudokuPuzzle:
     return dig_holes(full, blanks, rng)
 
 
-# --- solving into a tree -----------------------------------------------------
+# --- solving -----------------------------------------------------------------
 
-def _place(tree, parent, grid, cell) -> int:
-    """Add the child of ``parent`` that places ``grid[cell]``."""
+def _place_text(grid, cell) -> str:
     r, c, _ = UNITS[cell]
-    return tree.add_node(f"place {grid[cell]} at row {r + 1}, column {c + 1}.",
-                         parent=parent, payload=tuple(grid))
+    return f"place {grid[cell]} at row {r + 1}, column {c + 1}."
 
 
 def solve_dfs(puzzle: SudokuPuzzle):
-    """Build the search tree for a puzzle's unique solution.
+    """The solution path of a puzzle's unique solution, and the solution.
 
-    The tree is the line of a plain backtracking solver that fills the
-    empty cells in row-major order and tries candidate digits ascending,
-    and it holds only the root-to-solution path: one node per empty cell,
-    placing the solution's digit. Because the solution is unique, any
-    other candidate is a dead branch, which :func:`_extend` adds when a
-    detour takes it. :func:`dig_holes` proves that uniqueness for every
-    generated puzzle.
+    The path is the line of a plain backtracking solver that fills the
+    empty cells in row-major order and tries candidate digits ascending:
+    the root, then one node per empty cell, placing the solution's digit.
+    Each node's payload is the grid after it, and its key is the digit it
+    placed. Because the solution is unique, any other candidate is a dead
+    branch, which :func:`_extend` walks when a detour takes it.
+    :func:`dig_holes` proves that uniqueness for every generated puzzle.
     """
-    tree = SearchTree()
     grid = list(puzzle.givens)
-    node = tree.add_node("", payload=tuple(grid))
+    nodes = [SearchNode("", puzzle.givens)]
     for cell in range(81):
         if not puzzle.givens[cell]:
             grid[cell] = puzzle.solution[cell]
-            node = _place(tree, node, grid, cell)
-    return tree, puzzle.solution
+            nodes.append(SearchNode(_place_text(grid, cell), tuple(grid),
+                                    grid[cell]))
+    return nodes, puzzle.solution
 
 
 # --- traces ------------------------------------------------------------------
 
-def _extend(tree, branch_id, rng):
-    """Place a wrong digit, walk on in the solver's cell order, and say why
-    the branch is dead.
+def _extend(grid, taken, rng):
+    """Place a wrong digit in ``grid``, walk on in the solver's cell
+    order, and say why the branch is dead.
 
-    The branch point's children fill its grid's first empty cell; the
-    wrong digit is drawn from that cell's candidates, ascending, that no
-    child has placed yet (the path's digit and earlier detours' digits).
-    The unit masks of the grid with the wrong digit placed, with the
-    walk's placements added in cell order, follow the whole walk. Every
-    branch off the solution path is dead by uniqueness, so unlike
-    countdown no reachability check is needed. The walk stops early when
-    the next cell has no digit left. The observation names the first
-    remaining empty cell with no candidate, else the wrong placement,
-    which the unique solution rules out.
+    The solver fills the grid's first empty cell next; the wrong digit is
+    drawn from that cell's candidates, ascending, that are not in
+    ``taken`` (the path's digit and earlier detours' digits there). The
+    unit masks of the grid with the wrong digit placed, with the walk's
+    placements added in cell order, follow the whole walk. Every branch
+    off the solution path is dead by uniqueness, so unlike countdown no
+    reachability check is needed. The walk stops early when the next cell
+    has no digit left. Returns (the wrong digit, the walk's placement
+    texts, an observation), or None when no wrong digit is left. The
+    observation names the first remaining empty cell with no candidate,
+    else the wrong placement, which the unique solution rules out.
     """
-    branch = tree.nodes[branch_id]
-    grid = branch.payload
     first = grid.index(0)
-    r, c, b = UNITS[first]
+    row, col, b = UNITS[first]
     box = b // 3 * 27 + b % 3 * 3  # the box's top left cell
-    taken = {*grid[r * 9:r * 9 + 9], *grid[c::9], *grid[box:box + 3],
-             *grid[box + 9:box + 12], *grid[box + 18:box + 21]}
-    taken.update(tree.nodes[ch].payload[first] for ch in branch.children)
-    digits = [d for d in range(1, 10) if d not in taken]
+    used = {*grid[row * 9:row * 9 + 9], *grid[col::9], *grid[box:box + 3],
+            *grid[box + 9:box + 12], *grid[box + 18:box + 21]}
+    digits = [d for d in range(1, 10) if d not in used and d not in taken]
     if not digits:
         return None
     grid = list(grid)
-    grid[first] = digits[rng.randrange(len(digits))]
+    digit = grid[first] = digits[rng.randrange(len(digits))]
     rows, cols, boxes, empties = _prepare(grid)
-    wrong = [_place(tree, branch_id, grid, first)]
+    wrong = [_place_text(grid, first)]
     for cell in empties[:MAX_DETOUR_DEPTH - 1]:
         r, c, b = UNITS[cell]
         mask = FULL & ~(rows[r] | cols[c] | boxes[b])
@@ -393,18 +388,17 @@ def _extend(tree, branch_id, rng):
             bits.append(bit)
         bit = bits[rng.randrange(len(bits))]
         grid[cell] = bit.bit_length() - 1
-        wrong.append(_place(tree, wrong[-1], grid, cell))
+        wrong.append(_place_text(grid, cell))
         rows[r] |= bit
         cols[c] |= bit
         boxes[b] |= bit
     for cell in empties[len(wrong) - 1:]:
         r, c, b = UNITS[cell]
         if not FULL & ~(rows[r] | cols[c] | boxes[b]):
-            return wrong, (f"There is no digit that can go in row {r + 1}, "
-                           f"column {c + 1}.")
-    r, c, _ = UNITS[first]
-    return wrong, (f"The digit {grid[first]} cannot go in row {r + 1}, "
-                   f"column {c + 1}.")
+            return digit, wrong, (f"There is no digit that can go in row "
+                                  f"{r + 1}, column {c + 1}.")
+    return digit, wrong, (f"The digit {digit} cannot go in row {row + 1}, "
+                          f"column {col + 1}.")
 
 
 def make_trace(puzzle: SudokuPuzzle, k: int, rng: random.Random):
@@ -414,9 +408,9 @@ def make_trace(puzzle: SudokuPuzzle, k: int, rng: random.Random):
     heavily constrained puzzles may not host ``k`` of them, in which case
     this raises GenerationError and callers resample.
     """
-    tree, solution = solve_dfs(puzzle)
-    path = solution_path(tree)
-    return linearize(tree, path, select_detours(tree, path, k, rng, _extend),
+    nodes, solution = solve_dfs(puzzle)
+    path = solution_path(nodes)
+    return linearize(nodes, path, select_detours(nodes, path, k, rng, _extend),
                      render_grid(solution))
 
 

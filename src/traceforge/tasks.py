@@ -22,7 +22,7 @@ class TaskSpec:
     # (instance_id, seed) -> ProblemInstance; None for verifier-only tasks
     build_instance: Optional[Callable]
     # (instance_id, seed, k) -> (ProblemInstance, ReasoningTrace); None for
-    # tasks without a search-tree solver
+    # tasks without a traced solver
     build_traced: Optional[Callable]
     # (instance, answer text) -> (parseable, correct)
     check: Callable

@@ -120,12 +120,13 @@ def test_heuristic_solve_finds_hidden_rule():
 
 def test_heuristic_solve_tree_shape():
     task = next(iter(sample_tasks(1)))
-    tree, winner = a1.heuristic_solve(task)
+    nodes, winner = a1.heuristic_solve(task)
     # the solution path alone: root, study, the winning attempt, its use
-    assert solution_path(tree) == [0, 1, 2, 3]
-    assert len(tree.nodes) == 4
-    _, study, attempt, leaf = tree.nodes
-    assert leaf.children == []
+    assert solution_path(nodes) == [0, 1, 2, 3]
+    _, study, attempt, leaf = nodes
+    assert all(node.key is None for node in nodes)
+    # only the study node offers wrong attempts
+    assert attempt.payload == ()
     rule_text = f"the rule '{winner.description}'"
     assert leaf.state_text.startswith(f"apply {rule_text}")
     assert attempt.state_text.startswith(f"try {rule_text}")
@@ -137,8 +138,8 @@ def test_heuristic_solve_tree_shape():
 def test_heuristic_order_prefers_agreement_on_first_pair():
     task = next(iter(sample_tasks(1)))
     inp, out = task.train_pairs[0]
-    tree, _ = a1.heuristic_solve(task)
-    study = tree.node(tree.node(tree.root).children[0])
+    nodes, _ = a1.heuristic_solve(task)
+    study = nodes[1]
     agreements = []
     for idx, _ in study.payload:
         pred = a1.RULE_POOL[idx].apply(inp)
@@ -172,11 +173,11 @@ def test_trace_marker_count_is_exact(k):
 
 @pytest.mark.parametrize("k", [1, 5, 16])
 def test_every_detour_is_one_wrong_attempt(k):
-    # attempt nodes have no children, so no detour can walk past one
+    # extend returns one attempt text, so no detour can walk past one
     for i, task in enumerate(sample_tasks(10)):
-        tree, _ = a1.heuristic_solve(task)
-        path = solution_path(tree)
-        detours = a1.select_detours(tree, path, k, random.Random(i),
+        nodes, _ = a1.heuristic_solve(task)
+        path = solution_path(nodes)
+        detours = a1.select_detours(nodes, path, k, random.Random(i),
                                     a1._extend)
         assert len(detours) == k
         assert all(len(det.steps) == 1 for det in detours)

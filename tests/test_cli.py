@@ -57,6 +57,18 @@ def test_trace_workers_flag_matches_serial(tmp_path, capsys):
         (tmp_path / "b" / "countdown_k1.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ("trace", "--task", "countdown", "--backtracks", "1", "--workers", "0"),
+    ("build", "--workers", "-4"),
+], ids=["trace", "build"])
+def test_workers_below_one_is_a_validation_error(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, *argv, "--count", "2", "--out", str(out_dir))
+    assert code == 1
+    assert "argument --workers: must be at least 1" in err
+    assert not out_dir.exists()
+
+
 def test_env_seed_overrides_flag(tmp_path, capsys, monkeypatch):
     run(capsys, "generate", "--task", "countdown", "--count", "2",
         "--seed", "9", "--out", str(tmp_path / "flag"))

@@ -2,7 +2,6 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from helpers import countdown_parse_reference, countdown_puzzle, \
@@ -173,31 +172,30 @@ class ShuffleLog(random.Random):
 
 
 def extend_path_checked(puzzle):
-    """Solve, check the tree is the bare path, then let extend visit each
-    branch point once. It must draw from every legal move there, in move
-    order, except the moves that make the target and the path's own step,
-    matched as a whole tuple, and add nodes only for the walk it returns,
-    its first node a new child after the path child. Returns the texts of
-    each branch point's candidates."""
+    """Solve, check the solve is the bare path, one node per move keyed
+    by it, then let extend visit each branch point once with the path's
+    step taken. It must draw from every legal move there, in move order,
+    except the moves that make the target and the path's own step,
+    matched as a whole tuple, and return one of those as its first move,
+    that move's text first. Returns the texts of each branch point's
+    candidates."""
     steps = cd._find_solution(puzzle.numbers, puzzle.target)
-    tree, _ = cd.solve_dfs(puzzle)
-    assert len(tree.nodes) == len(steps) + 1
-    path = solution_path(tree)
-    assert path == list(range(len(steps) + 1))
+    nodes, _ = cd.solve_dfs(puzzle)
+    assert [node.key for node in nodes] == [None] + steps
+    assert solution_path(nodes) == list(range(len(steps) + 1))
     values = list(puzzle.numbers)
     levels = []
-    for parent, taken, step in zip(path, path[1:], steps):
-        before = len(tree.nodes)
+    for node, step in zip(nodes, steps):
+        assert node.payload == tuple(values)
         rng = ShuffleLog(0)
-        found = cd._extend(puzzle.target, tree, parent, rng)
+        found = cd._extend(puzzle.target, node.payload, {step}, rng)
         moves = [m for m in cd.legal_moves(values)
                  if m != step and m[5] != puzzle.target]
         assert rng.shuffled == [moves]
-        wrong = [] if found is None else found[0]
-        assert wrong == list(range(before, len(tree.nodes)))
-        assert tree.node(parent).children == [taken] + wrong[:1]
-        if wrong:
-            assert tree.node(wrong[0]).payload[1] in moves
+        if found is not None:
+            first, texts, _ = found
+            assert first in moves
+            assert texts[0] == cd._move_text(first)
         levels.append([f"{m[3]} {m[2]} {m[4]} = {m[5]}." for m in moves])
         values = cd._apply_move(values, step)
     return levels
@@ -214,8 +212,8 @@ def test_expanded_branch_point_keeps_textually_identical_siblings():
     # both moves reading "6 + 31 = 37." are
     puzzle = cd.CountdownPuzzle((49, 6, 31, 18), 155)
     levels = extend_path_checked(puzzle)
-    tree, _ = cd.solve_dfs(puzzle)
-    assert tree.node(2).state_text == "6 * 31 = 186."
+    nodes, _ = cd.solve_dfs(puzzle)
+    assert nodes[2].state_text == "6 * 31 = 186."
     assert Counter(levels[1])["6 * 31 = 186."] == 1
     assert Counter(levels[1])["6 + 31 = 37."] == 2
 
@@ -501,18 +499,28 @@ def test_trace_detour_end_states_are_dead():
                 puzzle = candidate
             except cd.GenerationError:
                 continue
-        tree, _ = cd.solve_dfs(puzzle)
-        path = solution_path(tree)
-        cd.select_detours(tree, path, 3, random.Random(derive_seed(55, i)),
-                          partial(cd._extend, puzzle.target))
-        # the nodes added after the solve are the detours' moves, and
-        # those without children end a detour
-        detour_nodes = tree.nodes[len(path):]
-        assert sum(not node.children for node in detour_nodes) == 3
-        for node in detour_nodes:
-            assert puzzle.target not in node.payload[0]
-            if not node.children:
-                assert not countdown_solvable(node.payload[0], puzzle.target)
+        nodes, _ = cd.solve_dfs(puzzle)
+        walks = []
+
+        def extend(values, taken, rng):
+            found = cd._extend(puzzle.target, values, taken, rng)
+            if found is not None:
+                walks.append((values, found[1]))
+            return found
+
+        cd.select_detours(nodes, solution_path(nodes), 3,
+                          random.Random(derive_seed(55, i)), extend)
+        assert len(walks) == 3
+        # replay each detour's move texts on the values it branched from
+        for values, texts in walks:
+            values = list(values)
+            for text in texts:
+                x, _, y, _, result = text.rstrip(".").split()
+                values.remove(int(x))
+                values.remove(int(y))
+                values.append(int(result))
+                assert puzzle.target not in values
+            assert not countdown_solvable(values, puzzle.target)
 
 
 # SHA-256 of emit_sft(COUNTDOWN, 200, 10, master_seed=0) and its manifest:

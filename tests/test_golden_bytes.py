@@ -87,3 +87,23 @@ def test_dataset_bytes_match_golden_hashes(tmp_path):
     assert not mismatched, f"dataset bytes changed: {mismatched}"
     listing = "".join(f"{name} {digest}\n" for name, digest in got.items())
     assert hashlib.sha256(listing.encode()).hexdigest() == GOLDEN_DIGEST
+
+
+# One SHA-256 over pipeline.build_records' lines, updated in task, seed, k
+# order, across many more ids and depths than GOLDEN: countdown and sudoku
+# at k 0/1/3/5/10, arc1d at k 0/1/2/3/5/10/16, each at three seeds
+WIDE_SEEDS = (0, 7, 123456789)
+WIDE_RUNS = ((TaskKind.COUNTDOWN, 300, (0, 1, 3, 5, 10)),
+             (TaskKind.SUDOKU, 60, (0, 1, 3, 5, 10)),
+             (TaskKind.ARC1D, 300, (0, 1, 2, 3, 5, 10, 16)))
+WIDE_DIGEST = "9e3e58326b0c0b31b863fe239e2d93e927fc7d48b97d08b72dc8b5ac4ed3c7d3"
+
+
+def test_wide_record_hash():
+    digest = hashlib.sha256()
+    for task, count, depths in WIDE_RUNS:
+        for seed in WIDE_SEEDS:
+            for k in depths:
+                lines = pipeline.build_records(task, count, seed, k)
+                digest.update("\n".join(lines).encode())
+    assert digest.hexdigest() == WIDE_DIGEST

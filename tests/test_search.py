@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 import re
@@ -19,7 +20,7 @@ from traceforge.core import (
     render_think_body,
 )
 from traceforge.search import (
-    SearchTree,
+    SearchNode,
     build_with_retries,
     linearize,
     select_detours,
@@ -28,89 +29,58 @@ from traceforge.search import (
 )
 
 
-def chain_tree(depth: int, branching: int = 3):
+def chain_nodes(depth: int, branching: int = 3):
     """A solution path of ``depth`` nodes below the root, each path node
-    able to host ``branching - 1`` detours through :func:`plain_extend`."""
-    tree = SearchTree()
-    tree.branching = branching
-    parent = tree.add_node("root")
-    for level in range(depth):
-        parent = tree.add_node(f"level {level} option 0.", parent=parent)
-    return tree
+    able to host ``branching - 1`` detours through :func:`plain_extend`.
+    A node's payload is (its position, ``branching``); every path step is
+    option 0 at its level, so its key is 0."""
+    return [SearchNode("root", (0, branching))] + [
+        SearchNode(f"level {level} option 0.", (level + 1, branching), 0)
+        for level in range(depth)]
 
 
-def plain_extend(tree, branch_id, rng):
-    """Add a fresh dead sibling, with one child, below the branch point
-    until it has ``branching - 1`` of them; the same reason for every
-    detour."""
-    option = len(tree.node(branch_id).children)
-    if option == tree.branching:
+def plain_extend(state, taken, rng):
+    """A fresh dead option, with one deeper step, at the branch point
+    until ``branching - 1`` of them are taken; the same reason for every
+    detour. ``taken`` holds option 0 and the earlier detours' options."""
+    position, branching = state
+    option = len(taken)
+    if option == branching:
         return None
-    wrong = tree.add_node(f"node {branch_id} option {option}.",
-                          parent=branch_id)
-    deeper = tree.add_node(f"node {branch_id} option {option} deeper.",
-                           parent=wrong)
-    return [wrong, deeper], "That goes nowhere."
+    return option, [f"node {position} option {option}.",
+                    f"node {position} option {option} deeper."], \
+        "That goes nowhere."
 
 
-def plain_linearize(tree, path, detours):
+def plain_linearize(nodes, path, detours):
     """linearize with a fixed answer."""
-    return linearize(tree, path, detours, "42")
+    return linearize(nodes, path, detours, "42")
 
 
-# --- trees and paths ---------------------------------------------------------
-
-
-def test_tree_ids_are_sequential_and_first_is_root():
-    tree = SearchTree()
-    a = tree.add_node("a")
-    b = tree.add_node("b", parent=a)
-    c = tree.add_node("c", parent=a)
-    assert (a, b, c) == (0, 1, 2)
-    assert tree.root == 0
-    assert tree.node(a).children == [1, 2]
-
-
-def test_tree_rejects_second_root():
-    tree = SearchTree()
-    tree.add_node("a")
-    with pytest.raises(ValueError):
-        tree.add_node("b")
+# --- paths -------------------------------------------------------------------
 
 
 def test_solution_path_follows_child_order():
-    tree = chain_tree(depth=3)
-    path = solution_path(tree)
-    assert path[0] == tree.root
-    assert tree.node(path[-1]).children == []
-    assert len(path) == 4
-    # each hop must be parent -> child
-    for parent, child in zip(path, path[1:]):
-        assert child in tree.node(parent).children
-
-
-def test_solution_path_picks_first_solution_in_dfs_order():
-    tree = SearchTree()
-    root = tree.add_node("root")
-    first = tree.add_node("first", parent=root)
-    tree.add_node("first leaf", parent=first)
-    tree.add_node("later leaf", parent=root)
-    assert solution_path(tree) == [0, 1, 2]
+    nodes = chain_nodes(depth=3)
+    path = solution_path(nodes)
+    assert path == [0, 1, 2, 3]
+    assert [nodes[nid].state_text for nid in path[1:]] == [
+        f"level {level} option 0." for level in range(3)]
 
 
 # --- detour selection --------------------------------------------------------
 
 
 def test_select_zero_detours_is_empty():
-    tree = chain_tree(depth=4)
-    assert select_detours(tree, solution_path(tree), 0, random.Random(1),
+    nodes = chain_nodes(depth=4)
+    assert select_detours(nodes, solution_path(nodes), 0, random.Random(1),
                           plain_extend) == []
 
 
 def test_select_detours_distinct_positions_first():
-    tree = chain_tree(depth=6, branching=4)
-    path = solution_path(tree)
-    detours = select_detours(tree, path, 5, random.Random(7), plain_extend)
+    nodes = chain_nodes(depth=6, branching=4)
+    path = solution_path(nodes)
+    detours = select_detours(nodes, path, 5, random.Random(7), plain_extend)
     assert len(detours) == 5
     positions = [d.resume_step for d in detours]
     assert len(set(positions)) == 5  # enough positions, so no reuse yet
@@ -119,9 +89,9 @@ def test_select_detours_distinct_positions_first():
 
 def test_select_detours_reuses_positions_when_k_exceeds_path():
     # path positions 1..3 can host, but k=8 needs repeat visits
-    tree = chain_tree(depth=5, branching=4)
-    path = solution_path(tree)
-    detours = select_detours(tree, path, 8, random.Random(3), plain_extend)
+    nodes = chain_nodes(depth=5, branching=4)
+    path = solution_path(nodes)
+    detours = select_detours(nodes, path, 8, random.Random(3), plain_extend)
     assert len(detours) == 8
     positions = [d.resume_step for d in detours]
     assert max(positions.count(p) for p in set(positions)) > 1
@@ -131,95 +101,140 @@ def test_select_detours_reuses_positions_when_k_exceeds_path():
 
 
 def test_select_detours_raises_when_the_tree_hosts_too_few():
-    tree = chain_tree(depth=3, branching=2)  # 2 positions x 1 spare branch
-    path = solution_path(tree)
+    nodes = chain_nodes(depth=3, branching=2)  # 2 positions x 1 spare branch
+    path = solution_path(nodes)
     with pytest.raises(GenerationError,
                        match="^tree hosts 2 of 10 requested detours$"):
-        select_detours(tree, path, 10, random.Random(5), plain_extend)
+        select_detours(nodes, path, 10, random.Random(5), plain_extend)
 
 
 def test_select_detours_never_enters_the_solution_branch():
-    tree = chain_tree(depth=5, branching=3)
-    path = solution_path(tree)
-    solved = len(tree.nodes)
-    select_detours(tree, path, 8, random.Random(11), plain_extend)
-    parent = {child: nid for nid, node in enumerate(tree.nodes)
-              for child in node.children}
-    # every node a detour added hangs below a path node other than the
-    # root and the solution, through detour nodes only
-    for nid in range(solved, len(tree.nodes)):
-        up = parent[nid]
-        while up >= solved:
-            up = parent[up]
-        assert up in path[1:-1]
-    assert tree.node(path[-1]).children == []
+    nodes = chain_nodes(depth=5, branching=3)
+    path = solution_path(nodes)
+    solved = copy.deepcopy(nodes)
+    branched = []
+
+    def extend(state, taken, rng):
+        branched.append(state[0])
+        return plain_extend(state, taken, rng)
+
+    detours = select_detours(nodes, path, 8, random.Random(11), extend)
+    # every detour branches from a path node other than the root and the
+    # solution, and the solve itself is left as it was
+    assert set(branched) <= set(path[1:-1])
+    assert {d.resume_step for d in detours} <= set(path[1:-1])
+    assert nodes == solved
 
 
 def test_select_detours_deterministic_for_fixed_rng():
-    # selection adds nodes, so each call gets its own tree
     runs = []
     for _ in range(2):
-        tree = chain_tree(depth=6, branching=4)
-        runs.append(select_detours(tree, solution_path(tree), 6,
+        nodes = chain_nodes(depth=6, branching=4)
+        runs.append(select_detours(nodes, solution_path(nodes), 6,
                                    random.Random(123), plain_extend))
     assert runs[0] == runs[1]
 
 
 def test_select_detours_sorted_by_resume_step():
-    tree = chain_tree(depth=7, branching=4)
-    path = solution_path(tree)
-    detours = select_detours(tree, path, 5, random.Random(2), plain_extend)
+    nodes = chain_nodes(depth=7, branching=4)
+    path = solution_path(nodes)
+    detours = select_detours(nodes, path, 5, random.Random(2), plain_extend)
     steps = [d.resume_step for d in detours]
     assert steps == sorted(steps)
 
 
 def test_select_detours_rejects_negative_k():
-    tree = chain_tree(depth=3)
+    nodes = chain_nodes(depth=3)
     with pytest.raises(ValueError):
-        select_detours(tree, solution_path(tree), -1, random.Random(0),
+        select_detours(nodes, solution_path(nodes), -1, random.Random(0),
                        plain_extend)
 
 
-@pytest.mark.parametrize("module,solve,extend_for", [
+# each traced task's generator, solver and extend, bound to a puzzle
+traced_tasks = pytest.mark.parametrize("module,solve,extend_for", [
     (countdown, countdown.solve_dfs,
      lambda puzzle: partial(countdown._extend, puzzle.target)),
     (sudoku, sudoku.solve_dfs, lambda puzzle: sudoku._extend),
     (arc1d, arc1d.heuristic_solve, lambda puzzle: arc1d._extend),
 ], ids=["countdown", "sudoku", "arc1d"])
+
+
+@traced_tasks
 def test_tree_is_the_solution_path_plus_the_detours_taken(module, solve,
                                                           extend_for):
+    # a solve is its path alone, and a detour is text that leaves it be
     hosted = 0
     for i in range(4):
         for k in (1, 5, 10):
             rng = random.Random(derive_seed(97, i))
             puzzle = module.generate(rng)
-            tree, _ = solve(puzzle)
-            path = solution_path(tree)
-            assert len(tree.nodes) == len(path)
-            assert tree.node(path[-1]).children == []
+            nodes, _ = solve(puzzle)
+            path = solution_path(nodes)
+            assert path == list(range(len(nodes)))
+            assert nodes[0].key is None
+            solved = copy.deepcopy(nodes)
             try:
-                detours = select_detours(tree, path, k, rng,
+                detours = select_detours(nodes, path, k, rng,
                                          extend_for(puzzle))
             except GenerationError:
                 continue  # this puzzle hosts fewer than k detours
             hosted += 1
-            assert len(tree.nodes) == len(path) + sum(
-                len(d.steps) for d in detours)
-            # detours come after the path child, so the first-child walk
-            # still finds the path
-            assert solution_path(tree) == path
+            assert len(detours) == k
+            assert all(isinstance(step, str) for d in detours
+                       for step in d.steps)
+            assert nodes == solved
     assert hosted >= 8
+
+
+@traced_tasks
+def test_extend_keys_avoid_taken_and_never_repeat(module, solve, extend_for):
+    # every first key extend returns lies outside the set it was given,
+    # that set holds the path's own next key, and the keys taken at one
+    # position are distinct
+    hosted = 0
+    for i in range(6):
+        for k in (1, 5, 10):
+            rng = random.Random(derive_seed(31, i))
+            puzzle = module.generate(rng)
+            nodes, _ = solve(puzzle)
+            path = solution_path(nodes)
+            solved = copy.deepcopy(nodes)
+            extend = extend_for(puzzle)
+            keys = {}
+
+            def wrapped(state, taken, rng):
+                given = set(taken)
+                found = extend(state, taken, rng)
+                if found is None:
+                    return None
+                pos, = [p for p in path[1:-1] if nodes[p].payload is state]
+                assert nodes[pos + 1].key in given
+                assert found[0] not in given
+                keys.setdefault(pos, []).append(found[0])
+                return found
+
+            try:
+                detours = select_detours(nodes, path, k, rng, wrapped)
+            except GenerationError:
+                continue  # this puzzle hosts fewer than k detours
+            hosted += 1
+            assert sum(map(len, keys.values())) == len(detours) == k
+            for taken in keys.values():
+                assert all(a != b for n, a in enumerate(taken)
+                           for b in taken[n + 1:])
+            assert nodes == solved
+    assert hosted >= 9
 
 
 # --- linearization -----------------------------------------------------------
 
 
 def test_linearize_numbering_and_markers():
-    tree = chain_tree(depth=4, branching=3)
-    path = solution_path(tree)
-    detours = select_detours(tree, path, 2, random.Random(9), plain_extend)
-    trace = plain_linearize(tree, path, detours)
-    assert trace.steps == tuple(tree.node(nid).state_text for nid in path[1:])
+    nodes = chain_nodes(depth=4, branching=3)
+    path = solution_path(nodes)
+    detours = select_detours(nodes, path, 2, random.Random(9), plain_extend)
+    trace = plain_linearize(nodes, path, detours)
+    assert trace.steps == tuple(nodes[nid].state_text for nid in path[1:])
     assert trace.backtracks == 2
     body = render_think_body(trace)
     assert body.count(MARKER_PHRASE) == 2
@@ -232,10 +247,10 @@ def test_linearize_numbering_and_markers():
 
 
 def test_linearize_wrong_steps_continue_numbering():
-    tree = chain_tree(depth=4, branching=3)
-    path = solution_path(tree)
-    detour, = select_detours(tree, path, 1, random.Random(4), plain_extend)
-    trace = plain_linearize(tree, path, [detour])
+    nodes = chain_nodes(depth=4, branching=3)
+    path = solution_path(nodes)
+    detour, = select_detours(nodes, path, 1, random.Random(4), plain_extend)
+    trace = plain_linearize(nodes, path, [detour])
     body = render_think_body(trace)
     assert MARKER_PHRASE in body
     indices = [int(n) for n in re.findall(r"Step (\d+): ", body)]
@@ -250,12 +265,12 @@ def test_linearize_wrong_steps_continue_numbering():
 
 def test_linearize_rejects_detour_off_the_path():
     # the renderer is where a detour meets the steps it resumes from
-    tree = chain_tree(depth=3)
-    path = solution_path(tree)
-    det, = select_detours(tree, path, 1, random.Random(1), plain_extend)
+    nodes = chain_nodes(depth=3)
+    path = solution_path(nodes)
+    det, = select_detours(nodes, path, 1, random.Random(1), plain_extend)
     bad = dataclasses.replace(det, resume_step=len(path))
     with pytest.raises(ValueError, match="off the 3 steps or out of order"):
-        render_completion(plain_linearize(tree, path, [bad]))
+        render_completion(plain_linearize(nodes, path, [bad]))
 
 
 # --- detour removal ----------------------------------------------------------
@@ -269,23 +284,23 @@ def test_linearize_rejects_detour_off_the_path():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_strip_detours_recovers_plain_rendering(depth, branching, k, seed):
-    tree = chain_tree(depth=depth, branching=branching)
-    path = solution_path(tree)
-    hosted = min(k, (depth - 1) * (branching - 1))  # all the tree can host
-    detours = select_detours(tree, path, hosted, random.Random(seed),
+    nodes = chain_nodes(depth=depth, branching=branching)
+    path = solution_path(nodes)
+    hosted = min(k, (depth - 1) * (branching - 1))  # all the path can host
+    detours = select_detours(nodes, path, hosted, random.Random(seed),
                              plain_extend)
-    trace = plain_linearize(tree, path, detours)
-    plain = plain_linearize(tree, path, [])
+    trace = plain_linearize(nodes, path, detours)
+    plain = plain_linearize(nodes, path, [])
     stripped = strip_detours(trace)
     assert stripped.backtracks == 0
     assert render_completion(stripped) == render_completion(plain)
 
 
 def test_strip_detours_keeps_answer_and_meta():
-    tree = chain_tree(depth=4)
-    path = solution_path(tree)
-    detours = select_detours(tree, path, 2, random.Random(8), plain_extend)
-    trace = plain_linearize(tree, path, detours)
+    nodes = chain_nodes(depth=4)
+    path = solution_path(nodes)
+    detours = select_detours(nodes, path, 2, random.Random(8), plain_extend)
+    trace = plain_linearize(nodes, path, detours)
     trace.meta["instance_id"] = 5
     stripped = strip_detours(trace)
     assert stripped.answer == trace.answer
@@ -293,9 +308,9 @@ def test_strip_detours_keeps_answer_and_meta():
 
 
 def test_strip_detours_is_identity_on_clean_traces():
-    tree = chain_tree(depth=5)
-    path = solution_path(tree)
-    trace = plain_linearize(tree, path, [])
+    nodes = chain_nodes(depth=5)
+    path = solution_path(nodes)
+    trace = plain_linearize(nodes, path, [])
     assert strip_detours(trace) == trace
 
 

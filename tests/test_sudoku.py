@@ -277,16 +277,18 @@ def test_swap_group_certificate_is_a_second_completion():
 
 def test_solve_dfs_path_is_row_major():
     puzzle = next(iter(sample_puzzles(1)))
-    tree, solution = sd.solve_dfs(puzzle)
+    nodes, solution = sd.solve_dfs(puzzle)
     assert solution == puzzle.solution
-    path = solution_path(tree)
+    path = solution_path(nodes)
     empties = [i for i in range(81) if puzzle.givens[i] == 0]
     assert len(path) == len(empties) + 1
     grid = list(puzzle.givens)
+    assert nodes[0].payload == tuple(grid)
     for cell, nid in zip(empties, path[1:]):
-        node = tree.node(nid)
+        node = nodes[nid]
         grid[cell] = puzzle.solution[cell]
         assert node.payload == tuple(grid)
+        assert node.key == puzzle.solution[cell]
         r, c = divmod(cell, 9)
         assert node.state_text == (
             f"place {puzzle.solution[cell]} at row {r + 1}, column {c + 1}."
@@ -294,25 +296,29 @@ def test_solve_dfs_path_is_row_major():
 
 
 def test_detours_at_a_branch_point_take_distinct_candidates():
-    # extend until a branch point has no wrong digit left: the first
-    # digits taken there are every candidate of its cell but the solution's
+    # extend until a branch point has no wrong digit left, taking each
+    # first digit it returns: those are every candidate of its cell but
+    # the solution's
     puzzle = next(iter(sample_puzzles(1)))
-    tree, _ = sd.solve_dfs(puzzle)
-    path = solution_path(tree)
-    assert len(tree.nodes) == len(path)
+    nodes, _ = sd.solve_dfs(puzzle)
     rng = random.Random(5)
     branched = 0
-    for nid in path[:-1]:
-        grid = tree.node(nid).payload
+    for node, after in zip(nodes, nodes[1:]):
+        grid = node.payload
         cell = grid.index(0)
         r, c = divmod(cell, 9)
         peers = {grid[p] for p in range(81)
                  if p // 9 == r or p % 9 == c
                  or (p // 27, p % 9 // 3) == (r // 3, c // 3)}
         candidates = set(range(1, 10)) - peers
+        taken = {after.key}
         firsts = []
-        while (found := sd._extend(tree, nid, rng)) is not None:
-            firsts.append(tree.node(found[0][0]).payload[cell])
+        while (found := sd._extend(grid, taken, rng)) is not None:
+            digit, texts, _ = found
+            assert texts[0] == (f"place {digit} at row {r + 1}, "
+                                f"column {c + 1}.")
+            firsts.append(digit)
+            taken.add(digit)
         assert len(firsts) == len(set(firsts))
         assert set(firsts) == candidates - {puzzle.solution[cell]}
         branched += len(firsts) > 1
