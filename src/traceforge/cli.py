@@ -74,7 +74,6 @@ def _load(args):
 
 def _cmd_generate(args) -> int:
     task = TaskKind(args.task)
-    os.makedirs(args.out, exist_ok=True)
     path = pipeline.instances_path(args.out, task)
     manifest = pipeline.emit_instances(task, args.count, _seed_from(args),
                                        path)
@@ -84,7 +83,6 @@ def _cmd_generate(args) -> int:
 
 def _cmd_trace(args) -> int:
     task = TaskKind(args.task)
-    os.makedirs(args.out, exist_ok=True)
     path = pipeline.traced_path(args.out, task, args.backtracks)
     manifest = pipeline.emit_sft(task, args.count, args.backtracks,
                                  _seed_from(args), path, workers=args.workers)

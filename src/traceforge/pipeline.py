@@ -7,19 +7,20 @@ norm rather than an accident. Each dataset file gets a sibling
 ``<name>.manifest.json`` recording what produced it and the SHA-256 of its
 bytes. Record building is embarrassingly parallel: every record depends
 only on (master seed, instance id), so worker count cannot change output.
-Above 1 worker, a process starts one pool on first use, every later file
-(every file of ``forge build --workers N``) reuses it, and exit joins it.
+One worker starts no pool and imports no pool machinery. Above 1 worker, a
+process imports ``concurrent.futures`` and starts one pool on first use,
+every later file (every file of ``forge build --workers N``) reuses it, and
+exit joins it.
 """
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import json
 import os
 import random
 import re
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
@@ -277,16 +278,28 @@ def _record_line(task_value, master_seed, k, instance_id):
 _pool = None  # (pid, workers, executor): this process's pool
 
 
+@atexit.register
+def _drop_pool():
+    """Free the pool at exit: the pool modules load after this one, so
+    module teardown would clear them before the pool's finalizer runs."""
+    global _pool
+    _pool = None
+
+
 def _map_ids(fn, count: int, workers: int) -> list:
-    """``fn(i)`` for ids 0..count-1 in id order; above 1 worker, in this
-    process's pool. A new worker count or a forked child (its pid is not
-    the creator's) replaces the pool, and a broken one is dropped as it
-    raises. Workers run the package as it was when the pool forked, so a
-    later monkeypatch does not reach them, and module caches (arc1d's
-    ``_rule_analysis``) outlive a file."""
+    """``fn(i)`` for ids 0..count-1 in id order; at 1 worker, in this
+    process, with no pool and without importing ``concurrent.futures``;
+    above 1, in this process's pool, whose machinery is imported on first
+    use, before the pool forks. A new worker count or a forked child (its
+    pid is not the creator's) replaces the pool, and a broken one is
+    dropped as it raises. Workers run the package as it was when the pool
+    forked, so a later monkeypatch does not reach them, and module caches
+    (arc1d's ``_rule_analysis``) outlive a file."""
     global _pool
     if workers <= 1:
         return [fn(i) for i in range(count)]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     if _pool is None or _pool[:2] != (os.getpid(), workers):
         if _pool is not None and _pool[0] == os.getpid():
             _pool[2].shutdown()
@@ -316,6 +329,7 @@ def emit_sft(task: TaskKind, count: int, k: int, master_seed: int, out_path,
              workers: int = 1) -> DatasetManifest:
     """Write a traced dataset plus its manifest; returns the manifest."""
     lines = build_records(task, count, master_seed, k, workers)
+    os.makedirs(os.path.dirname(out_path) or os.curdir, exist_ok=True)
     return _write_dataset(out_path, lines, task.value, k, master_seed,
                           TASKS[task].prompt_template)
 
@@ -325,6 +339,7 @@ def emit_instances(task: TaskKind, count: int, master_seed: int, out_path,
     """Write an instance file plus its manifest; returns the manifest."""
     lines = [instance_to_json(i)
              for i in build_instances(task, count, master_seed, workers)]
+    os.makedirs(os.path.dirname(out_path) or os.curdir, exist_ok=True)
     return _write_dataset(out_path, lines, task.value, None, master_seed,
                           TASKS[task].prompt_template)
 
@@ -369,7 +384,6 @@ def emit_layout(out, count: int, master_seed: int, workers: int = 1):
     A ``count`` below 2 raises ValueError before anything is written."""
     if count < 2:
         raise ValueError("--count must be at least 2 to shuffle completions")
-    os.makedirs(out, exist_ok=True)
     for task in sorted(t for t in TASKS if TASKS[t].build_instance):
         path = instances_path(out, task)
         yield path, emit_instances(task, count, master_seed, path,

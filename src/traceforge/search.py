@@ -81,7 +81,7 @@ def select_detours(nodes: list, path: list, k: int, rng: random.Random,
             detours.append(Detour(pos, tuple(texts), observation))
     if len(detours) < k:
         raise GenerationError(
-            f"tree hosts {len(detours)} of {k} requested detours")
+            f"path hosts {len(detours)} of {k} requested detours")
     detours.sort(key=lambda d: d.resume_step)
     return detours
 

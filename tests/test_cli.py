@@ -69,6 +69,19 @@ def test_workers_below_one_is_a_validation_error(tmp_path, capsys, argv):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("generate", "--task", "countdown", "--count", "0"),
+    ("trace", "--task", "countdown", "--count", "3", "--backtracks", "-1"),
+    ("trace", "--task", "arc1d", "--count", "3", "--backtracks", "20"),
+], ids=["generate_count_0", "trace_negative_k", "trace_arc1d_above_cap"])
+def test_rejected_request_leaves_no_output_directory(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, *argv, "--out", str(out_dir))
+    assert code == 1
+    assert err.startswith("error:")
+    assert not out_dir.exists()
+
+
 def test_env_seed_overrides_flag(tmp_path, capsys, monkeypatch):
     run(capsys, "generate", "--task", "countdown", "--count", "2",
         "--seed", "9", "--out", str(tmp_path / "flag"))

@@ -235,6 +235,55 @@ def test_pool_lifecycle():
             os.kill(pid, 0)
 
 
+# Run in a fresh interpreter, so only this script decides what is imported.
+# Prints, as its last line, the pool modules loaded at start, after the
+# serial paths and after a pooled build, and whether that build matched;
+# the pool, started after its modules loaded, must still be freed cleanly.
+POOL_IMPORTS = """
+import sys
+POOL = ("concurrent.futures", "multiprocessing")
+
+def loaded():
+    return [m for m in POOL if m in sys.modules]
+
+out = {"start": loaded()}
+import json, os, tempfile
+import traceforge
+from traceforge import (core, search, countdown, sudoku, arc1d, xtasks,
+                        reward, pipeline, cli)
+from traceforge.core import TaskKind
+
+with tempfile.TemporaryDirectory() as tmp:
+    pipeline.emit_sft(TaskKind.COUNTDOWN, 4, 1, 5, os.path.join(tmp, "a.jsonl"))
+    code = cli.main(["trace", "--task", "countdown", "--backtracks", "1",
+                     "--count", "4", "--seed", "5", "--out", tmp,
+                     "--workers", "1"])
+    assert code == 0
+inst = pipeline.build_instances(TaskKind.COUNTDOWN, 1, 5)[0]
+reward.score(inst, "<answer>" + inst.ground_truth + "</answer>")
+out["serial"] = loaded()
+serial = pipeline.build_records(TaskKind.COUNTDOWN, 8, 5, 1)
+out["matched"] = pipeline.build_records(TaskKind.COUNTDOWN, 8, 5, 1,
+                                        workers=2) == serial
+out["pooled"] = loaded()
+print(json.dumps(out))
+sys.modules_kept = dict(sys.modules)  # every module lives to final teardown
+"""
+
+
+def test_serial_paths_import_no_pool_machinery():
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", POOL_IMPORTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out["serial"] == out["start"]
+    assert out["matched"]
+    assert out["pooled"] == ["concurrent.futures", "multiprocessing"]
+    assert "Exception ignored" not in done.stderr
+
+
 def test_build_records_validates_arguments():
     with pytest.raises(ValueError):
         build_records(TaskKind.COUNTDOWN, 0, 1, 1)

@@ -100,11 +100,11 @@ def test_select_detours_reuses_positions_when_k_exceeds_path():
     assert len(first_moves) == 8
 
 
-def test_select_detours_raises_when_the_tree_hosts_too_few():
+def test_select_detours_raises_when_the_path_hosts_too_few():
     nodes = chain_nodes(depth=3, branching=2)  # 2 positions x 1 spare branch
     path = solution_path(nodes)
     with pytest.raises(GenerationError,
-                       match="^tree hosts 2 of 10 requested detours$"):
+                       match="^path hosts 2 of 10 requested detours$"):
         select_detours(nodes, path, 10, random.Random(5), plain_extend)
 
 
