@@ -356,16 +356,13 @@ def make_trace(task: Arc1dTask, k: int, rng: random.Random):
 
 def parse_answer(text: str) -> Optional[tuple]:
     """Whitespace-separated ASCII color digits; anything else fails."""
-    tokens = text.strip().split()
-    if not tokens:
+    tokens = text.split()
+    digits = "".join(tokens)
+    # one ASCII digit per token; isdigit alone would pass "²" and "٣"
+    if not (tokens and len(digits) == len(tokens)
+            and digits.isascii() and digits.isdigit()):
         return None
-    out = []
-    for tok in tokens:
-        if len(tok) == 1 and "0" <= tok <= "9":
-            out.append(int(tok))
-        else:
-            return None
-    return tuple(out)
+    return tuple(map(int, digits))
 
 
 def expected_output(task: Arc1dTask) -> tuple:

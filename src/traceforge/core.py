@@ -12,7 +12,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 _MASK64 = (1 << 64) - 1
 
@@ -139,10 +139,12 @@ PREAMBLE = "Let me solve this step by step."
 # every tag occurrence; no two can overlap, since each starts with "<"
 _TAG = re.compile(r"</?(?:think|answer)>")
 _WELL_FORMED = [THINK_OPEN, THINK_CLOSE, ANSWER_OPEN, ANSWER_CLOSE]
+# "<" that start no tag before the scan hands the rest of the text to one
+# regex pass, so text dense in "<" costs no more than that pass
+_STRAY_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class TaggedOutput:
+class TaggedOutput(NamedTuple):
     """Result of scanning a completion for think/answer tag pairs.
 
     ``answer`` is the span between the first answer open tag and the first
@@ -177,10 +179,27 @@ def extract_tags(completion: str) -> TaggedOutput:
     answer is cut at the positions that scan found; on a malformed
     completion the best-effort span is searched for.
 
-    Time is linear in the length; text dense in ``<`` is the slowest
-    kind, since every ``<`` starts a match attempt.
+    The scan jumps from ``<`` to ``<`` and tries a tag only there, so its
+    time does not grow with text that holds no ``<``. Once more than
+    ``_STRAY_LIMIT`` of them start no tag, one regex pass reads the rest:
+    text dense in ``<`` is the slowest kind, linear in its length.
     """
-    found = list(islice(_TAG.finditer(completion), 5))
+    found = []
+    strays = 0
+    pos = completion.find("<")
+    while pos >= 0:
+        m = _TAG.match(completion, pos)
+        if m is not None:
+            found.append(m)
+            if len(found) == 5:
+                break
+            pos = completion.find("<", m.end())
+        elif strays < _STRAY_LIMIT:
+            strays += 1
+            pos = completion.find("<", pos + 1)
+        else:
+            found += islice(_TAG.finditer(completion, pos), 5 - len(found))
+            break
     if [m[0] for m in found] == _WELL_FORMED:
         return TaggedOutput(completion[found[2].end():found[3].start()], True)
     return TaggedOutput(_first_span(completion, ANSWER_OPEN, ANSWER_CLOSE),

@@ -44,16 +44,31 @@ class ScoreBreakdown:
     category: str
 
 
-def check_answer(instance: ProblemInstance, answer_text: str):
-    """(parseable, correct) of an answer string under the task's grammar.
+# every breakdown a score can return; they are frozen, so each call hands
+# out one of these instead of building its own
+_CORRECT = ScoreBreakdown(FORMAT_POINTS, ANSWER_POINTS,
+                          FORMAT_POINTS + ANSWER_POINTS, CORRECT)
+_INCORRECT = ScoreBreakdown(FORMAT_POINTS, 0.0, FORMAT_POINTS, INCORRECT)
+_FORMAT_ONLY = ScoreBreakdown(FORMAT_POINTS, 0.0, FORMAT_POINTS,
+                              INCORRECT_FORMAT)
+_UNGATED_RIGHT = ScoreBreakdown(0.0, ANSWER_POINTS, ANSWER_POINTS,
+                                INCORRECT_FORMAT)
+_ZERO = ScoreBreakdown(0.0, 0.0, 0.0, INCORRECT_FORMAT)
 
+
+def check_answer(instance: ProblemInstance, answer_text: str):
+    """(parseable, correct) of an answer string under the task's grammar;
+    an answer is correct only if it parses.
+
+    The task's check reads the answer stripped of surrounding whitespace.
     An answer longer than MAX_ANSWER_CHARS once stripped is unparseable.
     A malformed instance raises ValueError naming the task and the id; no
     answer does. Malformed means a ground truth or meta field the check
     cannot read, or a meta field of the wrong shape: every traced task's
     check validates the field it compares with, once the answer parses.
     """
-    if len(answer_text.strip()) > MAX_ANSWER_CHARS:
+    answer_text = answer_text.strip()
+    if len(answer_text) > MAX_ANSWER_CHARS:
         return False, False
     try:
         return TASKS[instance.task].check(instance, answer_text)
@@ -68,20 +83,15 @@ def score(instance: ProblemInstance, completion: str,
 
     With ``gated`` the answer points require well-formed tags.
     """
-    tags = extract_tags(completion)
-    format_score = FORMAT_POINTS if tags.well_formed else 0.0
-    parseable = False
-    right = False
-    if tags.answer is not None:
-        parseable, right = check_answer(instance, tags.answer.strip())
-    eligible = tags.well_formed or not gated
-    answer_score = ANSWER_POINTS if (right and eligible) else 0.0
-    if tags.well_formed and parseable:
-        category = CORRECT if right else INCORRECT
-    else:
-        category = INCORRECT_FORMAT
-    return ScoreBreakdown(format_score, answer_score,
-                          format_score + answer_score, category)
+    answer, well_formed = extract_tags(completion)
+    if answer is None:
+        return _ZERO
+    parseable, right = check_answer(instance, answer)
+    if well_formed:
+        if right:
+            return _CORRECT
+        return _INCORRECT if parseable else _FORMAT_ONLY
+    return _UNGATED_RIGHT if right and not gated else _ZERO
 
 
 def classify(instance: ProblemInstance, completion: str) -> str:

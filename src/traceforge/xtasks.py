@@ -492,6 +492,7 @@ def check_name(instance: ProblemInstance, text: str):
 # the characters of an int or float literal written with ASCII digits and
 # no underscores; int() and float() then check the structure
 _NUMBER_CHARS = re.compile(r"[0-9+\-.eE]+")
+_LIST_SEPARATORS = re.compile(r"[\s,]+")
 
 
 def parse_number_list(text: str) -> Optional[tuple]:
@@ -508,7 +509,7 @@ def parse_number_list(text: str) -> Optional[tuple]:
     if not inner:
         return ()
     out = []
-    for tok in re.split(r"[\s,]+", inner):
+    for tok in _LIST_SEPARATORS.split(inner):
         if not tok:
             continue
         if not _NUMBER_CHARS.fullmatch(tok):

@@ -15,7 +15,7 @@ from collections import Counter
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from traceforge import arc1d, countdown, sudoku
+from traceforge import arc1d, countdown, reward, sudoku
 
 
 # --- countdown ---------------------------------------------------------------
@@ -220,9 +220,14 @@ def selfref_consistent_count(statements) -> int:
 # --- answer readers ----------------------------------------------------------
 #
 # The first forms of the reward's readers, kept as oracles for the faster
-# ones: a tag scan built from counts and finds, a grid parser that reads
-# token by token, and an expression walk that is exact in Fractions
-# throughout.
+# ones: a tag scan built from counts and finds, a score assembled field by
+# field, grid parsers that read token by token, and an expression walk that
+# is exact in Fractions throughout.
+
+# pieces of tags and text; joined at random they make every tag mistake
+TAG_FRAGMENTS = ("<think>", "</think>", "<answer>", "</answer>", "<think",
+                 "</answer", "think>", "</", "<", ">", "/", "x", " ", "\n")
+
 
 def tags_reference(completion: str) -> tuple:
     """``(answer, well_formed)`` of a completion: each of the four tags
@@ -246,6 +251,40 @@ def tags_reference(completion: str) -> tuple:
         if end >= 0:
             answer = completion[start + len("<answer>"):end]
     return answer, well_formed
+
+
+def score_reference(instance, completion: str, gated: bool = True):
+    """The breakdown a completion earns, built field by field: 0.1 for
+    well-formed tags, 0.9 for a right answer when the tags are well formed
+    or ``gated`` is off, and a category that is ``correct`` or
+    ``incorrect`` only for a well-formed, parseable answer."""
+    answer, well_formed = tags_reference(completion)
+    format_score = 0.1 if well_formed else 0.0
+    parseable = right = False
+    if answer is not None:
+        parseable, right = reward.check_answer(instance, answer.strip())
+    answer_score = 0.9 if right and (well_formed or not gated) else 0.0
+    if well_formed and parseable:
+        category = "correct" if right else "incorrect"
+    else:
+        category = "incorrect_format"
+    return reward.ScoreBreakdown(format_score, answer_score,
+                                 format_score + answer_score, category)
+
+
+def arc1d_parse_reference(text: str):
+    """Whitespace-separated single ASCII digits as a tuple of ints, read
+    token by token, else None."""
+    tokens = text.strip().split()
+    if not tokens:
+        return None
+    out = []
+    for tok in tokens:
+        if len(tok) == 1 and "0" <= tok <= "9":
+            out.append(int(tok))
+        else:
+            return None
+    return tuple(out)
 
 
 def sudoku_parse_reference(text: str):

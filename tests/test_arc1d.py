@@ -2,7 +2,9 @@ import hashlib
 import random
 
 import pytest
-from helpers import arc1d_task
+from helpers import arc1d_parse_reference, arc1d_task
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from traceforge import arc1d as a1
 from traceforge import pipeline
@@ -287,6 +289,23 @@ def test_parse_answer_accepts_digit_runs():
                                   "²", "1 １"])
 def test_parse_answer_rejects(text):
     assert a1.parse_answer(text) is None
+
+
+# digits, ASCII and Unicode whitespace, "²" and "٣" (which pass
+# str.isdigit), and tokens of more than one digit
+ANSWER_PIECES = st.sampled_from(
+    ["0", "1", "7", "9", "10", "99", " ", "  ", "\t", "\n", "\r\n", "\x0b",
+     "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u3000", "²", "٣", "a"])
+
+
+@given(st.lists(ANSWER_PIECES, max_size=30).map("".join))
+@example("0 1 2 9 0")
+@example("\u3000 3\xa03\n")
+@example("3 ² 3")
+@example("3 ٣")
+@example("12 3")
+def test_parse_answer_agrees_with_the_token_parser(text):
+    assert a1.parse_answer(text) == arc1d_parse_reference(text)
 
 
 def test_verify_checks_exact_grid():

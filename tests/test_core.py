@@ -1,5 +1,5 @@
 import pytest
-from helpers import tags_reference
+from helpers import TAG_FRAGMENTS, tags_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -94,17 +94,33 @@ def test_extract_tags_never_raises(text):
         assert tags.answer is not None
 
 
-TAG_FRAGMENTS = ("<think>", "</think>", "<answer>", "</answer>", "<think",
-                 "</answer", "think>", "</", "<", ">", "/", "x", " ", "\n")
-
-
 @settings(max_examples=500)
 @given(st.lists(st.sampled_from(TAG_FRAGMENTS), max_size=24).map("".join))
 @example("<think>a</think><answer>b</answer>")
 @example("<think>a</think><answer>b</answer><think>")
 @example("<think><think></think><answer>b</answer>")
 @example("<<think>></think><answer></answer></answer>")
+# more stray "<" than the scan tries one by one, so a regex pass reads on
+@example("<" * 17 + "<think>a</think><answer>b</answer>")
+@example("x<" * 40 + "<think>a</think><answer>b</answer>")
+@example("<think>a" + "<" * 17 + "</think><answer>b</answer><think>")
+@example("<think>a < b</think><answer>b</answer>")
+@example("<think>" + "a" * 65536 + "</think><answer>b</answer>")
+@example("<think>" + "a" * 65536 + "</think><answer>b</answer></answer>")
 def test_extract_tags_agrees_with_the_count_based_scan(text):
+    tags = extract_tags(text)
+    assert (tags.answer, tags.well_formed) == tags_reference(text)
+
+
+# runs of "<" long enough to cross the scan's hand-over to the regex pass
+# at any point, between tags and tag fragments
+LT_RUNS = st.integers(1, 40).map("<".__mul__)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from(TAG_FRAGMENTS), LT_RUNS),
+                max_size=16).map("".join))
+def test_extract_tags_agrees_with_the_count_based_scan_on_runs_of_lt(text):
     tags = extract_tags(text)
     assert (tags.answer, tags.well_formed) == tags_reference(text)
 

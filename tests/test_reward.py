@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from helpers import wrap
+from helpers import TAG_FRAGMENTS, score_reference, wrap
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -90,6 +90,27 @@ def test_gated_totals_land_on_three_values(cd_instance):
               for _ in range(200)]
     for text in texts:
         assert score(cd_instance, text).total in (0.0, 0.1, 1.0)
+
+
+# a countdown answer the grammar reads and verifies, one it reads but is
+# wrong, and one it cannot read; around them, pieces of tags and text
+CD_ANSWERS = ("95 + 53 + 19", "1 + 2", "95 + 53 = 148")
+
+
+@settings(max_examples=300)
+@given(text=st.lists(st.sampled_from(TAG_FRAGMENTS + CD_ANSWERS),
+                     max_size=16).map("".join),
+       gated=st.booleans())
+@example(text=wrap(CD_ANSWERS[0]), gated=True)
+@example(text=f"<answer>{CD_ANSWERS[0]}</answer>", gated=False)
+@example(text=f"<answer>{CD_ANSWERS[0]}</answer>", gated=True)
+@example(text=wrap(CD_ANSWERS[1]), gated=False)
+@example(text=wrap(CD_ANSWERS[2]), gated=True)
+def test_score_equals_the_breakdown_built_field_by_field(cd_instance, text,
+                                                         gated):
+    got = score(cd_instance, text, gated)
+    want = score_reference(cd_instance, text, gated)
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
 
 
 def test_classify_matches_score_category(cd_instance):
