@@ -58,18 +58,8 @@ class DatasetManifest:
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "schema_version": self.schema_version,
-                "task": self.task,
-                "count": self.count,
-                "backtracks": self.backtracks,
-                "master_seed": f"{self.master_seed:016x}",
-                "sha256": self.sha256,
-                "prompt_template": self.prompt_template,
-            },
-            ensure_ascii=False,
-            indent=2,
-        ) + "\n"
+            {**vars(self), "master_seed": f"{self.master_seed:016x}"},
+            ensure_ascii=False, indent=2) + "\n"
 
 
 def manifest_path_for(data_path) -> str:
@@ -146,18 +136,9 @@ def _read_seed(value) -> int:
 
 
 def record_to_json(rec: SftRecord) -> str:
-    return json.dumps(
-        {
-            "instance_id": rec.instance_id,
-            "task": rec.task.value,
-            "prompt": rec.prompt,
-            "completion": rec.completion,
-            "backtracks": rec.backtracks,
-            "seed": f"{rec.seed:016x}",
-            "correctness_label": rec.correctness_label,
-        },
-        ensure_ascii=False,
-    )
+    # a TaskKind is a str, so it serializes as its value
+    return json.dumps({**vars(rec), "seed": f"{rec.seed:016x}"},
+                      ensure_ascii=False)
 
 
 def record_from_json(line: str) -> SftRecord:
@@ -197,26 +178,19 @@ def write_records(records, path) -> str:
 
 
 def instance_to_json(instance: ProblemInstance) -> str:
-    return json.dumps(
-        {
-            "id": instance.id,
-            "task": instance.task.value,
-            "prompt": instance.prompt,
-            "ground_truth": instance.ground_truth,
-            "seed": f"{instance.seed:016x}",
-            "meta": instance.meta,
-        },
-        ensure_ascii=False,
-    )
+    return json.dumps({**vars(instance), "seed": f"{instance.seed:016x}"},
+                      ensure_ascii=False)
 
 
 def instance_from_json(line: str) -> ProblemInstance:
-    """One instance line. The id must be a JSON integer, the seed 16
-    lowercase hex digits, and the ground truth a string, except that a
-    list_functions truth may also be a JSON list of numbers."""
+    """One instance line. The id must be a JSON integer, the prompt a
+    string, the seed 16 lowercase hex digits, and the ground truth a string,
+    except that a list_functions truth may also be a JSON list of numbers."""
     obj = json.loads(line)
     if type(obj["id"]) is not int:
         raise ValueError(f"id must be a JSON integer, got {obj['id']!r}")
+    if type(obj["prompt"]) is not str:
+        raise ValueError(f"prompt must be a string, got {obj['prompt']!r}")
     instance = ProblemInstance(
         id=obj["id"],
         task=TaskKind(obj["task"]),

@@ -40,16 +40,21 @@ TASKS = {spec.kind: spec for spec in (
              arc1d.check, arc1d.PROMPT_HEADER, "ARC"),
     # the three geometry subtasks pool into one column
     TaskSpec(TaskKind.GEOMETRY_ANGLE, xtasks.build_angle_instance, None,
-             xtasks.check_geometry, xtasks.ANGLE_PROMPT, "AG"),
+             xtasks.reads_alike(xtasks.parse_angle), xtasks.ANGLE_PROMPT,
+             "AG"),
     TaskSpec(TaskKind.GEOMETRY_ORTHOCENTER, xtasks.build_orthocenter_instance,
-             None, xtasks.check_geometry, xtasks.ORTHOCENTER_PROMPT, "AG"),
+             None, xtasks.reads_alike(xtasks.parse_point),
+             xtasks.ORTHOCENTER_PROMPT, "AG"),
     TaskSpec(TaskKind.GEOMETRY_INCIRCLE, xtasks.build_incircle_instance, None,
-             xtasks.check_geometry, xtasks.INCIRCLE_PROMPT, "AG"),
+             xtasks.reads_alike(xtasks.parse_radius), xtasks.INCIRCLE_PROMPT,
+             "AG"),
     TaskSpec(TaskKind.COLOR_CUBE, xtasks.build_cube_instance, None,
-             xtasks.check_name, xtasks.CUBE_PROMPT, "CCR"),
+             xtasks.reads_alike(xtasks.read_name), xtasks.CUBE_PROMPT, "CCR"),
     TaskSpec(TaskKind.SELF_REFERENCE, xtasks.build_selfref_instance, None,
-             xtasks.check_selfref, xtasks.SELFREF_PROMPT, "SR"),
-    TaskSpec(TaskKind.ZEBRA, None, None, xtasks.check_name, None, "ZP"),
-    TaskSpec(TaskKind.LIST_FUNCTIONS, None, None, xtasks.check_list, None,
-             "LF"),
+             xtasks.reads_alike(xtasks.read_integer), xtasks.SELFREF_PROMPT,
+             "SR"),
+    TaskSpec(TaskKind.ZEBRA, None, None, xtasks.reads_alike(xtasks.read_name),
+             None, "ZP"),
+    TaskSpec(TaskKind.LIST_FUNCTIONS, None, None,
+             xtasks.reads_alike(xtasks.read_list), None, "LF"),
 )}

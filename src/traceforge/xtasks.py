@@ -4,9 +4,10 @@ self-referential statement counting, plus verifier-only support for zebra
 puzzles and list functions.
 
 Number formatting follows one convention throughout: decimal strings are
-rounded half away from zero to a fixed number of places. Each check reads
-an answer and its ground truth with one grammar, so geometry compares exact
-decimals, never floating-point text, and an unreadable truth is an error.
+rounded half away from zero to a fixed number of places. Each task's check
+is ``reads_alike(reader)``: it reads an answer and its ground truth with one
+grammar, so geometry compares exact decimals, never floating-point text, and
+an unreadable truth is an error.
 """
 
 from __future__ import annotations
@@ -49,24 +50,13 @@ def round_half_away(value, places: int) -> str:
 
 # --- triangle geometry -------------------------------------------------------
 
-@dataclass(frozen=True)
-class Triangle:
-    """Integer-coordinate triangle; vertices in the order A, B, C."""
+# A triangle is a tuple of three integer-coordinate points, in the order
+# A, B, C.
 
-    a: tuple
-    b: tuple
-    c: tuple
-
-    @property
-    def vertices(self):
-        return (self.a, self.b, self.c)
-
-    def signed_area2(self) -> int:
-        (ax, ay), (bx, by), (cx, cy) = self.vertices
-        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-    def is_degenerate(self) -> bool:
-        return self.signed_area2() == 0
+def signed_area2(tri) -> int:
+    """Twice the signed area of ``tri``; 0 exactly when it is degenerate."""
+    (ax, ay), (bx, by), (cx, cy) = tri
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
 COORD_RANGE = (-10, 10)
@@ -76,7 +66,7 @@ POINT_DECIMALS = 3  # orthocenter coordinates and incircle radius
 VERTEX_NAMES = ("A", "B", "C")
 
 
-def sample_triangle(rng: random.Random) -> Triangle:
+def sample_triangle(rng: random.Random) -> tuple:
     lo, hi = COORD_RANGE
     while True:
         pts = []
@@ -84,18 +74,18 @@ def sample_triangle(rng: random.Random) -> Triangle:
             p = (rng.randint(lo, hi), rng.randint(lo, hi))
             if p not in pts:
                 pts.append(p)
-        tri = Triangle(*pts)
-        if not tri.is_degenerate():
+        tri = tuple(pts)
+        if signed_area2(tri):
             return tri
 
 
-def angle_at(tri: Triangle, vertex: int) -> float:
+def angle_at(tri, vertex: int) -> float:
     """Interior angle at vertex 0..2, in degrees."""
-    if tri.is_degenerate():
+    if not signed_area2(tri):
         raise ValueError("degenerate triangle has no interior angles")
-    p = tri.vertices[vertex]
-    q = tri.vertices[(vertex + 1) % 3]
-    r = tri.vertices[(vertex + 2) % 3]
+    p = tri[vertex]
+    q = tri[(vertex + 1) % 3]
+    r = tri[(vertex + 2) % 3]
     ux, uy = q[0] - p[0], q[1] - p[1]
     vx, vy = r[0] - p[0], r[1] - p[1]
     dot = ux * vx + uy * vy
@@ -104,11 +94,11 @@ def angle_at(tri: Triangle, vertex: int) -> float:
     return math.degrees(math.acos(cosine))
 
 
-def orthocenter(tri: Triangle) -> tuple:
+def orthocenter(tri) -> tuple:
     """Exact rational orthocenter via two altitude equations."""
-    if tri.is_degenerate():
+    if not signed_area2(tri):
         raise ValueError("degenerate triangle has no orthocenter")
-    (ax, ay), (bx, by), (cx, cy) = tri.vertices
+    (ax, ay), (bx, by), (cx, cy) = tri
     # altitude through A is perpendicular to BC, through B perpendicular to AC
     d1x, d1y = cx - bx, cy - by
     d2x, d2y = cx - ax, cy - ay
@@ -120,12 +110,13 @@ def orthocenter(tri: Triangle) -> tuple:
     return x, y
 
 
-def incircle_radius(tri: Triangle) -> float:
+def incircle_radius(tri) -> float:
     """r = area / semiperimeter."""
-    if tri.is_degenerate():
+    area2 = signed_area2(tri)
+    if not area2:
         raise ValueError("degenerate triangle has no incircle")
-    (ax, ay), (bx, by), (cx, cy) = tri.vertices
-    area = abs(tri.signed_area2()) / 2.0
+    (ax, ay), (bx, by), (cx, cy) = tri
+    area = abs(area2) / 2.0
     sa = math.dist((bx, by), (cx, cy))
     sb = math.dist((ax, ay), (cx, cy))
     sc = math.dist((ax, ay), (bx, by))
@@ -170,35 +161,25 @@ def parse_radius(text: str) -> Optional[Decimal]:
     return Decimal(m.group(1)) if m else None
 
 
-def _read_alike(instance: ProblemInstance, text: str, parse):
-    """(parseable, correct) of an answer read with ``parse``, which returns
-    None for text it cannot read, against the ground truth read the same
-    way. Raises ValueError when the ground truth does not parse."""
-    want = parse(instance.ground_truth)
-    if want is None:
-        raise ValueError(f"ground truth {instance.ground_truth!r} does not parse")
-    got = parse(text)
-    if got is None:
-        return False, False
-    return True, got == want
+def reads_alike(parse):
+    """The ``(instance, text) -> (parseable, correct)`` check of a task whose
+    answer and ground truth are read with one ``parse``, which returns None
+    for text it cannot read. The readings are compared with ``==``; a
+    ground truth that does not parse raises ValueError."""
+    def check(instance: ProblemInstance, text: str):
+        want = parse(instance.ground_truth)
+        if want is None:
+            raise ValueError(
+                f"ground truth {instance.ground_truth!r} does not parse")
+        got = parse(text)
+        if got is None:
+            return False, False
+        return True, got == want
+    return check
 
 
-_GEOMETRY_PARSERS = {
-    TaskKind.GEOMETRY_ANGLE: parse_angle,
-    TaskKind.GEOMETRY_ORTHOCENTER: parse_point,
-    TaskKind.GEOMETRY_INCIRCLE: parse_radius,
-}
-
-
-def check_geometry(instance: ProblemInstance, text: str):
-    """(parseable, correct) of a geometry answer, compared with the ground
-    truth as exact decimals."""
-    return _read_alike(instance, text, _GEOMETRY_PARSERS[instance.task])
-
-
-def _triangle_text(tri: Triangle) -> str:
-    parts = [f"{name}=({x}, {y})"
-             for name, (x, y) in zip(VERTEX_NAMES, tri.vertices)]
+def _triangle_text(tri) -> str:
+    parts = [f"{name}=({x}, {y})" for name, (x, y) in zip(VERTEX_NAMES, tri)]
     return ", ".join(parts)
 
 
@@ -229,7 +210,7 @@ def build_angle_instance(instance_id: int, seed: int) -> ProblemInstance:
                                    vertex=VERTEX_NAMES[vertex]),
         ground_truth=truth,
         seed=seed,
-        meta={"vertices": [list(p) for p in tri.vertices], "vertex": vertex},
+        meta={"vertices": [list(p) for p in tri], "vertex": vertex},
     )
 
 
@@ -243,7 +224,7 @@ def build_orthocenter_instance(instance_id: int, seed: int) -> ProblemInstance:
         prompt=ORTHOCENTER_PROMPT.format(triangle=_triangle_text(tri)),
         ground_truth=format_point(x, y),
         seed=seed,
-        meta={"vertices": [list(p) for p in tri.vertices]},
+        meta={"vertices": [list(p) for p in tri]},
     )
 
 
@@ -256,7 +237,7 @@ def build_incircle_instance(instance_id: int, seed: int) -> ProblemInstance:
         prompt=INCIRCLE_PROMPT.format(triangle=_triangle_text(tri)),
         ground_truth=format_radius(incircle_radius(tri)),
         seed=seed,
-        meta={"vertices": [list(p) for p in tri.vertices]},
+        meta={"vertices": [list(p) for p in tri]},
     )
 
 
@@ -296,23 +277,17 @@ def apply_rotation(state: dict, rotation: str) -> dict:
     return {face: state[sources[face]] for face in FACES}
 
 
-def apply_sequence(state: dict, rotations) -> dict:
-    for rot in rotations:
-        state = apply_rotation(state, rot)
-    return state
-
-
 @dataclass(frozen=True)
 class CubeProblem:
     initial: tuple    # colors in FACES order
     rotations: tuple
     query: str        # which face is asked about
 
-    def initial_state(self) -> dict:
-        return dict(zip(FACES, self.initial))
-
     def final_color(self) -> str:
-        return apply_sequence(self.initial_state(), self.rotations)[self.query]
+        state = dict(zip(FACES, self.initial))
+        for rot in self.rotations:
+            state = apply_rotation(state, rot)
+        return state[self.query]
 
 
 ROTATIONS_RANGE = (3, 8)
@@ -366,43 +341,21 @@ def build_cube_instance(instance_id: int, seed: int) -> ProblemInstance:
 N_STATEMENTS = 7
 
 
-@dataclass(frozen=True)
-class Statement:
-    """One statement about the truth of the seven statements.
-
-    Kinds: ``says_true``/``says_false`` refer to a statement by 1-based
-    index; ``exactly``/``at_least``/``at_most`` constrain how many of the
-    seven are true.
-    """
-
-    kind: str
-    value: int
-
-    def text(self) -> str:
-        if self.kind == "says_true":
-            return f"Statement {self.value} is true."
-        if self.kind == "says_false":
-            return f"Statement {self.value} is false."
-        if self.kind == "exactly":
-            return f"Exactly {self.value} of these 7 statements are true."
-        if self.kind == "at_least":
-            return f"At least {self.value} of these 7 statements are true."
-        if self.kind == "at_most":
-            return f"At most {self.value} of these 7 statements are true."
-        raise ValueError(f"unknown statement kind {self.kind}")
-
-    def holds(self, assignment, total: int) -> bool:
-        if self.kind == "says_true":
-            return assignment[self.value - 1]
-        if self.kind == "says_false":
-            return not assignment[self.value - 1]
-        if self.kind == "exactly":
-            return total == self.value
-        if self.kind == "at_least":
-            return total >= self.value
-        if self.kind == "at_most":
-            return total <= self.value
-        raise ValueError(f"unknown statement kind {self.kind}")
+# A statement is a (kind, value) pair about the truth of the seven
+# statements. ``says_true``/``says_false`` refer to a statement by 1-based
+# index; ``exactly``/``at_least``/``at_most`` constrain how many of the seven
+# are true. Each kind maps to its text template and its
+# ``holds(assignment, total, value)``; the table order is the draw order.
+STATEMENTS = {
+    "says_true": ("Statement {} is true.", lambda a, total, v: a[v - 1]),
+    "says_false": ("Statement {} is false.", lambda a, total, v: not a[v - 1]),
+    "exactly": ("Exactly {} of these 7 statements are true.",
+                lambda a, total, v: total == v),
+    "at_least": ("At least {} of these 7 statements are true.",
+                 lambda a, total, v: total >= v),
+    "at_most": ("At most {} of these 7 statements are true.",
+                lambda a, total, v: total <= v),
+}
 
 
 def selfref_count(statements) -> int:
@@ -412,17 +365,18 @@ def selfref_count(statements) -> int:
     claim holds under the assignment. Checked by brute force over all
     2^7 assignments.
     """
+    claims = [(STATEMENTS[kind][1], value) for kind, value in statements]
     count = 0
     for mask in range(1 << N_STATEMENTS):
         assignment = tuple(bool(mask >> i & 1) for i in range(N_STATEMENTS))
         total = sum(assignment)
-        if all(st.holds(assignment, total) == assignment[i]
-               for i, st in enumerate(statements)):
+        if all(holds(assignment, total, value) == assignment[i]
+               for i, (holds, value) in enumerate(claims)):
             count += 1
     return count
 
 
-_SR_KINDS = ("says_true", "says_false", "exactly", "at_least", "at_most")
+_SR_KINDS = tuple(STATEMENTS)
 
 
 def selfref_generate(rng: random.Random):
@@ -434,7 +388,7 @@ def selfref_generate(rng: random.Random):
             value = rng.randint(1, N_STATEMENTS)
         else:
             value = rng.randint(0, N_STATEMENTS)
-        statements.append(Statement(kind, value))
+        statements.append((kind, value))
     statements = tuple(statements)
     return statements, selfref_count(statements)
 
@@ -451,40 +405,32 @@ SELFREF_PROMPT = (
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
-def _read_integer(text: str) -> Optional[int]:
+def read_integer(text: str) -> Optional[int]:
+    """One integer in ASCII digits (self_reference answers)."""
     t = text.strip()
     return int(t) if _INTEGER_RE.fullmatch(t) else None
-
-
-def check_selfref(instance: ProblemInstance, text: str):
-    """(parseable, correct) of a self_reference answer: one integer."""
-    return _read_alike(instance, text, _read_integer)
 
 
 def build_selfref_instance(instance_id: int, seed: int) -> ProblemInstance:
     rng = random.Random(seed)
     statements, count = selfref_generate(rng)
-    listed = "\n".join(f"{i}. {st.text()}"
-                       for i, st in enumerate(statements, start=1))
+    listed = "\n".join(f"{i}. {STATEMENTS[kind][0].format(value)}"
+                       for i, (kind, value) in enumerate(statements, start=1))
     return ProblemInstance(
         id=instance_id,
         task=TaskKind.SELF_REFERENCE,
         prompt=SELFREF_PROMPT.format(statements=listed),
         ground_truth=str(count),
         seed=seed,
-        meta={"statements": [[st.kind, st.value] for st in statements]},
+        meta={"statements": [list(st) for st in statements]},
     )
 
 
 # --- name answers (color cube, zebra) ----------------------------------------
 
-def _read_name(text: str) -> Optional[str]:
+def read_name(text: str) -> Optional[str]:
+    """A color or person name, case-insensitive."""
     return text.strip().lower() or None
-
-
-def check_name(instance: ProblemInstance, text: str):
-    """(parseable, correct) of a color or person name, case-insensitive."""
-    return _read_alike(instance, text, _read_name)
 
 
 # --- list functions (verifier only) ------------------------------------------
@@ -524,13 +470,9 @@ def parse_number_list(text: str) -> Optional[tuple]:
     return tuple(out)
 
 
-def _read_list(text) -> Optional[tuple]:
-    # a ground truth may also be a JSON list in externally supplied instances
+def read_list(text) -> Optional[tuple]:
+    """A list_functions answer; a ground truth may also be a JSON list in
+    externally supplied instances."""
     if isinstance(text, (list, tuple)):
         return tuple(text)
     return parse_number_list(text)
-
-
-def check_list(instance: ProblemInstance, text: str):
-    """(parseable, correct) of a list_functions answer."""
-    return _read_alike(instance, text, _read_list)

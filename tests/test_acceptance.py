@@ -284,8 +284,7 @@ def test_solver_oracle_agreement():
     for i in range(10_000):
         rng = random.Random(derive_seed(SEED_ORACLE + 2, i))
         statements, count = xtasks.selfref_generate(rng)
-        pairs = [(st.kind, st.value) for st in statements]
-        if count != selfref_consistent_count(pairs):
+        if count != selfref_consistent_count(statements):
             disagreements += 1
     report("solver oracles", disagreements == 0,
            "500 countdown + 200 sudoku + 10000 self-reference agree")
@@ -308,13 +307,13 @@ def test_geometry_numeric_bars():
         worst_sum = max(worst_sum, gap)
 
         hx, hy = xtasks.orthocenter(tri)
-        (ax, ay), (bx, by), (cx, cy) = tri.vertices
+        (ax, ay), (bx, by), (cx, cy) = tri
         res = max(abs(float((hx - ax) * (cx - bx) + (hy - ay) * (cy - by))),
                   abs(float((hx - bx) * (cx - ax) + (hy - by) * (cy - ay))))
         worst_altitude = max(worst_altitude, res)
 
         r = xtasks.incircle_radius(tri)
-        area = abs(tri.signed_area2()) / 2.0
+        area = abs(xtasks.signed_area2(tri)) / 2.0
         semi = (math.dist((bx, by), (cx, cy)) + math.dist((ax, ay), (cx, cy))
                 + math.dist((ax, ay), (bx, by))) / 2.0
         worst_radius = max(worst_radius, abs(r * semi - area))

@@ -358,6 +358,25 @@ def test_instance_id_that_is_not_an_integer_names_file_and_line(tmp_path,
                    f"integer, got '7'\n")
 
 
+def test_instance_prompt_that_is_not_a_string_is_rejected(tmp_path, capsys):
+    # a record rejects such a prompt, so classify must not write it into a
+    # bucket that stats and shuffle then refuse
+    inst_path = tmp_path / "instances.jsonl"
+    write_jsonl(inst_path, [{"id": 0, "task": "countdown", "prompt": 123,
+                             "ground_truth": "1 + 2", "seed": "0" * 16,
+                             "meta": {"numbers": [1, 2], "target": 3}}])
+    comp_path = tmp_path / "completions.jsonl"
+    write_jsonl(comp_path, [{"instance_id": 0, "completion": wrap("1 + 2")}])
+    out_dir = tmp_path / "buckets"
+    code, _, err = run(capsys, "classify", "--task", "countdown",
+                       "--instances", str(inst_path),
+                       "--completions", str(comp_path), "--out", str(out_dir))
+    assert code == 1
+    assert err == (f"error: {inst_path}:1: ValueError: prompt must be a "
+                   f"string, got 123\n")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", " 1_f ", "0" * 17, 0],
                          ids=["signed", "padded", "long", "int"])
 def test_instance_seed_not_as_written_names_file_and_line(tmp_path, capsys,
@@ -465,11 +484,12 @@ def test_impossible_trace_request_fails_cleanly(tmp_path, capsys):
         ("zebra", 5, {}, "1.000"),
         ("list_functions", {"values": [1, 2]}, {}, "1.000"),
         ("self_reference", "many", {}, "2"),
+        ("color_cube", "   ", {}, "red"),
         # a traced task reads its meta only once the answer parses
         ("countdown", "1 + 2", {"numbers": [1, 2]}, "1 + 2"),
     ],
     ids=["orthocenter", "angle", "incircle", "zebra", "list_functions",
-         "self_reference", "countdown_without_target"],
+         "self_reference", "color_cube", "countdown_without_target"],
 )
 def test_malformed_ground_truth_is_a_validation_error(tmp_path, capsys,
                                                       command, task, truth,

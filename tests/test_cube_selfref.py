@@ -5,6 +5,7 @@ from helpers import selfref_consistent_count
 
 from traceforge import xtasks as xt
 from traceforge.core import ProblemInstance, TaskKind, derive_seed
+from traceforge.tasks import TASKS
 
 
 def with_truth(task, ground_truth):
@@ -140,10 +141,11 @@ def test_cube_prompt_mentions_every_rotation():
 
 def test_cube_verify_is_case_insensitive():
     red = with_truth(TaskKind.COLOR_CUBE, "red")
-    assert xt.check_name(red, "red") == (True, True)
-    assert xt.check_name(red, " RED ") == (True, True)
-    assert xt.check_name(red, "blue") == (True, False)
-    assert xt.check_name(red, "") == (False, False)
+    check = TASKS[TaskKind.COLOR_CUBE].check
+    assert check(red, "red") == (True, True)
+    assert check(red, " RED ") == (True, True)
+    assert check(red, "blue") == (True, False)
+    assert check(red, "") == (False, False)
 
 
 def test_cube_instance_round_trips():
@@ -162,25 +164,25 @@ def test_cube_instance_round_trips():
 
 
 def test_selfref_all_exactly_seven():
-    stmts = tuple(xt.Statement("exactly", 7) for _ in range(7))
+    stmts = (("exactly", 7),) * 7
     # all-true works (7 of 7 true) and all-false works (each claim fails)
     assert xt.selfref_count(stmts) == 2
 
 
 def test_selfref_at_least_zero_forces_all_true():
-    stmts = tuple(xt.Statement("at_least", 0) for _ in range(7))
+    stmts = (("at_least", 0),) * 7
     assert xt.selfref_count(stmts) == 1
 
 
 def test_selfref_liar_paradox_has_no_assignment():
-    stmts = (xt.Statement("says_false", 1),) + tuple(
-        xt.Statement("says_true", i) for i in range(2, 8)
+    stmts = (("says_false", 1),) + tuple(
+        ("says_true", i) for i in range(2, 8)
     )
     assert xt.selfref_count(stmts) == 0
 
 
 def test_selfref_self_affirming_statements_double_the_count():
-    stmts = tuple(xt.Statement("says_true", i + 1) for i in range(7))
+    stmts = tuple(("says_true", i + 1) for i in range(7))
     # every statement refers to itself, so each picks true or false freely
     assert xt.selfref_count(stmts) == 2**7
 
@@ -188,32 +190,30 @@ def test_selfref_self_affirming_statements_double_the_count():
 def test_selfref_count_matches_bitset_evaluator():
     for i in range(500):
         statements, count = xt.selfref_generate(random.Random(derive_seed(81, i)))
-        pairs = [(st.kind, st.value) for st in statements]
-        assert count == selfref_consistent_count(pairs)
+        assert count == selfref_consistent_count(statements)
 
 
 def test_statement_text_forms():
-    assert xt.Statement("says_true", 3).text() == "Statement 3 is true."
-    assert xt.Statement("says_false", 1).text() == "Statement 1 is false."
-    assert xt.Statement("exactly", 4).text() == (
+    def text(kind, value):
+        return xt.STATEMENTS[kind][0].format(value)
+
+    assert text("says_true", 3) == "Statement 3 is true."
+    assert text("says_false", 1) == "Statement 1 is false."
+    assert text("exactly", 4) == (
         "Exactly 4 of these 7 statements are true."
     )
-    assert xt.Statement("at_least", 2).text() == (
+    assert text("at_least", 2) == (
         "At least 2 of these 7 statements are true."
     )
-    assert xt.Statement("at_most", 6).text() == (
+    assert text("at_most", 6) == (
         "At most 6 of these 7 statements are true."
     )
-    with pytest.raises(ValueError):
-        xt.Statement("sometimes", 1).text()
-    with pytest.raises(ValueError):
-        xt.Statement("sometimes", 1).holds((True,) * 7, 7)
 
 
 def test_selfref_instance_round_trips():
     inst = xt.build_selfref_instance(0, 555)
     assert inst.task == TaskKind.SELF_REFERENCE
-    stmts = tuple(xt.Statement(k, v) for k, v in inst.meta["statements"])
+    stmts = tuple((k, v) for k, v in inst.meta["statements"])
     assert int(inst.ground_truth) == xt.selfref_count(stmts)
     for i in range(1, 8):
         assert f"{i}. " in inst.prompt
@@ -221,14 +221,15 @@ def test_selfref_instance_round_trips():
 
 def test_selfref_verify():
     three = with_truth(TaskKind.SELF_REFERENCE, "3")
-    assert xt.check_selfref(three, "3") == (True, True)
-    assert xt.check_selfref(three, " 3\n") == (True, True)
-    assert xt.check_selfref(three, "4") == (True, False)
-    assert xt.check_selfref(three, "three") == (False, False)
+    check = TASKS[TaskKind.SELF_REFERENCE].check
+    assert check(three, "3") == (True, True)
+    assert check(three, " 3\n") == (True, True)
+    assert check(three, "4") == (True, False)
+    assert check(three, "three") == (False, False)
     # int() would accept both: an Arabic-Indic digit and an underscore
-    assert xt.check_selfref(three, "٣") == (False, False)
+    assert check(three, "٣") == (False, False)
     ten = with_truth(TaskKind.SELF_REFERENCE, "10")
-    assert xt.check_selfref(ten, "1_0") == (False, False)
+    assert check(ten, "1_0") == (False, False)
 
 
 # --- verifier-only tasks -----------------------------------------------------
@@ -236,10 +237,11 @@ def test_selfref_verify():
 
 def test_zebra_verify():
     peter = with_truth(TaskKind.ZEBRA, "Peter")
-    assert xt.check_name(peter, "peter") == (True, True)
-    assert xt.check_name(peter, " PETER ") == (True, True)
-    assert xt.check_name(peter, "Paul") == (True, False)
-    assert xt.check_name(peter, "") == (False, False)
+    check = TASKS[TaskKind.ZEBRA].check
+    assert check(peter, "peter") == (True, True)
+    assert check(peter, " PETER ") == (True, True)
+    assert check(peter, "Paul") == (True, False)
+    assert check(peter, "") == (False, False)
 
 
 def test_parse_number_list_variants():
@@ -260,7 +262,8 @@ def test_parse_number_list_rejects(text):
 
 def test_listfunc_verify():
     def check(truth, text):
-        return xt.check_list(with_truth(TaskKind.LIST_FUNCTIONS, truth), text)
+        return TASKS[TaskKind.LIST_FUNCTIONS].check(
+            with_truth(TaskKind.LIST_FUNCTIONS, truth), text)
 
     assert check("[1, 2, 3]", "[1 2 3]") == (True, True)
     assert check([1, 2, 3], "[1, 2, 3]") == (True, True)

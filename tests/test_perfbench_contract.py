@@ -1,18 +1,22 @@
 """The package names the benchmark in ``perfbench/`` reaches into.
 
-``perfbench/layers.py`` wraps package functions by module and name, and its
-workloads build traced records through each traced task's ``build_traced``.
-A rename or deletion in ``src/`` that breaks either would only show when
-the benchmark runs; these tests make it fail here instead. The benchmark's
-file is read, never imported, so running them writes nothing under
-``perfbench/``.
+``perfbench/layers.py`` wraps package functions by module and name, and
+``perfbench/workloads.py`` calls package functions and reads package
+constants through its ``tf`` namespace of modules. A rename or deletion in
+``src/`` that breaks either would only show when the benchmark runs; these
+tests make it fail here instead. The benchmark's files are read, never
+imported, so running them writes nothing under ``perfbench/``.
 """
 
+import ast
+import dataclasses
 import importlib
 import types
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 MODULES = ("core", "search", "countdown", "sudoku", "arc1d", "xtasks",
            "reward", "pipeline", "cli")
 
@@ -57,3 +61,68 @@ def test_traced_tasks_expose_build_traced():
     tf = package()
     for task in layers.TRACED:
         assert callable(getattr(tf, task).build_traced), task
+
+
+def tf_path(node, aliases):
+    """The ``["tf", module, name, ...]`` chain an expression reads, or None.
+    ``self.tf`` is the root; ``aliases`` maps local names to chains."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute):
+        if (node.attr == "tf" and isinstance(node.value, ast.Name)
+                and node.value.id == "self"):
+            return ["tf"]
+        base = tf_path(node.value, aliases)
+        return base + [node.attr] if base else None
+    return None
+
+
+def workload_reads():
+    """Every ``tf`` chain ``perfbench/workloads.py`` reads, directly or
+    through a local alias such as ``core = self.tf.core``, and the calls
+    it makes through one, as ``(chain, call)`` pairs (``call`` is None for
+    a read that is not called)."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    reads = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        aliases = {}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                path = tf_path(node.value, aliases)
+                if path:
+                    aliases[node.targets[0].id] = path
+        calls = {id(node.func): node for node in ast.walk(fn)
+                 if isinstance(node, ast.Call)}
+        for node in ast.walk(fn):
+            path = tf_path(node, aliases)
+            if path and len(path) > 1:
+                reads.append((path, calls.get(id(node))))
+    return reads
+
+
+def test_every_workload_read_resolves():
+    tf = package()
+    reads = workload_reads()
+    assert reads
+    for path, _ in reads:
+        obj = tf
+        for attr in path[1:]:
+            assert hasattr(obj, attr), ".".join(path)
+            obj = getattr(obj, attr)
+
+
+def test_workload_manifest_keywords_are_fields():
+    fields = dataclasses.fields(package().pipeline.DatasetManifest)
+    required = {f.name for f in fields
+                if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING}
+    calls = [call for path, call in workload_reads()
+             if path == ["tf", "pipeline", "DatasetManifest"] and call]
+    assert calls
+    for call in calls:
+        names = {kw.arg for kw in call.keywords}
+        assert names <= {f.name for f in fields}
+        assert not call.args and required <= names
