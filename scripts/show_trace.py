@@ -8,15 +8,13 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from traceforge import pipeline  # noqa: E402
+from traceforge.cli import TRACE_TASKS  # noqa: E402
 from traceforge.core import TaskKind  # noqa: E402
-from traceforge.tasks import TASKS  # noqa: E402
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--task", default="countdown",
-                        choices=sorted(t.value for t, spec in TASKS.items()
-                                       if spec.build_traced))
+    parser.add_argument("--task", default="countdown", choices=TRACE_TASKS)
     parser.add_argument("--backtracks", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--id", type=int, default=0, dest="instance_id")

@@ -14,7 +14,7 @@ from .core import (
     render_sft_record,
 )
 from .reward import ScoreBreakdown, classify, pass_at_1, score
-from .search import select_detours, solution_path, strip_detours
+from .search import select_detours, strip_detours
 
 __all__ = [
     "GenerationError",
@@ -32,7 +32,6 @@ __all__ = [
     "render_sft_record",
     "score",
     "select_detours",
-    "solution_path",
     "strip_detours",
 ]
 

@@ -163,17 +163,17 @@ MAX_GENERATE_ATTEMPTS = 500
 
 # --- input sampling ----------------------------------------------------------
 
-def _scatter(rng, length, colors, lo=2, hi=5):
-    """Sparse grid with a few colored cells."""
+def _scatter(rng, length, colors):
+    """Sparse grid with 2 to 5 colored cells."""
     grid = [0] * length
-    for pos in rng.sample(range(length), min(length, rng.randint(lo, hi))):
+    for pos in rng.sample(range(length), min(length, rng.randint(2, 5))):
         grid[pos] = colors[rng.randrange(len(colors))]
     return grid
 
 
-def _sample_block(rng, length, max_len=4, margin=0):
-    """One uniform-colored block leaving ``margin`` free cells on the right."""
-    size = rng.randint(2, max_len)
+def _sample_block(rng, length, margin):
+    """A one-color block of 2 to 4 cells, ``margin`` cells clear of the end."""
+    size = rng.randint(2, 4)
     start = rng.randint(0, length - size - margin)
     color = rng.randint(1, 9)
     grid = [0] * length
@@ -213,10 +213,8 @@ def _sample_input(rule: TransformRule, rng: random.Random, length: int):
         grid = _sample_block(rng, length, margin=1)
     elif name == "duplicate":
         grid = _sample_block(rng, length, margin=2)
-    elif name == "grow":
+    else:  # grow
         grid = _sample_block(rng, length, margin=rule.params[0])
-    else:
-        raise ValueError(f"unknown rule family {name}")
     return tuple(grid)
 
 

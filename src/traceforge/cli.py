@@ -116,7 +116,6 @@ def _cmd_score(args) -> int:
 
 def _cmd_classify(args) -> int:
     buckets = pipeline.split_by_correctness(*_load(args))
-    os.makedirs(args.out, exist_ok=True)
     for name in reward.CATEGORIES:
         path = os.path.join(args.out, f"{name}.jsonl")
         pipeline.write_records(buckets[name], path)

@@ -21,12 +21,8 @@ _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
 class TaskKind(str, enum.Enum):
-    """Every task the toolkit knows about.
-
-    The first three have full generate/solve/trace support; the geometry
-    trio, color cube and self reference have generators and verifiers;
-    zebra and list functions are verifier-only.
-    """
+    """Every task the toolkit knows about; ``tasks.TASKS`` says which of
+    them have generators and traced solvers."""
 
     COUNTDOWN = "countdown"
     SUDOKU = "sudoku"

@@ -76,8 +76,10 @@ def traced_path(out, task: TaskKind, k: int) -> str:
 
 def write_lines(path, lines) -> str:
     """Write newline-terminated lines as UTF-8, returning the SHA-256; a
-    temporary file beside ``path`` replaces it once complete."""
+    temporary file beside ``path`` replaces it once complete. A missing
+    parent directory is created."""
     blob = "".join(line + "\n" for line in lines).encode("utf-8")
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -303,7 +305,6 @@ def emit_sft(task: TaskKind, count: int, k: int, master_seed: int, out_path,
              workers: int = 1) -> DatasetManifest:
     """Write a traced dataset plus its manifest; returns the manifest."""
     lines = build_records(task, count, master_seed, k, workers)
-    os.makedirs(os.path.dirname(out_path) or os.curdir, exist_ok=True)
     return _write_dataset(out_path, lines, task.value, k, master_seed,
                           TASKS[task].prompt_template)
 
@@ -313,7 +314,6 @@ def emit_instances(task: TaskKind, count: int, master_seed: int, out_path,
     """Write an instance file plus its manifest; returns the manifest."""
     lines = [instance_to_json(i)
              for i in build_instances(task, count, master_seed, workers)]
-    os.makedirs(os.path.dirname(out_path) or os.curdir, exist_ok=True)
     return _write_dataset(out_path, lines, task.value, None, master_seed,
                           TASKS[task].prompt_template)
 
@@ -385,7 +385,7 @@ def split_by_correctness(instances, completions) -> dict:
     {"instance_id", "completion"} mappings. Every bucket key is always
     present, possibly empty. Unknown instance ids raise ValueError.
     """
-    buckets = {"correct": [], "incorrect": [], "incorrect_format": []}
+    buckets = {name: [] for name in CATEGORIES}
     for inst, completion in pair_completions(instances, completions):
         breakdown = score(inst, completion)
         buckets[breakdown.category].append(SftRecord(

@@ -146,16 +146,12 @@ def evaluate(instances, completions) -> dict:
     """
     answers = {inst.id: text
                for inst, text in pair_completions(instances, completions)}
-    hits: dict = {}
-    totals: dict = {}
+    scores: dict = {}
     for inst in instances:
-        column = TASKS[inst.task].column
-        totals[column] = totals.get(column, 0) + 1
-        text = answers.get(inst.id)
-        if text is not None and score(inst, text).category == CORRECT:
-            hits[column] = hits.get(column, 0) + 1
-    return {col: hits.get(col, 0) / totals[col]
-            for col in COLUMN_ORDER if col in totals}
+        scores.setdefault(TASKS[inst.task].column, []).append(
+            score(inst, answers.get(inst.id, "")))
+    return {col: pass_at_1(scores[col])
+            for col in COLUMN_ORDER if col in scores}
 
 
 def render_eval_table(rates: dict) -> str:

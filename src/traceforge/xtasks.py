@@ -246,35 +246,29 @@ def build_incircle_instance(instance_id: int, seed: int) -> ProblemInstance:
 FACES = ("top", "bottom", "front", "back", "left", "right")
 PALETTE = ("red", "orange", "yellow", "green", "blue", "cyan", "purple", "white")
 
-# For each rotation, the face each sticker comes from: new[face] = old[source].
-ROTATION_SOURCES = {
-    "tilt forward": {"front": "top", "bottom": "front", "back": "bottom",
-                     "top": "back", "left": "left", "right": "right"},
-    "tilt backward": {"back": "top", "bottom": "back", "front": "bottom",
-                      "top": "front", "left": "left", "right": "right"},
-    "turn left": {"left": "front", "back": "left", "right": "back",
-                  "front": "right", "top": "top", "bottom": "bottom"},
-    "turn right": {"right": "front", "back": "right", "left": "back",
-                   "front": "left", "top": "top", "bottom": "bottom"},
-    "roll left": {"left": "top", "bottom": "left", "right": "bottom",
-                  "top": "right", "front": "front", "back": "back"},
-    "roll right": {"right": "top", "bottom": "right", "left": "bottom",
-                   "top": "left", "front": "front", "back": "back"},
-}
-
-ROTATION_PHRASES = {
-    "tilt forward": "tilted forward so the top face moves to the front",
-    "tilt backward": "tilted backward so the top face moves to the back",
-    "turn left": "turned left so the front face moves to the left",
-    "turn right": "turned right so the front face moves to the right",
-    "roll left": "rolled left so the top face moves to the left",
-    "roll right": "rolled right so the top face moves to the right",
+# Each rotation's prompt phrase and the four faces it cycles: each of their
+# stickers moves to the next face in the cycle, the last one's to the first.
+ROTATIONS = {
+    "tilt forward": ("tilted forward so the top face moves to the front",
+                     ("top", "front", "bottom", "back")),
+    "tilt backward": ("tilted backward so the top face moves to the back",
+                      ("top", "back", "bottom", "front")),
+    "turn left": ("turned left so the front face moves to the left",
+                  ("front", "left", "back", "right")),
+    "turn right": ("turned right so the front face moves to the right",
+                   ("front", "right", "back", "left")),
+    "roll left": ("rolled left so the top face moves to the left",
+                  ("top", "left", "bottom", "right")),
+    "roll right": ("rolled right so the top face moves to the right",
+                   ("top", "right", "bottom", "left")),
 }
 
 
 def apply_rotation(state: dict, rotation: str) -> dict:
-    sources = ROTATION_SOURCES[rotation]
-    return {face: state[sources[face]] for face in FACES}
+    a, b, c, d = ROTATIONS[rotation][1]
+    new = dict(state)
+    new[b], new[c], new[d], new[a] = state[a], state[b], state[c], state[d]
+    return new
 
 
 @dataclass(frozen=True)
@@ -303,14 +297,14 @@ CUBE_PROMPT = (
 def cube_generate(rng: random.Random) -> CubeProblem:
     colors = rng.sample(PALETTE, 6)
     n = rng.randint(*ROTATIONS_RANGE)
-    names = sorted(ROTATION_SOURCES)
+    names = sorted(ROTATIONS)
     rotations = tuple(names[rng.randrange(len(names))] for _ in range(n))
     query = FACES[rng.randrange(6)]
     return CubeProblem(tuple(colors), rotations, query)
 
 
 def cube_prompt(problem: CubeProblem) -> str:
-    phrases = [ROTATION_PHRASES[r] for r in problem.rotations]
+    phrases = [ROTATIONS[r][0] for r in problem.rotations]
     steps = [f"first it is {phrases[0]}"]
     steps += [f"then it is {p}" for p in phrases[1:]]
     sequence = ", ".join(steps)
@@ -344,17 +338,19 @@ N_STATEMENTS = 7
 # A statement is a (kind, value) pair about the truth of the seven
 # statements. ``says_true``/``says_false`` refer to a statement by 1-based
 # index; ``exactly``/``at_least``/``at_most`` constrain how many of the seven
-# are true. Each kind maps to its text template and its
-# ``holds(assignment, total, value)``; the table order is the draw order.
+# are true. Each kind maps to its text template, its
+# ``holds(assignment, total, value)`` and the lowest value it is drawn with
+# (the highest is N_STATEMENTS); the table order is the draw order.
 STATEMENTS = {
-    "says_true": ("Statement {} is true.", lambda a, total, v: a[v - 1]),
-    "says_false": ("Statement {} is false.", lambda a, total, v: not a[v - 1]),
+    "says_true": ("Statement {} is true.", lambda a, total, v: a[v - 1], 1),
+    "says_false": ("Statement {} is false.", lambda a, total, v: not a[v - 1],
+                   1),
     "exactly": ("Exactly {} of these 7 statements are true.",
-                lambda a, total, v: total == v),
+                lambda a, total, v: total == v, 0),
     "at_least": ("At least {} of these 7 statements are true.",
-                 lambda a, total, v: total >= v),
+                 lambda a, total, v: total >= v, 0),
     "at_most": ("At most {} of these 7 statements are true.",
-                lambda a, total, v: total <= v),
+                lambda a, total, v: total <= v, 0),
 }
 
 
@@ -384,10 +380,7 @@ def selfref_generate(rng: random.Random):
     statements = []
     for _ in range(N_STATEMENTS):
         kind = _SR_KINDS[rng.randrange(len(_SR_KINDS))]
-        if kind in ("says_true", "says_false"):
-            value = rng.randint(1, N_STATEMENTS)
-        else:
-            value = rng.randint(0, N_STATEMENTS)
+        value = rng.randint(STATEMENTS[kind][2], N_STATEMENTS)
         statements.append((kind, value))
     statements = tuple(statements)
     return statements, selfref_count(statements)

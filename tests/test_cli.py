@@ -158,6 +158,26 @@ def test_shuffle_round_trip(tmp_path, capsys):
     assert manifest["count"] == 6
 
 
+@pytest.mark.parametrize("command", ["shuffle", "score"])
+def test_output_file_in_a_new_directory(tmp_path, capsys, command):
+    run(capsys, "trace", "--task", "countdown", "--backtracks", "1",
+        "--count", "2", "--seed", "3", "--out", str(tmp_path))
+    out_path = tmp_path / "new" / "deeper" / "out.jsonl"
+    if command == "shuffle":
+        argv = ("--in", str(tmp_path / "countdown_k1.jsonl"))
+    else:
+        comp_path = tmp_path / "completions.jsonl"
+        write_jsonl(comp_path, [{"instance_id": 0, "completion": "x"}])
+        run(capsys, "generate", "--task", "countdown", "--count", "1",
+            "--seed", "3", "--out", str(tmp_path))
+        argv = ("--task", "countdown", "--completions", str(comp_path),
+                "--instances", str(tmp_path / "countdown_instances.jsonl"))
+    code, _, err = run(capsys, command, *argv, "--out", str(out_path))
+    assert code == 0, err
+    assert len(out_path.read_text().splitlines()) == (
+        2 if command == "shuffle" else 1)
+
+
 def test_score_writes_breakdowns(tmp_path, capsys):
     run(capsys, "generate", "--task", "countdown", "--count", "3",
         "--seed", "9", "--out", str(tmp_path))

@@ -42,14 +42,21 @@ def vector_final_color(problem: xt.CubeProblem) -> str:
     return sticker[_FACE_VEC[problem.query]]
 
 
+def rotation_sources(rot):
+    """new[face] = old[source], read off a cube painted with its face names."""
+    return xt.apply_rotation({face: face for face in xt.FACES}, rot)
+
+
 def test_rotation_sources_are_bijections():
-    for rot, sources in xt.ROTATION_SOURCES.items():
+    for rot in xt.ROTATIONS:
+        sources = rotation_sources(rot)
         assert set(sources) == set(xt.FACES)
         assert set(sources.values()) == set(xt.FACES)
 
 
 def test_each_rotation_is_a_four_cycle_with_fixed_axis():
-    for rot, sources in xt.ROTATION_SOURCES.items():
+    for rot in xt.ROTATIONS:
+        sources = rotation_sources(rot)
         fixed = [f for f in xt.FACES if sources[f] == f]
         moved = [f for f in xt.FACES if sources[f] != f]
         assert len(fixed) == 2
@@ -66,7 +73,7 @@ def state():
     return dict(zip(xt.FACES, ("red", "blue", "green", "white", "yellow", "purple")))
 
 
-@pytest.mark.parametrize("rot", sorted(xt.ROTATION_SOURCES))
+@pytest.mark.parametrize("rot", sorted(xt.ROTATIONS))
 def test_four_applications_are_identity(rot):
     s = state()
     for _ in range(4):
@@ -98,7 +105,7 @@ def test_opposite_color_pairs_are_invariant():
     s = state()
     want = pairs_of(s)
     rng = random.Random(4)
-    names = sorted(xt.ROTATION_SOURCES)
+    names = sorted(xt.ROTATIONS)
     for _ in range(50):
         s = xt.apply_rotation(s, names[rng.randrange(len(names))])
         assert pairs_of(s) == want
@@ -135,7 +142,7 @@ def test_cube_prompt_mentions_every_rotation():
     assert f"rotated {len(p.rotations)} times" in prompt
     assert "first it is" in prompt
     for rot in p.rotations:
-        assert xt.ROTATION_PHRASES[rot] in prompt
+        assert xt.ROTATIONS[rot][0] in prompt
     assert f"what color is the {p.query} face?" in prompt
 
 
@@ -191,6 +198,18 @@ def test_selfref_count_matches_bitset_evaluator():
     for i in range(500):
         statements, count = xt.selfref_generate(random.Random(derive_seed(81, i)))
         assert count == selfref_consistent_count(statements)
+
+
+def test_selfref_draws_cover_each_kind_value_range():
+    # a says_* value of 0 would read a[-1], statement 7, without an error
+    seen = {kind: set() for kind in xt.STATEMENTS}
+    for i in range(2000):
+        statements, _ = xt.selfref_generate(random.Random(derive_seed(91, i)))
+        for kind, value in statements:
+            seen[kind].add(value)
+    assert seen["says_true"] == seen["says_false"] == set(range(1, 8))
+    for kind in ("exactly", "at_least", "at_most"):
+        assert seen[kind] == set(range(0, 8))
 
 
 def test_statement_text_forms():

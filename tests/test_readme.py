@@ -1,7 +1,12 @@
 """The README's code runs as written."""
 
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
+
+from traceforge.core import MARKER_PHRASE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -11,3 +16,18 @@ def test_python_api_block_runs():
                       README.read_text(encoding="utf-8"), re.M | re.S)
     assert block, "README has no Python API code block"
     exec(compile(block[1], str(README), "exec"), {})
+
+
+def test_show_trace_script_runs():
+    block = re.search(r"^## Scripts\n\n```sh\n(.*?)\n```$",
+                      README.read_text(encoding="utf-8"), re.M | re.S)
+    assert block, "README has no Scripts code block"
+    argv = shlex.split(block[1])
+    assert argv == ["python3", "scripts/show_trace.py", "--task", "sudoku",
+                    "--backtracks", "5"]
+    done = subprocess.run([sys.executable, *argv[1:]], cwd=README.parent,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    prompt, completion = done.stdout.split("=== completion ===\n")
+    assert prompt.startswith("=== prompt ===\n")
+    assert completion.count(MARKER_PHRASE) == 5
