@@ -19,7 +19,6 @@ Grids are tuples of color digits 0..9; 0 is the background.
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
 from operator import eq
 from typing import Callable, Optional
@@ -27,6 +26,7 @@ from typing import Callable, Optional
 from .core import (
     GenerationError,
     ProblemInstance,
+    Rng,
     TaskKind,
 )
 from .search import (
@@ -181,7 +181,7 @@ def _sample_block(rng, length, margin):
     return grid
 
 
-def _sample_input(rule: TransformRule, rng: random.Random, length: int):
+def _sample_input(rule: TransformRule, rng: Rng, length: int):
     """Draw one input grid suited to ``rule``'s family."""
     name = rule.name
     if name in ("shift_right", "shift_left", "mirror"):
@@ -198,7 +198,8 @@ def _sample_input(rule: TransformRule, rng: random.Random, length: int):
         grid[rng.randrange(length)] = b
     elif name == "erase":
         color = rule.params[0]
-        other = rng.choice([v for v in range(1, 10) if v != color])
+        others = [v for v in range(1, 10) if v != color]
+        other = others[rng.randrange(len(others))]
         grid = _scatter(rng, length, [color, other])
         grid[rng.randrange(length)] = color
         grid[rng.randrange(length)] = other
@@ -218,7 +219,7 @@ def _sample_input(rule: TransformRule, rng: random.Random, length: int):
     return tuple(grid)
 
 
-def _sample_visible(rule: TransformRule, rng: random.Random, length: int):
+def _sample_visible(rule: TransformRule, rng: Rng, length: int):
     """(input, output) of the first of 20 draws on which ``rule`` acts
     visibly, or None."""
     for _ in range(20):
@@ -257,7 +258,7 @@ def consistent_rules(pairs):
     return [rule for rule, (_, miss) in zip(RULE_POOL, analysis) if miss is None]
 
 
-def generate(rng: random.Random) -> Arc1dTask:
+def generate(rng: Rng) -> Arc1dTask:
     """Sample a task whose examples identify the hidden rule uniquely."""
     for _ in range(MAX_GENERATE_ATTEMPTS):
         rule = RULE_POOL[rng.randrange(len(RULE_POOL))]
@@ -335,7 +336,7 @@ def _extend(attempts, taken, rng):
                          f"{render_grid(out)}.")
 
 
-def make_trace(task: Arc1dTask, k: int, rng: random.Random):
+def make_trace(task: Arc1dTask, k: int, rng: Rng):
     """Trace the rule search with exactly ``k`` wrong attempts.
 
     Every detour tries one inconsistent rule and abandons it, so a detour
@@ -410,8 +411,7 @@ def _instance(instance_id: int, seed: int, task: Arc1dTask) -> ProblemInstance:
 
 
 def build_instance(instance_id: int, seed: int) -> ProblemInstance:
-    task = sample_named("arc1d", instance_id, seed, generate,
-                        random.Random(seed))
+    task = sample_named("arc1d", instance_id, seed, generate, Rng(seed))
     return _instance(instance_id, seed, task)
 
 

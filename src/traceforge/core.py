@@ -9,9 +9,11 @@ these types, so they carry no task-specific logic.
 from __future__ import annotations
 
 import enum
+import random
 import re
 from dataclasses import dataclass, field
 from itertools import islice
+from math import ceil, log
 from typing import NamedTuple, Optional
 
 _MASK64 = (1 << 64) - 1
@@ -51,6 +53,73 @@ def derive_seed(master: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+class Rng(random.Random):
+    """The package's one source of random draws: the standard library's
+    MT19937 seeding and ``getrandbits``, under CPython 3.11's ``randrange``,
+    ``randint``, ``shuffle`` and ``sample``, which Python does not promise
+    to keep. Each is inlined to one Python call; an n-way draw takes
+    ``n.bit_length()`` bits and redraws while they reach ``n``."""
+
+    def randrange(self, n):
+        """An int from ``range(n)``; the package draws no other range."""
+        if n <= 0:
+            raise ValueError(f"empty range for randrange({n})")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return r
+
+    def randint(self, a, b):
+        """An int from ``a`` to ``b``, both included."""
+        n = b - a + 1
+        if n <= 0:
+            raise ValueError(f"empty range for randint({a}, {b})")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return a + r
+
+    def shuffle(self, x):
+        """Fisher-Yates in place, from the last position down."""
+        getrandbits = self.getrandbits
+        for i in range(len(x) - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+
+    def sample(self, population, k):
+        """``k`` distinct members of ``population`` in selection order: from
+        a shrinking pool, or, for a population larger than a k-member set,
+        by redrawing any index already taken."""
+        n = len(population)
+        if not 0 <= k <= n:
+            raise ValueError("Sample larger than population or is negative")
+        getrandbits = self.getrandbits
+        result = []
+        if n <= 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
+            pool = list(population)
+            for left in range(n, n - k, -1):
+                bits = left.bit_length()
+                j = getrandbits(bits)
+                while j >= left:
+                    j = getrandbits(bits)
+                result.append(pool[j])
+                pool[j] = pool[left - 1]
+        else:
+            taken = set()
+            bits = n.bit_length()
+            while len(result) < k:
+                j = getrandbits(bits)
+                if j < n and j not in taken:
+                    taken.add(j)
+                    result.append(population[j])
+        return result
 
 
 @dataclass(frozen=True)

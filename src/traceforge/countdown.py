@@ -15,7 +15,6 @@ Answers are verified only by :func:`check`, through :func:`parse_answer`.
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +23,7 @@ from functools import partial
 from .core import (
     GenerationError,
     ProblemInstance,
+    Rng,
     TaskKind,
 )
 from .search import (
@@ -127,7 +127,7 @@ def reachable(values, target) -> bool:
 
 # --- generation --------------------------------------------------------------
 
-def _random_combine(rng: random.Random, values) -> None:
+def _random_combine(rng: Rng, values) -> None:
     """Merge two random values in place with a random legal operator."""
     a, b = rng.sample(range(len(values)), 2)
     va, vb = values[a], values[b]
@@ -146,7 +146,7 @@ def _random_combine(rng: random.Random, values) -> None:
     values.append(value)
 
 
-def generate(rng: random.Random) -> CountdownPuzzle:
+def generate(rng: Rng) -> CountdownPuzzle:
     """Sample a puzzle whose target some combination of its numbers reaches.
 
     Targets that already appear among the puzzle numbers are rejected so no
@@ -339,7 +339,7 @@ def _extend(target: int, values, taken, rng):
     return None
 
 
-def make_trace(puzzle: CountdownPuzzle, k: int, rng: random.Random):
+def make_trace(puzzle: CountdownPuzzle, k: int, rng: Rng):
     """Solve and linearize with exactly ``k`` backtracks.
 
     Raises GenerationError when the puzzle's solution path cannot host k
@@ -513,8 +513,7 @@ def _instance(instance_id: int, seed: int, puzzle: CountdownPuzzle,
 
 
 def build_instance(instance_id: int, seed: int) -> ProblemInstance:
-    puzzle = sample_named("countdown", instance_id, seed, generate,
-                          random.Random(seed))
+    puzzle = sample_named("countdown", instance_id, seed, generate, Rng(seed))
     _, answer = solve_dfs(puzzle)
     return _instance(instance_id, seed, puzzle, answer)
 

@@ -19,7 +19,6 @@ import atexit
 import hashlib
 import json
 import os
-import random
 import re
 from dataclasses import dataclass, replace
 from functools import partial
@@ -28,6 +27,7 @@ from typing import Optional
 from .core import (
     MARKER_PHRASE,
     ProblemInstance,
+    Rng,
     SftRecord,
     TaskKind,
     derive_seed,
@@ -343,7 +343,7 @@ def write_shuffled(in_path, out_path, seed: int) -> DatasetManifest:
     """Write the records of ``in_path`` with deranged completions (see
     :func:`emit_shuffled`) plus a manifest. The manifest's task is the
     records' single task, or "mixed"."""
-    shuffled = emit_shuffled(load_records(in_path), random.Random(seed))
+    shuffled = emit_shuffled(load_records(in_path), Rng(seed))
     tasks = {r.task.value for r in shuffled}
     return _write_dataset(out_path, [record_to_json(r) for r in shuffled],
                           tasks.pop() if len(tasks) == 1 else "mixed",

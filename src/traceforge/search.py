@@ -13,10 +13,9 @@ dataset builders expose.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, NamedTuple, Optional
 
-from .core import Detour, GenerationError, ReasoningTrace, derive_seed
+from .core import Detour, GenerationError, ReasoningTrace, Rng, derive_seed
 
 # Puzzles sampled per traced record before giving up.
 MAX_TRACE_RETRIES = 50
@@ -42,10 +41,10 @@ def solution_path(nodes: list) -> list[int]:
 # ``taken``, and returns (that first key, the walk's step texts, why the
 # branch is dead), or None when no wrong branch is left. The observation
 # draws no random numbers.
-ExtendFn = Callable[[object, set, random.Random], Optional[tuple]]
+ExtendFn = Callable[[object, set, Rng], Optional[tuple]]
 
 
-def select_detours(nodes: list, path: list, k: int, rng: random.Random,
+def select_detours(nodes: list, path: list, k: int, rng: Rng,
                    extend_fn: ExtendFn) -> list:
     """Choose ``k`` detours along the solution path, each walked by the
     task's ``extend_fn``; returns them sorted by resume step, those at one
@@ -102,7 +101,7 @@ def strip_detours(trace: ReasoningTrace) -> ReasoningTrace:
 
 
 def sample_named(task: str, instance_id: int, seed: int, sample: Callable,
-                 rng: random.Random):
+                 rng: Rng):
     """``sample(rng)``, re-raising its GenerationError with the task, id and
     seed that reproduce it."""
     try:
@@ -116,7 +115,7 @@ def build_with_retries(task: str, instance_id: int, seed: int, k: int,
                        sample: Callable, make_trace: Callable):
     """Sample puzzles until one yields a trace with exactly ``k`` backtracks.
 
-    Attempt ``a`` draws from ``random.Random(derive_seed(seed, a))``:
+    Attempt ``a`` draws from ``Rng(derive_seed(seed, a))``:
     ``sample(rng)`` makes a puzzle, then ``make_trace(puzzle, k, rng)``
     linearizes it. Only a GenerationError from ``make_trace`` (the puzzle
     cannot host ``k`` detours) moves on to attempt ``a + 1``; any other
@@ -128,7 +127,7 @@ def build_with_retries(task: str, instance_id: int, seed: int, k: int,
     instance id stamped into the trace's meta.
     """
     for attempt in range(MAX_TRACE_RETRIES):
-        rng = random.Random(derive_seed(seed, attempt))
+        rng = Rng(derive_seed(seed, attempt))
         puzzle = sample_named(task, instance_id, seed, sample, rng)
         try:
             trace = make_trace(puzzle, k, rng)

@@ -17,12 +17,11 @@ path alone, and each detour is the texts of the wrong placements it walks.
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import ProblemInstance, TaskKind
+from .core import ProblemInstance, Rng, TaskKind
 from .search import (
     MAX_DETOUR_DEPTH,
     SearchNode,
@@ -166,7 +165,7 @@ def count_solutions(grid, limit: int = 2) -> int:
     return 0 if prep is None else _count(*prep, limit)
 
 
-def generate_full(rng: random.Random) -> tuple:
+def generate_full(rng: Rng) -> tuple:
     """A uniformly scrambled complete grid via randomized backtracking."""
     while True:
         grid = [0] * 81
@@ -246,7 +245,7 @@ def _swap_group(solution, grid, cell, alt, where) -> Optional[set]:
     return group
 
 
-def dig_holes(solution, blanks: int, rng: random.Random) -> SudokuPuzzle:
+def dig_holes(solution, blanks: int, rng: Rng) -> SudokuPuzzle:
     """Remove givens from a complete grid, keeping the solution unique.
 
     A cell may be blanked only if no alternative digit there admits any
@@ -312,7 +311,7 @@ def dig_holes(solution, blanks: int, rng: random.Random) -> SudokuPuzzle:
     return SudokuPuzzle(tuple(grid), tuple(solution), len(empties))
 
 
-def generate(rng: random.Random) -> SudokuPuzzle:
+def generate(rng: Rng) -> SudokuPuzzle:
     full = generate_full(rng)
     blanks = rng.randint(*BLANK_RANGE)
     return dig_holes(full, blanks, rng)
@@ -401,7 +400,7 @@ def _extend(grid, taken, rng):
                           f"column {col + 1}.")
 
 
-def make_trace(puzzle: SudokuPuzzle, k: int, rng: random.Random):
+def make_trace(puzzle: SudokuPuzzle, k: int, rng: Rng):
     """Linearize the solve into a trace with exactly ``k`` backtracks.
 
     Detours can only branch where the chosen cell had several candidates;
@@ -478,7 +477,7 @@ def _instance(instance_id: int, seed: int, puzzle: SudokuPuzzle) -> ProblemInsta
 
 
 def build_instance(instance_id: int, seed: int) -> ProblemInstance:
-    rng = random.Random(seed)
+    rng = Rng(seed)
     return _instance(instance_id, seed, generate(rng))
 
 

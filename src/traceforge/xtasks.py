@@ -13,14 +13,13 @@ an unreadable truth is an error.
 from __future__ import annotations
 
 import math
-import random
 import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
-from .core import ProblemInstance, TaskKind
+from .core import ProblemInstance, Rng, TaskKind
 
 # --- decimal formatting ------------------------------------------------------
 
@@ -66,7 +65,7 @@ POINT_DECIMALS = 3  # orthocenter coordinates and incircle radius
 VERTEX_NAMES = ("A", "B", "C")
 
 
-def sample_triangle(rng: random.Random) -> tuple:
+def sample_triangle(rng: Rng) -> tuple:
     lo, hi = COORD_RANGE
     while True:
         pts = []
@@ -199,7 +198,7 @@ INCIRCLE_PROMPT = (
 
 
 def build_angle_instance(instance_id: int, seed: int) -> ProblemInstance:
-    rng = random.Random(seed)
+    rng = Rng(seed)
     tri = sample_triangle(rng)
     vertex = rng.randrange(3)
     truth = format_angle(angle_at(tri, vertex))
@@ -215,7 +214,7 @@ def build_angle_instance(instance_id: int, seed: int) -> ProblemInstance:
 
 
 def build_orthocenter_instance(instance_id: int, seed: int) -> ProblemInstance:
-    rng = random.Random(seed)
+    rng = Rng(seed)
     tri = sample_triangle(rng)
     x, y = orthocenter(tri)
     return ProblemInstance(
@@ -229,7 +228,7 @@ def build_orthocenter_instance(instance_id: int, seed: int) -> ProblemInstance:
 
 
 def build_incircle_instance(instance_id: int, seed: int) -> ProblemInstance:
-    rng = random.Random(seed)
+    rng = Rng(seed)
     tri = sample_triangle(rng)
     return ProblemInstance(
         id=instance_id,
@@ -294,7 +293,7 @@ CUBE_PROMPT = (
 )
 
 
-def cube_generate(rng: random.Random) -> CubeProblem:
+def cube_generate(rng: Rng) -> CubeProblem:
     colors = rng.sample(PALETTE, 6)
     n = rng.randint(*ROTATIONS_RANGE)
     names = sorted(ROTATIONS)
@@ -314,7 +313,7 @@ def cube_prompt(problem: CubeProblem) -> str:
 
 
 def build_cube_instance(instance_id: int, seed: int) -> ProblemInstance:
-    rng = random.Random(seed)
+    rng = Rng(seed)
     problem = cube_generate(rng)
     return ProblemInstance(
         id=instance_id,
@@ -375,7 +374,7 @@ def selfref_count(statements) -> int:
 _SR_KINDS = tuple(STATEMENTS)
 
 
-def selfref_generate(rng: random.Random):
+def selfref_generate(rng: Rng):
     """Seven random statements and their consistent-assignment count."""
     statements = []
     for _ in range(N_STATEMENTS):
@@ -405,7 +404,7 @@ def read_integer(text: str) -> Optional[int]:
 
 
 def build_selfref_instance(instance_id: int, seed: int) -> ProblemInstance:
-    rng = random.Random(seed)
+    rng = Rng(seed)
     statements, count = selfref_generate(rng)
     listed = "\n".join(f"{i}. {STATEMENTS[kind][0].format(value)}"
                        for i, (kind, value) in enumerate(statements, start=1))

@@ -21,6 +21,7 @@ from helpers import arc1d_task, countdown_puzzle, countdown_solvable, \
 from traceforge import arc1d, countdown, pipeline, sudoku, xtasks
 from traceforge.core import (
     ProblemInstance,
+    Rng,
     TaskKind,
     derive_seed,
     render_completion,
@@ -282,7 +283,7 @@ def test_solver_oracle_agreement():
 
     disagreements = 0
     for i in range(10_000):
-        rng = random.Random(derive_seed(SEED_ORACLE + 2, i))
+        rng = Rng(derive_seed(SEED_ORACLE + 2, i))
         statements, count = xtasks.selfref_generate(rng)
         if count != selfref_consistent_count(statements):
             disagreements += 1
@@ -298,7 +299,7 @@ def test_geometry_numeric_bars():
     worst_altitude = 0.0
     worst_radius = 0.0
     for i in range(10_000):
-        rng = random.Random(derive_seed(SEED_GEOMETRY, i))
+        rng = Rng(derive_seed(SEED_GEOMETRY, i))
         tri = xtasks.sample_triangle(rng)
 
         rounded = [Decimal(xtasks.format_angle(xtasks.angle_at(tri, v))[:-1])

@@ -10,6 +10,7 @@ from traceforge import arc1d as a1
 from traceforge import pipeline
 from traceforge.core import (
     MARKER_PHRASE,
+    Rng,
     TaskKind,
     derive_seed,
     extract_tags,
@@ -25,7 +26,7 @@ def rule(name, *params):
 
 def sample_tasks(n, master=606):
     for i in range(n):
-        yield a1.generate(random.Random(derive_seed(master, i)))
+        yield a1.generate(Rng(derive_seed(master, i)))
 
 
 # --- transform rules, hand-computed examples ---------------------------------

@@ -15,6 +15,7 @@ from traceforge.core import (
     MARKER_PHRASE,
     GenerationError,
     ProblemInstance,
+    Rng,
     TaskKind,
     derive_seed,
     render_completion,
@@ -24,7 +25,7 @@ from traceforge.search import solution_path
 
 def sample_puzzles(n, master=4242):
     for i in range(n):
-        rng = random.Random(derive_seed(master, i))
+        rng = Rng(derive_seed(master, i))
         yield cd.generate(rng)
 
 

@@ -1,5 +1,4 @@
 import math
-import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traceforge import xtasks as xt
-from traceforge.core import ProblemInstance, TaskKind, derive_seed
+from traceforge.core import ProblemInstance, Rng, TaskKind, derive_seed
 from traceforge.reward import check_answer
 from traceforge.tasks import TASKS
 
@@ -95,7 +94,7 @@ def test_round_half_away_fraction_avoids_float_artifacts():
 
 def sample_triangles(n, master=909):
     for i in range(n):
-        yield xt.sample_triangle(random.Random(derive_seed(master, i)))
+        yield xt.sample_triangle(Rng(derive_seed(master, i)))
 
 
 def test_sample_triangle_in_range_and_nondegenerate():

@@ -15,6 +15,7 @@ from traceforge.core import (
     MARKER_PHRASE,
     GenerationError,
     ReasoningTrace,
+    Rng,
     derive_seed,
     render_completion,
     render_think_body,
@@ -166,7 +167,7 @@ def test_tree_is_the_solution_path_plus_the_detours_taken(module, solve,
     hosted = 0
     for i in range(4):
         for k in (1, 5, 10):
-            rng = random.Random(derive_seed(97, i))
+            rng = Rng(derive_seed(97, i))
             puzzle = module.generate(rng)
             nodes, _ = solve(puzzle)
             path = solution_path(nodes)
@@ -194,7 +195,7 @@ def test_extend_keys_avoid_taken_and_never_repeat(module, solve, extend_for):
     hosted = 0
     for i in range(6):
         for k in (1, 5, 10):
-            rng = random.Random(derive_seed(31, i))
+            rng = Rng(derive_seed(31, i))
             puzzle = module.generate(rng)
             nodes, _ = solve(puzzle)
             path = solution_path(nodes)
@@ -356,7 +357,7 @@ def test_generation_error_moves_to_the_next_attempt():
     stub = RetryStub(GenerationError("too few detours"))
     puzzle, trace = build_with_retries("stub", 2, seed, 3, stub.sample,
                                        stub.make_trace)
-    assert stub.sampled == [random.Random(derive_seed(seed, a)).random()
+    assert stub.sampled == [Rng(derive_seed(seed, a)).random()
                             for a in (0, 1)]
     assert puzzle == stub.sampled[1]
     assert trace.meta == {"instance_id": 2}

@@ -12,6 +12,7 @@ from traceforge import pipeline
 from traceforge import sudoku as sd
 from traceforge.core import (
     MARKER_PHRASE,
+    Rng,
     TaskKind,
     derive_seed,
     extract_tags,
@@ -22,7 +23,7 @@ from traceforge.search import solution_path, strip_detours
 
 def sample_puzzles(n, master=808):
     for i in range(n):
-        yield sd.generate(random.Random(derive_seed(master, i)))
+        yield sd.generate(Rng(derive_seed(master, i)))
 
 
 def no_solution_grid():
