@@ -19,9 +19,8 @@ Grids are tuples of color digits 0..9; 0 is the background.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import eq
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     GenerationError,
@@ -115,8 +114,7 @@ def _grow_block(grid, amount):
     return grid[:j + 1] + (grid[j],) * amount + grid[j + 1 + amount:]
 
 
-@dataclass(frozen=True)
-class TransformRule:
+class TransformRule(NamedTuple):
     """A named, parameterized grid transform with a prose description."""
 
     name: str
@@ -149,8 +147,7 @@ RULE_POOL = (
 )
 
 
-@dataclass(frozen=True)
-class Arc1dTask:
+class Arc1dTask(NamedTuple):
     train_pairs: tuple  # ((input, output), ...)
     test_input: tuple
     hidden_rule: TransformRule

@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from dataclasses import asdict
 
 from . import pipeline, reward
 from .core import GenerationError, TaskKind
@@ -24,12 +24,15 @@ GENERATE_TASKS = sorted(t.value for t, spec in TASKS.items() if spec.build_insta
 TRACE_TASKS = sorted(t.value for t, spec in TASKS.items() if spec.build_traced)
 ALL_TASKS = sorted(t.value for t in TaskKind)
 
+_SEED = re.compile(r"[0-9]+|0x[0-9a-fA-F]+")
+
 
 def _parse_seed(text: str) -> int:
-    try:
-        value = int(text, 0)  # accepts decimal and 0x-prefixed hex
-    except ValueError:
-        raise ValueError(f"seed must be an integer, got {text!r}") from None
+    """A --seed or FORGE_SEED value: decimal digits, or 0x and hex digits."""
+    if not _SEED.fullmatch(text):
+        raise ValueError(f"seed must be decimal digits or 0x and hex digits, "
+                         f"got {text!r}")
+    value = int(text, 16 if text.startswith("0x") else 10)
     if not 0 <= value < 1 << 64:  # derive_seed would alias a wider one
         raise ValueError(f"seed must be 0 to 2**64 - 1, got {text!r}")
     return value
@@ -107,7 +110,7 @@ def _cmd_score(args) -> int:
     lines = []
     for inst, text in reward.pair_completions(*_load(args)):
         b = reward.score(inst, text, gated=not args.ungated)
-        lines.append(json.dumps({"instance_id": inst.id, **asdict(b)},
+        lines.append(json.dumps({"instance_id": inst.id, **b._asdict()},
                                 ensure_ascii=False))
     pipeline.write_lines(args.out, lines)
     print(f"scored {len(lines)} completions to {args.out}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import random
 import re
-from dataclasses import dataclass, field
 from itertools import islice
 from math import ceil, log
 from typing import NamedTuple, Optional
@@ -122,8 +121,7 @@ class Rng(random.Random):
         return result
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(NamedTuple):
     """One generated problem: prompt text plus whatever the verifier needs."""
 
     id: int
@@ -131,7 +129,7 @@ class ProblemInstance:
     prompt: str
     ground_truth: str
     seed: int
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 # --- reasoning traces --------------------------------------------------------
@@ -151,8 +149,7 @@ BACKTRACK_TEMPLATE = (
 CONCLUSION = "This matches the problem statement. This is the solution."
 
 
-@dataclass(frozen=True)
-class Detour:
+class Detour(NamedTuple):
     """One wrong excursion: the step it branches from (the trace returns
     there afterwards), the texts of the wrong steps it walks, and why the
     branch is dead."""
@@ -162,24 +159,23 @@ class Detour:
     observation: str        # the task's reason for abandoning the branch
 
 
-@dataclass
-class ReasoningTrace:
+class ReasoningTrace(NamedTuple):
     """A solve with its detours: the solution path's step texts, the
     detours sorted by resume step (those at one step in selection order),
-    and the final answer."""
+    the final answer, and the id of the instance it was built for, once
+    known."""
 
     steps: tuple
     detours: tuple
     answer: str
-    meta: dict = field(default_factory=dict)
+    instance_id: Optional[int] = None
 
     @property
     def backtracks(self) -> int:
         return len(self.detours)
 
 
-@dataclass
-class SftRecord:
+class SftRecord(NamedTuple):
     """One dataset row. Field order here is the JSON field order on disk."""
 
     instance_id: int
@@ -321,9 +317,9 @@ def render_sft_record(instance: ProblemInstance, trace: ReasoningTrace) -> SftRe
     """Pair an instance with its rendered trace as one dataset row.
 
     Raises ValueError when the trace was built for a different instance
-    (detected via the instance id stamped into trace metadata).
+    (detected via the trace's ``instance_id``).
     """
-    traced_id = trace.meta.get("instance_id")
+    traced_id = trace.instance_id
     if traced_id is not None and traced_id != instance.id:
         raise ValueError(
             f"trace belongs to instance {traced_id}, not {instance.id}"

@@ -16,9 +16,9 @@ Answers are verified only by :func:`check`, through :func:`parse_answer`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .core import (
     GenerationError,
@@ -43,8 +43,7 @@ PROMPT_TEMPLATE = (
 )
 
 
-@dataclass(frozen=True)
-class CountdownPuzzle:
+class CountdownPuzzle(NamedTuple):
     numbers: tuple
     target: int
 

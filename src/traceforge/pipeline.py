@@ -20,9 +20,8 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, replace
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     MARKER_PHRASE,
@@ -42,8 +41,7 @@ SCHEMA_VERSION = 1
 LAYOUT_DEPTHS = (0, 1, 5, 10)
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
+class DatasetManifest(NamedTuple):
     """The schema, task, count, backtracks, seed and SHA-256 of one
     emitted file. They regenerate an instances or traced file; a shuffled
     file's manifest omits its source and the source's k (ROADMAP item 7)."""
@@ -58,7 +56,7 @@ class DatasetManifest:
 
     def to_json(self) -> str:
         return json.dumps(
-            {**vars(self), "master_seed": f"{self.master_seed:016x}"},
+            {**self._asdict(), "master_seed": f"{self.master_seed:016x}"},
             ensure_ascii=False, indent=2) + "\n"
 
 
@@ -139,7 +137,7 @@ def _read_seed(value) -> int:
 
 def record_to_json(rec: SftRecord) -> str:
     # a TaskKind is a str, so it serializes as its value
-    return json.dumps({**vars(rec), "seed": f"{rec.seed:016x}"},
+    return json.dumps({**rec._asdict(), "seed": f"{rec.seed:016x}"},
                       ensure_ascii=False)
 
 
@@ -180,7 +178,7 @@ def write_records(records, path) -> str:
 
 
 def instance_to_json(instance: ProblemInstance) -> str:
-    return json.dumps({**vars(instance), "seed": f"{instance.seed:016x}"},
+    return json.dumps({**instance._asdict(), "seed": f"{instance.seed:016x}"},
                       ensure_ascii=False)
 
 
@@ -334,8 +332,8 @@ def emit_shuffled(records, rng) -> list:
     for i in range(n - 1, 0, -1):
         j = rng.randrange(i)
         source[i], source[j] = source[j], source[i]
-    return [replace(rec, completion=donor.completion,
-                    backtracks=donor.backtracks, correctness_label=None)
+    return [rec._replace(completion=donor.completion,
+                         backtracks=donor.backtracks, correctness_label=None)
             for rec, donor in zip(records, [records[m] for m in source])]
 
 

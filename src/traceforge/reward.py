@@ -15,7 +15,7 @@ parse).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import ProblemInstance, extract_tags
 from .tasks import TASKS
@@ -36,15 +36,14 @@ ANSWER_POINTS = 0.9
 MAX_ANSWER_CHARS = 1000
 
 
-@dataclass(frozen=True)
-class ScoreBreakdown:
+class ScoreBreakdown(NamedTuple):
     format_score: float
     answer_score: float
     total: float
     category: str
 
 
-# every breakdown a score can return; they are frozen, so each call hands
+# every breakdown a score can return; they are immutable, so each call hands
 # out one of these instead of building its own
 _CORRECT = ScoreBreakdown(FORMAT_POINTS, ANSWER_POINTS,
                           FORMAT_POINTS + ANSWER_POINTS, CORRECT)
@@ -126,8 +125,13 @@ def checked_completion(item):
 def pair_completions(instances, items) -> list:
     """``(instance, completion text)`` for each {"instance_id", "completion"}
     item (see :func:`checked_completion`), in item order. An id that no
-    instance has raises ValueError."""
-    by_id = {inst.id: inst for inst in instances}
+    instance has, or that two instances share, raises ValueError."""
+    by_id = {}
+    for inst in instances:
+        first = by_id.setdefault(inst.id, inst)
+        if first is not inst:
+            raise ValueError(f"instance id {inst.id} is used twice, by "
+                             f"{first.task.value} and by {inst.task.value}")
     pairs = []
     for item in map(checked_completion, items):
         iid = item["instance_id"]

@@ -97,7 +97,7 @@ def linearize(nodes: list, path: list, detours: list,
 def strip_detours(trace: ReasoningTrace) -> ReasoningTrace:
     """The same solve without its detours, which renders identically to a
     trace built with zero detours."""
-    return ReasoningTrace(trace.steps, (), trace.answer, dict(trace.meta))
+    return trace._replace(detours=())
 
 
 def sample_named(task: str, instance_id: int, seed: int, sample: Callable,
@@ -123,8 +123,8 @@ def build_with_retries(task: str, instance_id: int, seed: int, k: int,
     Gives up after ``MAX_TRACE_RETRIES`` attempts with a GenerationError
     naming the task, id, k and seed. A GenerationError from ``sample``
     itself is not retried; :func:`sample_named` re-raises it naming the
-    task, id and seed. Returns (puzzle, trace), with the
-    instance id stamped into the trace's meta.
+    task, id and seed. Returns (puzzle, trace), the trace carrying
+    ``instance_id``.
     """
     for attempt in range(MAX_TRACE_RETRIES):
         rng = Rng(derive_seed(seed, attempt))
@@ -133,8 +133,7 @@ def build_with_retries(task: str, instance_id: int, seed: int, k: int,
             trace = make_trace(puzzle, k, rng)
         except GenerationError:
             continue
-        trace.meta["instance_id"] = instance_id
-        return puzzle, trace
+        return puzzle, trace._replace(instance_id=instance_id)
     raise GenerationError(
         f"{task} id {instance_id}: no puzzle hosting k={k} backtracks after "
         f"{MAX_TRACE_RETRIES} attempts (seed {seed:#018x})"

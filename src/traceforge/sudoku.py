@@ -18,8 +18,7 @@ path alone, and each detour is the texts of the wrong placements it walks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import ProblemInstance, Rng, TaskKind
 from .search import (
@@ -43,8 +42,7 @@ PROMPT_TEMPLATE = (
 )
 
 
-@dataclass(frozen=True)
-class SudokuPuzzle:
+class SudokuPuzzle(NamedTuple):
     givens: tuple    # 81 ints, 0 marks a blank
     solution: tuple  # 81 ints, the unique completion
     blanks: int

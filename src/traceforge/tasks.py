@@ -9,15 +9,13 @@ Adding a task means adding one entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import arc1d, countdown, sudoku, xtasks
 from .core import TaskKind
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(NamedTuple):
     kind: TaskKind
     # (instance_id, seed) -> ProblemInstance; None for verifier-only tasks
     build_instance: Optional[Callable]

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import ProblemInstance, Rng, TaskKind
 
@@ -270,8 +269,7 @@ def apply_rotation(state: dict, rotation: str) -> dict:
     return new
 
 
-@dataclass(frozen=True)
-class CubeProblem:
+class CubeProblem(NamedTuple):
     initial: tuple    # colors in FACES order
     rotations: tuple
     query: str        # which face is asked about

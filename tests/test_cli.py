@@ -111,6 +111,44 @@ def test_bad_seed_is_a_validation_error(tmp_path, capsys):
     assert code == 1
 
 
+def seed_run(capsys, monkeypatch, tmp_path, via, text):
+    """``forge generate`` with ``text`` as its --seed or as FORGE_SEED."""
+    argv = ["generate", "--task", "countdown", "--count", "2",
+            "--out", str(tmp_path)]
+    monkeypatch.delenv("FORGE_SEED", raising=False)
+    if via == "env":
+        monkeypatch.setenv("FORGE_SEED", text)
+    else:
+        argv += ["--seed", text]
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("text,value", [
+    ("0", 0), ("08", 8), ("16", 16), ("0x10", 16), ("0xfF", 255),
+    (str(2**64 - 1), 2**64 - 1)])
+def test_seed_grammar_accepts_decimal_and_hex(tmp_path, capsys, monkeypatch,
+                                              via, text, value):
+    code, _, _ = seed_run(capsys, monkeypatch, tmp_path, via, text)
+    assert code == 0
+    manifest = json.loads(
+        (tmp_path / "countdown_instances.jsonl.manifest.json").read_text())
+    assert manifest["master_seed"] == f"{value:016x}"
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("text", [
+    "0b101", "0o17", "1_000", " 7", "7 ", "7\n", "+7", "-4", "0x", "0X10",
+    "0x1g", "", "\uff17", "banana"])
+def test_seed_grammar_rejects_other_spellings(tmp_path, capsys, monkeypatch,
+                                              via, text):
+    code, _, err = seed_run(capsys, monkeypatch, tmp_path, via, text)
+    assert code == 1
+    assert err == ("error: seed must be decimal digits or 0x and hex "
+                   f"digits, got {text!r}\n")
+    assert not (tmp_path / "countdown_instances.jsonl").exists()
+
+
 # derive_seed keeps 64 bits, so a seed of 2**64 would write --seed 0's bytes
 @pytest.mark.parametrize("seed", ["0x10000000000000000", str(2**64)])
 def test_seed_above_64_bits_is_a_validation_error(tmp_path, capsys, seed):

@@ -230,12 +230,12 @@ def _instance(iid=7):
         prompt="prompt",
         ground_truth="1 + 2",
         seed=3,
+        meta={},
     )
 
 
 def test_render_sft_record_carries_fields():
-    trace = _golden_trace()
-    trace.meta["instance_id"] = 7
+    trace = _golden_trace()._replace(instance_id=7)
     rec = render_sft_record(_instance(7), trace)
     assert rec.instance_id == 7
     assert rec.task == TaskKind.COUNTDOWN
@@ -245,8 +245,7 @@ def test_render_sft_record_carries_fields():
 
 
 def test_render_sft_record_rejects_foreign_trace():
-    trace = _golden_trace()
-    trace.meta["instance_id"] = 8
+    trace = _golden_trace()._replace(instance_id=8)
     with pytest.raises(ValueError):
         render_sft_record(_instance(7), trace)
 

@@ -10,7 +10,7 @@ from traceforge.tasks import TASKS
 
 def with_truth(task, ground_truth):
     return ProblemInstance(id=0, task=task, prompt="",
-                           ground_truth=ground_truth, seed=0)
+                           ground_truth=ground_truth, seed=0, meta={})
 
 # --- color cube: rotation table properties -----------------------------------
 

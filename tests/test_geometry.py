@@ -15,7 +15,7 @@ from traceforge.tasks import TASKS
 
 def with_truth(task, ground_truth):
     return ProblemInstance(id=0, task=task, prompt="",
-                           ground_truth=ground_truth, seed=0)
+                           ground_truth=ground_truth, seed=0, meta={})
 
 # --- decimal formatting ------------------------------------------------------
 
@@ -220,7 +220,7 @@ def test_verify_radius():
 )
 def test_verify_malformed_truth_names_task_and_id(task, truth):
     inst = ProblemInstance(id=17, task=task, prompt="", ground_truth=truth,
-                           seed=0)
+                           seed=0, meta={})
     with pytest.raises(ValueError) as err:
         check_answer(inst, "1.000")
     assert f"{task.value} instance 17" in str(err.value)

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there or exported by it.
+"""Every name a package module imports is used there or exported by it,
+and importing the package loads none of the slow standard modules.
 
 No linter ships with the toolchain this package is tested on, so this
 reads each module's syntax tree instead: an imported name counts as used
@@ -7,6 +8,9 @@ first name) or lists it in ``__all__``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,28 @@ def test_unused_imports_finds_what_nothing_reads():
               "from typing import Optional\n__all__ = ['Optional']\n"
               "compile('x')\n")
     assert unused_imports(source) == [(1, "os"), (2, "osp"), (3, "sub")]
+
+
+# ``dataclasses`` imports ``inspect``, which imports ``ast``, ``dis`` and
+# ``tokenize``; the record types are NamedTuples so that every process
+# that imports the package skips them
+SLOW_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+# Run in a fresh interpreter, so only the package decides what is imported.
+# Prints which of SLOW_MODULES the package and the nine benchmarked modules
+# loaded.
+FRESH_IMPORT = f"""
+import sys
+import traceforge
+from traceforge import (core, search, countdown, sudoku, arc1d, xtasks,
+                        reward, pipeline, cli)
+print(" ".join(m for m in {SLOW_MODULES!r} if m in sys.modules))
+"""
+
+
+def test_package_import_loads_no_slow_modules():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", FRESH_IMPORT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -9,7 +9,6 @@ imported, so running them writes nothing under ``perfbench/``.
 """
 
 import ast
-import dataclasses
 import importlib
 import types
 from pathlib import Path
@@ -115,14 +114,13 @@ def test_every_workload_read_resolves():
 
 
 def test_workload_manifest_keywords_are_fields():
-    fields = dataclasses.fields(package().pipeline.DatasetManifest)
-    required = {f.name for f in fields
-                if f.default is dataclasses.MISSING
-                and f.default_factory is dataclasses.MISSING}
+    manifest = package().pipeline.DatasetManifest
+    fields = set(manifest._fields)
+    required = fields - set(manifest._field_defaults)
     calls = [call for path, call in workload_reads()
              if path == ["tf", "pipeline", "DatasetManifest"] and call]
     assert calls
     for call in calls:
         names = {kw.arg for kw in call.keywords}
-        assert names <= {f.name for f in fields}
+        assert names <= fields
         assert not call.args and required <= names

@@ -187,9 +187,12 @@ def test_instance_files_do_not_depend_on_worker_count(tmp_path, task):
 
 # Run in a fresh interpreter, so no pool of the test process plays a part.
 # Prints the worker pids after each step and whether each build matched the
-# serial bytes.
+# serial bytes. A SIGKILL lands asynchronously, and the pool reads finished
+# results before it looks for dead workers, so the two workers left can
+# finish a whole build before the pool sees the break: the script builds
+# until one raises, for at most a minute.
 POOL_LIFECYCLE = """
-import json, multiprocessing, os, signal
+import json, multiprocessing, os, signal, time
 from concurrent.futures.process import BrokenProcessPool
 from traceforge.core import TaskKind
 from traceforge.pipeline import build_records
@@ -207,10 +210,14 @@ out["pids"].append(pids())
 out["matched"].append(build(3))
 out["pids"].append(pids())
 os.kill(out["pids"][-1][0], signal.SIGKILL)
-try:
-    build(3)
-except BrokenProcessPool:
-    out["raised"] = True
+out["before_break"] = []
+deadline = time.monotonic() + 60
+while time.monotonic() < deadline:
+    try:
+        out["before_break"].append(build(3))
+    except BrokenProcessPool:
+        out["raised"] = True
+        break
 out["matched"].append(build(3))
 out["pids"].append(pids())
 print(json.dumps(out))
@@ -222,10 +229,11 @@ def test_pool_lifecycle():
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", POOL_LIFECYCLE], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 0, (done.stdout, done.stderr)
     out = json.loads(done.stdout)
     first, reused, replaced, fresh = out["pids"]
     assert out["matched"] == [True] * 4
+    assert all(out["before_break"])
     assert len(first) == 2 and reused == first   # the same pool, reused
     assert len(replaced) == 3 and not set(replaced) & set(first)
     assert out.get("raised")                     # a killed worker breaks it

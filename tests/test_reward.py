@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 
@@ -110,7 +109,7 @@ def test_score_equals_the_breakdown_built_field_by_field(cd_instance, text,
                                                          gated):
     got = score(cd_instance, text, gated)
     want = score_reference(cd_instance, text, gated)
-    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    assert got == want
 
 
 def test_classify_matches_score_category(cd_instance):
@@ -288,7 +287,7 @@ def test_score_is_total_and_bounded(inst, answer, tagged):
 
 
 def _remeta(inst, **fields):
-    return dataclasses.replace(inst, meta={**inst.meta, **fields})
+    return inst._replace(meta={**inst.meta, **fields})
 
 
 def _malformed_meta_cases():
@@ -335,7 +334,7 @@ def malformed_instances():
         (TaskKind.LIST_FUNCTIONS, "[2, 4, six]", "[2, 4, 6]"),
     ):
         inst = ProblemInstance(id=17, task=task, prompt="?",
-                               ground_truth=truth, seed=0)
+                               ground_truth=truth, seed=0, meta={})
         cases[task] = [(inst, answer)]
     for param in _malformed_meta_cases():
         inst, = param.values
@@ -394,7 +393,7 @@ def test_evaluate_pools_geometry_and_counts_misses(cd_instance):
         cd_instance,
         xtasks.build_angle_instance(10, 31),
         xtasks.build_orthocenter_instance(11, 32),
-        zebra_instance(),
+        zebra_instance()._replace(id=12),
     ]
     completions = [
         {"instance_id": cd_instance.id,
@@ -429,6 +428,22 @@ def test_pair_completions_keeps_item_order_and_rejects_unknown_ids(cd_instance):
         (other, "a"), (cd_instance, "b"), (other, "c")]
     with pytest.raises(ValueError, match="unknown instance 99"):
         pair_completions([cd_instance], [{"instance_id": 99, "completion": ""}])
+
+
+def test_an_id_two_instances_share_is_rejected():
+    # each instance file numbers its ids from 0, so a file concatenating two
+    # tasks' files holds every id twice
+    instances = [module.build_traced(i, derive_seed(3, i), 1)[0]
+                 for module in (countdown, arc1d) for i in range(3)]
+    items = [{"instance_id": inst.id, "completion": wrap(inst.ground_truth)}
+             for inst in instances]
+    message = "instance id 0 is used twice, by countdown and by arc1d"
+    with pytest.raises(ValueError, match=message):
+        pair_completions(instances, items)
+    with pytest.raises(ValueError, match=message):
+        evaluate(instances, items)
+    with pytest.raises(ValueError, match=message):
+        split_by_correctness(instances, items)
 
 
 @pytest.mark.parametrize("item,message", [

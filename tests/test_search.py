@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import random
 import re
 from functools import partial
@@ -269,7 +268,7 @@ def test_linearize_rejects_detour_off_the_path():
     nodes = chain_nodes(depth=3)
     path = solution_path(nodes)
     det, = select_detours(nodes, path, 1, random.Random(1), plain_extend)
-    bad = dataclasses.replace(det, resume_step=len(path))
+    bad = det._replace(resume_step=len(path))
     with pytest.raises(ValueError, match="off the 3 steps or out of order"):
         render_completion(plain_linearize(nodes, path, [bad]))
 
@@ -297,15 +296,14 @@ def test_strip_detours_recovers_plain_rendering(depth, branching, k, seed):
     assert render_completion(stripped) == render_completion(plain)
 
 
-def test_strip_detours_keeps_answer_and_meta():
+def test_strip_detours_keeps_answer_and_instance_id():
     nodes = chain_nodes(depth=4)
     path = solution_path(nodes)
     detours = select_detours(nodes, path, 2, random.Random(8), plain_extend)
-    trace = plain_linearize(nodes, path, detours)
-    trace.meta["instance_id"] = 5
+    trace = plain_linearize(nodes, path, detours)._replace(instance_id=5)
     stripped = strip_detours(trace)
     assert stripped.answer == trace.answer
-    assert stripped.meta["instance_id"] == 5
+    assert stripped.instance_id == 5
 
 
 def test_strip_detours_is_identity_on_clean_traces():
@@ -360,7 +358,7 @@ def test_generation_error_moves_to_the_next_attempt():
     assert stub.sampled == [Rng(derive_seed(seed, a)).random()
                             for a in (0, 1)]
     assert puzzle == stub.sampled[1]
-    assert trace.meta == {"instance_id": 2}
+    assert trace.instance_id == 2
 
 
 def test_other_errors_propagate_from_the_attempt_that_raised():
