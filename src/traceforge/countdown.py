@@ -252,10 +252,10 @@ def _find_solution(values, target):
                     if (pq.isdisjoint(need(r)) and not pair_hits(p, r, need_q)
                             and not pair_hits(q, r, need_p)):
                         continue
+                    # the test above is the three-value lookup's success
+                    # test (no need set holds 0), so this child is solved
                     steps.append(move)
-                    if dfs([p, q, r], None):
-                        return True
-                    steps.pop()
+                    return dfs([p, q, r], None)
             dead.add(key)
             return False
 

@@ -34,6 +34,7 @@ from .core import (
 )
 from .reward import CATEGORIES, pair_completions, score
 from .tasks import TASKS
+from .xtasks import read_list
 
 SCHEMA_VERSION = 1
 
@@ -94,9 +95,10 @@ def read_jsonl(path, parse) -> list:
     not JSON, lacks a field or holds a bad value raises ValueError naming
     the file and the line."""
     items = []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for n, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
                 if line.strip():
                     items.append(parse(line))
             except (KeyError, ValueError, TypeError) as exc:
@@ -183,26 +185,29 @@ def instance_to_json(instance: ProblemInstance) -> str:
 
 
 def instance_from_json(line: str) -> ProblemInstance:
-    """One instance line. The id must be a JSON integer, the prompt a
-    string, the seed 16 lowercase hex digits, and the ground truth a string,
-    except that a list_functions truth may also be a JSON list of numbers."""
+    """One instance line: a JSON integer id, a string prompt, a seed of 16
+    lowercase hex digits, an object meta (default {}), and a string ground
+    truth, or for list_functions a list that :func:`read_list` reads."""
     obj = json.loads(line)
     if type(obj["id"]) is not int:
         raise ValueError(f"id must be a JSON integer, got {obj['id']!r}")
     if type(obj["prompt"]) is not str:
         raise ValueError(f"prompt must be a string, got {obj['prompt']!r}")
+    meta = obj.get("meta", {})
+    if type(meta) is not dict:
+        raise ValueError(f"meta must be a JSON object, got {meta!r}")
     instance = ProblemInstance(
         id=obj["id"],
         task=TaskKind(obj["task"]),
         prompt=obj["prompt"],
         ground_truth=obj["ground_truth"],
         seed=_read_seed(obj["seed"]),
-        meta=obj.get("meta", {}),
+        meta=meta,
     )
     truth = instance.ground_truth
     number_list = (instance.task == TaskKind.LIST_FUNCTIONS
                    and isinstance(truth, list)
-                   and all(type(v) in (int, float) for v in truth))
+                   and read_list(truth) is not None)
     if not (isinstance(truth, str) or number_list):
         raise ValueError(f"{instance.task.value} instance {instance.id} has a "
                          f"ground truth that is not a string: {truth!r}")

@@ -93,10 +93,6 @@ def score(instance: ProblemInstance, completion: str,
     return _UNGATED_RIGHT if right and not gated else _ZERO
 
 
-def classify(instance: ProblemInstance, completion: str) -> str:
-    return score(instance, completion).category
-
-
 def pass_at_1(breakdowns) -> float:
     """Fraction of completions whose category is ``correct``."""
     items = list(breakdowns)

@@ -461,8 +461,10 @@ def parse_number_list(text: str) -> Optional[tuple]:
 
 
 def read_list(text) -> Optional[tuple]:
-    """A list_functions answer; a ground truth may also be a JSON list in
-    externally supplied instances."""
+    """A list_functions answer; a ground truth may also be a list in
+    externally supplied instances, read only when every element is an int
+    or float (not a bool)."""
     if isinstance(text, (list, tuple)):
-        return tuple(text)
+        numbers = all(type(v) in (int, float) for v in text)
+        return tuple(text) if numbers else None
     return parse_number_list(text)

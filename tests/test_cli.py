@@ -69,6 +69,14 @@ def test_workers_below_one_is_a_validation_error(tmp_path, capsys, argv):
     assert not out_dir.exists()
 
 
+def test_workers_not_an_integer_is_a_validation_error(tmp_path, capsys):
+    code, _, err = run(capsys, "trace", "--task", "countdown", "--backtracks",
+                       "1", "--workers", "abc", "--count", "2",
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "argument --workers: must be an integer, got 'abc'" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("generate", "--task", "countdown", "--count", "0"),
     ("trace", "--task", "countdown", "--count", "3", "--backtracks", "-1"),
@@ -452,6 +460,21 @@ def test_instance_seed_not_as_written_names_file_and_line(tmp_path, capsys,
                    f"lowercase hex digits, got {seed!r}\n")
 
 
+def test_instance_meta_that_is_not_an_object_names_file_and_line(tmp_path,
+                                                                 capsys):
+    inst_path = tmp_path / "instances.jsonl"
+    write_jsonl(inst_path, [{"id": 0, "task": "countdown", "prompt": "?",
+                             "ground_truth": "1 + 2", "seed": "0" * 16,
+                             "meta": []}])
+    comp_path = tmp_path / "completions.jsonl"
+    write_jsonl(comp_path, [{"instance_id": 0, "completion": wrap("1 + 2")}])
+    code, _, err = run(capsys, "eval", "--instances", str(inst_path),
+                       "--completions", str(comp_path))
+    assert code == 1
+    assert err == (f"error: {inst_path}:1: ValueError: meta must be a JSON "
+                   f"object, got []\n")
+
+
 def test_instances_of_another_task_are_a_validation_error(tmp_path, capsys):
     run(capsys, "generate", "--task", "countdown", "--count", "2",
         "--seed", "1", "--out", str(tmp_path))
@@ -541,12 +564,15 @@ def test_impossible_trace_request_fails_cleanly(tmp_path, capsys):
         ("geometry_incircle", "1.0.0", {}, "1.000"),
         ("zebra", 5, {}, "1.000"),
         ("list_functions", {"values": [1, 2]}, {}, "1.000"),
+        ("list_functions", [True, 2], {}, "[1, 2]"),
+        ("list_functions", ["1", "2"], {}, "[1, 2]"),
         ("self_reference", "many", {}, "2"),
         ("color_cube", "   ", {}, "red"),
         # a traced task reads its meta only once the answer parses
         ("countdown", "1 + 2", {"numbers": [1, 2]}, "1 + 2"),
     ],
     ids=["orthocenter", "angle", "incircle", "zebra", "list_functions",
+         "list_functions_bool", "list_functions_strings",
          "self_reference", "color_cube", "countdown_without_target"],
 )
 def test_malformed_ground_truth_is_a_validation_error(tmp_path, capsys,

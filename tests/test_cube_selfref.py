@@ -5,6 +5,7 @@ from helpers import selfref_consistent_count
 
 from traceforge import xtasks as xt
 from traceforge.core import ProblemInstance, TaskKind, derive_seed
+from traceforge.reward import check_answer
 from traceforge.tasks import TASKS
 
 
@@ -274,7 +275,7 @@ def test_parse_number_list_variants():
 
 
 @pytest.mark.parametrize("text", ["1 2 3", "[1 2", "1 2]", "[a b]", "", "(1 2)",
-                                  "[1_0]", "[１]", "[nan]"])
+                                  "[1_0]", "[１]", "[nan]", "[1e]"])
 def test_parse_number_list_rejects(text):
     assert xt.parse_number_list(text) is None
 
@@ -290,3 +291,15 @@ def test_listfunc_verify():
     assert check([1, 2], "[1, 2, 3]") == (True, False)
     assert check([1, 2, 3], "1 2 3") == (False, False)
     assert check([1, 2, 3], "[1, 2, 4]") == (True, False)
+
+
+@pytest.mark.parametrize("truth", [[True, 2], ["1", "2"]],
+                         ids=["bool", "strings"])
+def test_listfunc_truth_of_non_numbers_does_not_parse(truth):
+    # the one list-truth rule: a list reads only when every element is an
+    # int or float, so no such truth matches an answer
+    assert xt.read_list(truth) is None
+    instance = with_truth(TaskKind.LIST_FUNCTIONS, truth)
+    with pytest.raises(ValueError, match=r"malformed list_functions instance "
+                                         r"0: .* does not parse"):
+        check_answer(instance, "[1, 2]")

@@ -119,9 +119,12 @@ def test_angle_sum_is_straight():
         assert math.isclose(total, 180.0, abs_tol=1e-9)
 
 
-def test_angle_degenerate_rejected():
-    with pytest.raises(ValueError):
-        xt.angle_at(((0, 0), (1, 1), (2, 2)), 0)
+@pytest.mark.parametrize("measure", [
+    lambda tri: xt.angle_at(tri, 0), xt.orthocenter, xt.incircle_radius,
+], ids=["angle_at", "orthocenter", "incircle_radius"])
+def test_angle_degenerate_rejected(measure):
+    with pytest.raises(ValueError, match="degenerate triangle"):
+        measure(((0, 0), (1, 1), (2, 2)))
 
 
 def test_orthocenter_right_triangle_is_right_angle_vertex():

@@ -1,5 +1,6 @@
 """Every name a package module imports is used there or exported by it,
-and importing the package loads none of the slow standard modules.
+importing the package loads none of the slow standard modules, and the
+package root imports nothing.
 
 No linter ships with the toolchain this package is tested on, so this
 reads each module's syntax tree instead: an imported name counts as used
@@ -75,3 +76,22 @@ def test_package_import_loads_no_slow_modules():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def test_core_import_loads_no_other_package_module():
+    # the package root re-exports nothing, so a process that needs only
+    # core pays for core alone
+    code = ("import sys, traceforge.core\n"
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.startswith('traceforge.'))))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["traceforge.core"]
+
+
+def test_package_root_imports_nothing():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))]

@@ -88,6 +88,18 @@ def test_read_jsonl_names_file_and_line_of_a_bad_line(tmp_path):
         load_records(path)
 
 
+def test_read_jsonl_names_file_and_line_of_a_non_utf8_byte(tmp_path):
+    path = tmp_path / "r.jsonl"
+    write_records([sample_record()], path)
+    good = path.read_bytes()
+    path.write_bytes(good + good.replace(b'"prompt"', b'"\xffprompt"'))
+    with pytest.raises(ValueError, match=r"r\.jsonl:2: UnicodeDecodeError: "):
+        load_records(path)
+    # lines split on \n only, and a CRLF line still parses
+    path.write_bytes(good.replace(b"\n", b"\r\n") * 2)
+    assert load_records(path) == [sample_record()] * 2
+
+
 def test_failed_replace_leaves_earlier_files_and_no_temporaries(tmp_path,
                                                                 monkeypatch):
     out = tmp_path / "countdown_k1.jsonl"
