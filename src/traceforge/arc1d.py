@@ -13,7 +13,9 @@ what :func:`generate`'s uniqueness test computed for the same examples.
 A solve returns the solution path alone, and a wrong attempt's text is
 made only when a detour takes it.
 
-Grids are tuples of color digits 0..9; 0 is the background.
+Grids are tuples of color digits 0..9; 0 is the background. A cell
+outside 0..9 raises ValueError where the grid is rendered. The transforms
+work on ``bytes(grid)``, so their per-cell loops run in C.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import (
     ProblemInstance,
     Rng,
     TaskKind,
+    digit_string,
 )
 from .search import (
     SearchNode,
@@ -47,14 +50,18 @@ PROMPT_FOOTER = "Give the output grid as digits separated by single spaces."
 def _single_block(grid):
     """(start, end) of the one run of nonzero cells, or None when the grid
     has no such run or several."""
-    cells = [i for i, v in enumerate(grid) if v]
-    if cells and cells[-1] - cells[0] == len(cells) - 1:
-        return cells[0], cells[-1]
+    cells = bytes(grid)
+    first = len(cells) - len(cells.lstrip(b"\0"))
+    last = len(cells.rstrip(b"\0")) - 1
+    if first <= last and not cells.count(0, first, last):
+        return first, last
     return None
 
 
 # --- primitive transforms ----------------------------------------------------
-# Each is total: any grid tuple in, same-length grid tuple out.
+# Each is total over colors 0..9: any grid tuple of them in, same-length
+# grid tuple out. A cell outside 0..9 raises ValueError where the grid is
+# rendered.
 
 def _shift(grid, offset):
     if offset >= 0:
@@ -66,25 +73,33 @@ def _mirror(grid):
     return grid[::-1]
 
 
+@functools.lru_cache(maxsize=None)
+def _recoloring(src, dst):
+    """The ``bytes.translate`` table that maps each color of ``src`` to the
+    color at its position in ``dst`` and keeps every other byte."""
+    return bytes.maketrans(bytes(src), bytes(dst))
+
+
 def _recolor(grid, src, dst):
-    return tuple(dst if v == src else v for v in grid)
+    return tuple(bytes(grid).translate(_recoloring((src,), (dst,))))
 
 
 def _swap_colors(grid, a, b):
-    return tuple(b if v == a else a if v == b else v for v in grid)
+    return tuple(bytes(grid).translate(_recoloring((a, b), (b, a))))
 
 
 def _erase_color(grid, color):
-    return tuple(0 if v == color else v for v in grid)
+    return tuple(bytes(grid).translate(_recoloring((color,), (0,))))
 
 
 def _fill_gap(grid):
     # paint everything strictly between the outermost nonzero cells with
     # the color of the leftmost one
-    cells = [i for i, v in enumerate(grid) if v]
-    if len(cells) < 2:
+    cells = bytes(grid)
+    first = len(cells) - len(cells.lstrip(b"\0"))
+    last = len(cells.rstrip(b"\0")) - 1
+    if last <= first:  # fewer than two nonzero cells
         return grid
-    first, last = cells[0], cells[-1]
     return grid[:first + 1] + (grid[first],) * (last - first - 1) + grid[last:]
 
 
@@ -276,7 +291,9 @@ def generate(rng: Rng) -> Arc1dTask:
 # --- solving -----------------------------------------------------------------
 
 def render_grid(grid) -> str:
-    return " ".join(map(str, grid))
+    """The cells as digits separated by single spaces; a cell outside 0..9
+    raises ValueError."""
+    return " ".join(digit_string(grid))
 
 
 def heuristic_solve(task: Arc1dTask):

@@ -1,6 +1,6 @@
 """Shared vocabulary for the toolkit: task identifiers, problem instances,
-reasoning traces and their text format, the tagged output grammar, and
-deterministic seed derivation.
+reasoning traces and their text format, the tagged output grammar,
+deterministic seed derivation, and the digit string of a grid.
 
 Everything downstream (generators, solvers, the reward) speaks in terms of
 these types, so they carry no task-specific logic.
@@ -130,6 +130,23 @@ class ProblemInstance(NamedTuple):
     ground_truth: str
     seed: int
     meta: dict
+
+
+# --- digit grids -------------------------------------------------------------
+
+# byte v -> the ASCII digit of v for 0..9; every other byte -> 0x80, which
+# is not ASCII, so the decode in digit_string rejects it
+_DIGITS = bytes(range(48, 58)) + b"\x80" * 246
+
+
+def digit_string(cells) -> str:
+    """The cells of a grid, ints 0..9, as one string of their digits:
+    ``(0, 3, 1)`` reads ``"031"``. A cell outside 0..9 raises ValueError,
+    so it never reads as a longer number or a control character."""
+    try:
+        return bytes(cells).translate(_DIGITS).decode("ascii")
+    except ValueError:
+        raise ValueError(f"grid cells must be 0-9, got {cells!r}") from None
 
 
 # --- reasoning traces --------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Optional
 
-from .core import ProblemInstance, Rng, TaskKind
+from .core import ProblemInstance, Rng, TaskKind, digit_string
 from .search import (
     MAX_DETOUR_DEPTH,
     SearchNode,
@@ -414,10 +414,10 @@ def make_trace(puzzle: SudokuPuzzle, k: int, rng: Rng):
 # --- answer checking ---------------------------------------------------------
 
 def render_grid(grid) -> str:
-    """Nine lines of nine space-separated digits (0 allowed for blanks)."""
-    return "\n".join(
-        " ".join(str(grid[r * 9 + c]) for c in range(9)) for r in range(9)
-    )
+    """Nine lines of nine space-separated digits (0 allowed for blanks);
+    a cell outside 0..9 raises ValueError."""
+    digits = digit_string(grid)
+    return "\n".join(" ".join(digits[i:i + 9]) for i in range(0, 81, 9))
 
 
 # a grid's 81 digits, row by row; a range of code points, so only ASCII
@@ -467,8 +467,8 @@ def _instance(instance_id: int, seed: int, puzzle: SudokuPuzzle) -> ProblemInsta
         ground_truth=render_grid(puzzle.solution),
         seed=seed,
         meta={
-            "givens": "".join(map(str, puzzle.givens)),
-            "solution": "".join(map(str, puzzle.solution)),
+            "givens": digit_string(puzzle.givens),
+            "solution": digit_string(puzzle.solution),
             "blanks": puzzle.blanks,
         },
     )

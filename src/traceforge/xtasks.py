@@ -463,8 +463,8 @@ def parse_number_list(text: str) -> Optional[tuple]:
 def read_list(text) -> Optional[tuple]:
     """A list_functions answer; a ground truth may also be a list in
     externally supplied instances, read only when every element is an int
-    or float (not a bool)."""
+    or float (not a bool) other than NaN, which equals nothing."""
     if isinstance(text, (list, tuple)):
-        numbers = all(type(v) in (int, float) for v in text)
+        numbers = all(type(v) in (int, float) and v == v for v in text)
         return tuple(text) if numbers else None
     return parse_number_list(text)

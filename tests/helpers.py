@@ -141,6 +141,58 @@ def arc1d_task(instance) -> arc1d.Arc1dTask:
     )
 
 
+# --- per-cell grid references ------------------------------------------------
+#
+# The grid operations as the package wrote them before they moved to bytes
+# operations, one Python step per cell. On colors 0..9 the package must
+# give exactly what these give.
+
+def arc1d_recolor_reference(grid, src, dst):
+    return tuple(dst if v == src else v for v in grid)
+
+
+def arc1d_swap_colors_reference(grid, a, b):
+    return tuple(b if v == a else a if v == b else v for v in grid)
+
+
+def arc1d_erase_color_reference(grid, color):
+    return tuple(0 if v == color else v for v in grid)
+
+
+def arc1d_single_block_reference(grid):
+    cells = [i for i, v in enumerate(grid) if v]
+    if cells and cells[-1] - cells[0] == len(cells) - 1:
+        return cells[0], cells[-1]
+    return None
+
+
+def arc1d_fill_gap_reference(grid):
+    cells = [i for i, v in enumerate(grid) if v]
+    if len(cells) < 2:
+        return grid
+    first, last = cells[0], cells[-1]
+    return grid[:first + 1] + (grid[first],) * (last - first - 1) + grid[last:]
+
+
+# the package transform each reference above stands for
+ARC1D_TRANSFORM_REFERENCES = {
+    arc1d._recolor: arc1d_recolor_reference,
+    arc1d._swap_colors: arc1d_swap_colors_reference,
+    arc1d._erase_color: arc1d_erase_color_reference,
+    arc1d._fill_gap: arc1d_fill_gap_reference,
+}
+
+
+def arc1d_render_reference(grid) -> str:
+    return " ".join(map(str, grid))
+
+
+def sudoku_render_reference(grid) -> str:
+    return "\n".join(
+        " ".join(str(grid[r * 9 + c]) for c in range(9)) for r in range(9)
+    )
+
+
 # --- decimal formatting ------------------------------------------------------
 
 def round_half_away_reference(value, places: int) -> str:

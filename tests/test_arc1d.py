@@ -1,13 +1,22 @@
 import hashlib
 import random
+from unittest import mock
 
 import pytest
-from helpers import arc1d_parse_reference, arc1d_task
-from hypothesis import example, given
+from helpers import (
+    ARC1D_TRANSFORM_REFERENCES,
+    arc1d_parse_reference,
+    arc1d_render_reference,
+    arc1d_single_block_reference,
+    arc1d_task,
+    sudoku_render_reference,
+)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traceforge import arc1d as a1
 from traceforge import pipeline
+from traceforge import sudoku as sd
 from traceforge.core import (
     MARKER_PHRASE,
     Rng,
@@ -77,6 +86,27 @@ def test_multi_block_grids_pass_through_block_rules():
 def test_rule_pool_is_unique():
     keys = [(r.name, r.params) for r in a1.RULE_POOL]
     assert len(set(keys)) == len(keys) == 17
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=30).map(tuple))
+@example((0,) * 12)
+@example((5,))
+@example((6, 6, 6, 0, 0, 0))  # a block at the left edge
+@example((0, 0, 0, 2, 2))     # a block at the right edge
+@example((3, 0, 0, 0, 3))     # markers at both edges
+def test_grid_operations_match_the_per_cell_references(grid):
+    assert a1._single_block(grid) == arc1d_single_block_reference(grid)
+    # the block rules reach the reference through _single_block
+    with mock.patch.object(a1, "_single_block", arc1d_single_block_reference):
+        expected = [ARC1D_TRANSFORM_REFERENCES.get(r.fn, r.fn)(grid, *r.params)
+                    for r in a1.RULE_POOL]
+    assert [r.apply(grid) for r in a1.RULE_POOL] == expected
+    assert a1.render_grid(grid) == arc1d_render_reference(grid)
+    full = (grid * 81)[:81]
+    assert sd.render_grid(full) == sudoku_render_reference(full)
+    meta = sd._instance(0, 0, sd.SudokuPuzzle(full, full, 0)).meta
+    assert meta["givens"] == meta["solution"] == "".join(map(str, full))
 
 
 # --- generation --------------------------------------------------------------

@@ -3,6 +3,7 @@ from helpers import TAG_FRAGMENTS, tags_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from traceforge import arc1d, sudoku
 from traceforge.core import (
     BACKTRACK_TEMPLATE,
     CONCLUSION,
@@ -12,11 +13,30 @@ from traceforge.core import (
     ReasoningTrace,
     TaskKind,
     derive_seed,
+    digit_string,
     extract_tags,
     render_completion,
     render_sft_record,
     render_think_body,
 )
+
+# --- digit grids -------------------------------------------------------------
+
+
+def test_digit_string_reads_each_cell_as_its_digit():
+    assert digit_string((0, 3, 1)) == "031"
+    assert digit_string(range(10)) == "0123456789"
+    assert digit_string(()) == ""
+
+
+@pytest.mark.parametrize("cell", [10, 255, 256, -1])
+def test_a_cell_outside_0_to_9_raises(cell):
+    for render, grid in ((digit_string, (1, cell, 2)),
+                         (arc1d.render_grid, (1, cell, 2)),
+                         (sudoku.render_grid, (1,) * 80 + (cell,))):
+        with pytest.raises(ValueError, match="grid cells must be 0-9"):
+            render(grid)
+
 
 # --- seed derivation ---------------------------------------------------------
 

@@ -293,11 +293,16 @@ def test_listfunc_verify():
     assert check([1, 2, 3], "[1, 2, 4]") == (True, False)
 
 
-@pytest.mark.parametrize("truth", [[True, 2], ["1", "2"]],
-                         ids=["bool", "strings"])
+def test_listfunc_truth_keeps_infinities():
+    # unlike NaN, an infinity equals itself, so a truth holding one reads
+    assert xt.read_list([float("inf"), -2]) == (float("inf"), -2)
+
+
+@pytest.mark.parametrize("truth", [[True, 2], ["1", "2"], [float("nan"), 2]],
+                         ids=["bool", "strings", "nan"])
 def test_listfunc_truth_of_non_numbers_does_not_parse(truth):
     # the one list-truth rule: a list reads only when every element is an
-    # int or float, so no such truth matches an answer
+    # int or float other than NaN, so no such truth matches an answer
     assert xt.read_list(truth) is None
     instance = with_truth(TaskKind.LIST_FUNCTIONS, truth)
     with pytest.raises(ValueError, match=r"malformed list_functions instance "

@@ -88,6 +88,20 @@ def test_read_jsonl_names_file_and_line_of_a_bad_line(tmp_path):
         load_records(path)
 
 
+def test_load_instances_names_file_and_line_of_a_nan_list_truth(tmp_path):
+    path = tmp_path / "i.jsonl"
+    good = {"id": 0, "task": "list_functions", "prompt": "?",
+            "ground_truth": [1, 2], "seed": "0" * 16}
+    path.write_text(json.dumps(good) + "\n"
+                    + json.dumps({**good, "ground_truth": [float("nan"), 2]})
+                    + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"i\.jsonl:2: ValueError: "
+                                         r"list_functions instance 0 has a "
+                                         r"ground truth that is not a string: "
+                                         r"\[nan, 2\]"):
+        load_instances(path)
+
+
 def test_read_jsonl_names_file_and_line_of_a_non_utf8_byte(tmp_path):
     path = tmp_path / "r.jsonl"
     write_records([sample_record()], path)
