@@ -205,12 +205,13 @@ def instance_from_json(line: str) -> ProblemInstance:
         meta=meta,
     )
     truth = instance.ground_truth
-    number_list = (instance.task == TaskKind.LIST_FUNCTIONS
-                   and isinstance(truth, list)
-                   and read_list(truth) is not None)
-    if not (isinstance(truth, str) or number_list):
+    listed = instance.task == TaskKind.LIST_FUNCTIONS
+    if not (isinstance(truth, str) or listed and isinstance(truth, list)
+            and read_list(truth) is not None):
+        problem = "neither a string nor a list of numbers" if listed \
+            else "not a string"
         raise ValueError(f"{instance.task.value} instance {instance.id} has a "
-                         f"ground truth that is not a string: {truth!r}")
+                         f"ground truth that is {problem}: {truth!r}")
     return instance
 
 

@@ -1,5 +1,6 @@
 """Independent reference implementations used to cross-check the package,
-and readers that rebuild a generated puzzle from its instance.
+readers that rebuild a generated puzzle from its instance, and the one
+builder of every value pinned in ``tests/golden.json``.
 
 Everything here is deliberately written in a different style from the
 code under test (set closures instead of ordered DFS, explicit set
@@ -10,12 +11,19 @@ per-assignment loops) so agreement between the two is meaningful.
 from __future__ import annotations
 
 import ast
+import hashlib
+import json
+import os
 import re
+import tempfile
 from collections import Counter
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from pathlib import Path
 
-from traceforge import arc1d, countdown, reward, sudoku
+from traceforge import arc1d, countdown, pipeline, reward, sudoku
+from traceforge.core import TaskKind
+from traceforge.tasks import TASKS
 
 
 # --- countdown ---------------------------------------------------------------
@@ -408,3 +416,101 @@ def wrap(answer: str, think: str = "working through it.") -> str:
         "\n"
         f"<answer>{answer}</answer>"
     )
+
+
+# --- golden table ------------------------------------------------------------
+#
+# tests/golden.json pins the bytes that its "schema_version" writes. Each
+# entry is {"name", "what", "value"}: "what" says how to build the value,
+# and golden_value builds it. Kinds of "what":
+#   data / manifest  SHA-256 of a file, or of its manifest, that "of" writes:
+#                    "instances" (emit_instances), "sft" (emit_sft at "k"),
+#                    or "shuffled" (that sft file through write_shuffled
+#                    with the same seed)
+#   listing          SHA-256 of "<file> <sha256>\n" lines for the instance
+#                    files of "instances" and the sft files of "sft", each
+#                    followed by its manifest, in the order given
+#   lines            SHA-256 over pipeline.build_records' lines joined by
+#                    "\n", updated in "runs" (task, count, depths), seed, k
+#                    order
+#   instance         the instance_to_json line of one instance
+
+GOLDEN_TABLE = Path(__file__).with_name("golden.json")
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def file_sha256s(directory) -> dict:
+    """``{file name: SHA-256}`` of every file in ``directory``."""
+    return {p.name: sha256_of(p) for p in Path(directory).iterdir()}
+
+
+def _dataset_sha256s(of: str, task: str, count: int, seed: int,
+                     k=None) -> tuple:
+    """SHA-256 of the data file ``of`` writes and of its manifest."""
+    kind = TaskKind(task)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"{of}.jsonl")
+        if of == "instances":
+            pipeline.emit_instances(kind, count, seed, path)
+        elif of == "sft":
+            pipeline.emit_sft(kind, count, k, seed, path)
+        else:
+            source = os.path.join(tmp, "source.jsonl")
+            pipeline.emit_sft(kind, count, k, seed, source)
+            pipeline.write_shuffled(source, path, seed)
+        return sha256_of(path), sha256_of(pipeline.manifest_path_for(path))
+
+
+def golden_value(entry) -> str:
+    """What ``entry`` of the golden table pins, built from its "what"."""
+    what = dict(entry["what"])
+    kind = what.pop("kind")
+    if kind == "instance":
+        instance = TASKS[TaskKind(what["task"])].build_instance(
+            what["id"], what["seed"])
+        return pipeline.instance_to_json(instance)
+    digest = hashlib.sha256()
+    if kind == "lines":
+        for task, count, depths in what["runs"]:
+            for seed in what["seeds"]:
+                for k in depths:
+                    lines = pipeline.build_records(TaskKind(task), count,
+                                                   seed, k)
+                    digest.update("\n".join(lines).encode())
+        return digest.hexdigest()
+    if kind == "listing":
+        count, seed = what["count"], what["seed"]
+        files = [(f"{task}_instances.jsonl", ("instances", task, count, seed))
+                 for task in what["instances"]]
+        files += [(f"{task}_k{k}.jsonl", ("sft", task, count, seed, k))
+                  for task, depths in what["sft"] for k in depths]
+        for name, args in files:
+            data, manifest = _dataset_sha256s(*args)
+            digest.update(f"{name} {data}\n{name}.manifest.json {manifest}\n"
+                          .encode())
+        return digest.hexdigest()
+    data, manifest = _dataset_sha256s(**what)
+    return {"data": data, "manifest": manifest}[kind]
+
+
+def golden_pins(prefix: str) -> list:
+    """The golden table's entries whose name starts with ``prefix``, in
+    table order; LookupError when there are none."""
+    table = json.loads(GOLDEN_TABLE.read_text(encoding="utf-8"))
+    pins = [e for e in table["entries"] if e["name"].startswith(prefix)]
+    if not pins:
+        raise LookupError(f"{GOLDEN_TABLE} has no entry named {prefix}...")
+    return pins
+
+
+def moved(entries) -> dict:
+    """``{name: (pinned value, value now)}`` for each entry that moved."""
+    changes = {}
+    for entry in entries:
+        now = golden_value(entry)
+        if now != entry["value"]:
+            changes[entry["name"]] = (entry["value"], now)
+    return changes

@@ -1,4 +1,3 @@
-import hashlib
 import random
 from unittest import mock
 
@@ -9,18 +8,18 @@ from helpers import (
     arc1d_render_reference,
     arc1d_single_block_reference,
     arc1d_task,
+    golden_pins,
+    moved,
     sudoku_render_reference,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traceforge import arc1d as a1
-from traceforge import pipeline
 from traceforge import sudoku as sd
 from traceforge.core import (
     MARKER_PHRASE,
     Rng,
-    TaskKind,
     derive_seed,
     extract_tags,
     render_completion,
@@ -135,11 +134,7 @@ def test_generate_respects_config():
 
 
 def test_golden_instance_frozen():
-    inst = a1.build_instance(0, 2024)
-    assert inst.meta["rule"] == ["grow", [1]]
-    assert inst.meta["test_input"] == [0, 0, 0, 5, 5, 5, 5, 0, 0, 0, 0, 0, 0]
-    assert inst.meta["expected"] == [0, 0, 0, 5, 5, 5, 5, 5, 0, 0, 0, 0, 0]
-    assert inst.ground_truth == "0 0 0 5 5 5 5 5 0 0 0 0 0"
+    assert not moved(golden_pins("instance/arc1d"))
 
 
 # --- solving -----------------------------------------------------------------
@@ -246,24 +241,10 @@ def test_attempt_text_and_observation_match_first_miss_oracle():
         assert len(seen) == 16 and task.hidden_rule not in seen
 
 
-# SHA-256 of emit_sft(ARC1D, 200, k, master_seed=0) and its manifest at
-# k=0 and at k=16, where every wrong attempt of every task is rendered
-ARC1D_200_GOLDEN = {
-    "arc1d_k0.jsonl": "c553b9f18bd594cf32652b295743e3b7b88babc880ca4d66487480f910b7ca03",
-    "arc1d_k0.jsonl.manifest.json": "d7504d01c56e200932253b330335b3bd10a3de9bd9cfd7d60c64812de6227702",
-    "arc1d_k16.jsonl": "14f8b9888f6bddcd7f6440d3746638c696b14fdda419cb8c2c8b5397e4313786",
-    "arc1d_k16.jsonl.manifest.json": "4cf2607b6a397b423b9843dbf0256b4485d5c2687ade058bbe88437c1f39d522",
-}
-
-
-def test_sft_bytes_at_200_ids_and_all_attempts(tmp_path):
-    got = {}
-    for k in (0, 16):
-        path = tmp_path / f"arc1d_k{k}.jsonl"
-        pipeline.emit_sft(TaskKind.ARC1D, 200, k, 0, path)
-        for name in (path.name, path.name + ".manifest.json"):
-            got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-    assert got == ARC1D_200_GOLDEN
+def test_sft_bytes_at_200_ids_and_all_attempts():
+    # emit_sft at 200 ids and k 0 and 16, where every wrong attempt of every
+    # task is rendered, and the manifests
+    assert not moved(golden_pins("arc1d_200/"))
 
 
 def test_trace_k_at_pool_size_is_rejected():

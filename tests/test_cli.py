@@ -1,9 +1,7 @@
-import hashlib
 import json
 
 import pytest
-from helpers import wrap
-from test_golden_bytes import GOLDEN
+from helpers import file_sha256s, golden_pins, wrap
 
 from traceforge import pipeline
 from traceforge.cli import main
@@ -492,14 +490,9 @@ def test_build_writes_the_layout_with_golden_bytes(tmp_path, capsys):
     code, out, _ = run(capsys, "build", "--out", str(tmp_path),
                        "--count", "20", "--seed", "0")
     assert code == 0
-    expected = dict(GOLDEN)
-    expected["countdown_k1_shuffled.jsonl"] = \
-        "ae37255cf28a381acf5912e99bb76950442132ce5964c62587f7ba767ed199f2"
-    expected["countdown_k1_shuffled.jsonl.manifest.json"] = \
-        "be4454fd4788a9917832370fc0a3f7bf12cda3d51390b324ab533c64d47ca7bb"
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in tmp_path.iterdir()}
-    assert got == expected
+    assert file_sha256s(tmp_path) == {
+        pin["name"].removeprefix("layout20/"): pin["value"]
+        for pin in golden_pins("layout20/")}
     assert out.count("wrote 20 ") == 21
     assert "wrote 20 shuffled records to" in out
 

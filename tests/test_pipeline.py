@@ -28,6 +28,7 @@ from traceforge.pipeline import (
     split_by_correctness,
     stats,
     write_records,
+    write_shuffled,
 )
 
 # --- serialization ------------------------------------------------------------
@@ -97,9 +98,25 @@ def test_load_instances_names_file_and_line_of_a_nan_list_truth(tmp_path):
                     + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"i\.jsonl:2: ValueError: "
                                          r"list_functions instance 0 has a "
-                                         r"ground truth that is not a string: "
+                                         r"ground truth that is neither a "
+                                         r"string nor a list of numbers: "
                                          r"\[nan, 2\]"):
         load_instances(path)
+
+
+@pytest.mark.parametrize("task,truth,problem", [
+    ("list_functions", [True, 2], "neither a string nor a list of numbers"),
+    ("list_functions", {"values": [1]},
+     "neither a string nor a list of numbers"),
+    ("zebra", [1, 2], "not a string"),
+])
+def test_instance_from_json_says_what_a_ground_truth_may_be(task, truth,
+                                                            problem):
+    line = json.dumps({"id": 3, "task": task, "prompt": "?",
+                       "ground_truth": truth, "seed": "0" * 16})
+    with pytest.raises(ValueError, match=f"^{task} instance 3 has a ground "
+                                         f"truth that is {problem}: "):
+        instance_from_json(line)
 
 
 def test_read_jsonl_names_file_and_line_of_a_non_utf8_byte(tmp_path):
@@ -402,6 +419,23 @@ def test_emit_shuffled_is_seed_deterministic():
     one = emit_shuffled(records, random.Random(5))
     two = emit_shuffled(records, random.Random(5))
     assert one == two
+
+
+def test_write_shuffled_names_a_file_of_two_tasks_mixed(tmp_path):
+    records = [build_record(task, i, 7, 1) for task in
+               (TaskKind.COUNTDOWN, TaskKind.SUDOKU) for i in range(3)]
+    src, out = tmp_path / "both.jsonl", tmp_path / "both_shuffled.jsonl"
+    write_records(records, src)
+    manifest = write_shuffled(src, out, 3)
+    assert manifest.task == "mixed"
+    assert json.loads((tmp_path / "both_shuffled.jsonl.manifest.json")
+                      .read_text())["task"] == "mixed"
+    shuffled = load_records(out)
+    assert [(r.task, r.prompt) for r in shuffled] == \
+        [(r.task, r.prompt) for r in records]
+    assert {r.task for r in shuffled} == {TaskKind.COUNTDOWN, TaskKind.SUDOKU}
+    assert all(a.completion != b.completion
+               for a, b in zip(shuffled, records))
 
 
 # --- correctness splits -------------------------------------------------------

@@ -31,3 +31,21 @@ def test_show_trace_script_runs():
     prompt, completion = done.stdout.split("=== completion ===\n")
     assert prompt.startswith("=== prompt ===\n")
     assert completion.count(MARKER_PHRASE) == 5
+
+
+def show_trace(*args):
+    return subprocess.run([sys.executable, "scripts/show_trace.py", *args],
+                          cwd=README.parent, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_show_trace_script_reads_the_seed_as_forge_and_refuses_negatives():
+    hex_seed = show_trace("--seed=0x10")
+    assert hex_seed.returncode == 0, hex_seed.stderr
+    assert hex_seed.stdout == show_trace("--seed=16").stdout
+    for bad in ("--seed=-1", "--seed=1_0", "--seed=18446744073709551616",
+                "--backtracks=-1", "--id=-1"):
+        done = show_trace(bad)
+        assert done.returncode == 2, bad
+        assert "usage:" in done.stderr and "Traceback" not in done.stderr
+        assert done.stdout == ""
