@@ -4,12 +4,13 @@ integer and every division exact.
 
 Generation works backwards: random legal combines of a few sampled numbers
 give the target, and a target among the numbers is rejected, so every
-puzzle has a solution of at least one move. Solving is DFS over combine
-moves with dead-state memoization, which finds the first solution in move
-order; three-value states are settled by set lookup rather than searched.
-The solution's moves, rendered as infix text by :func:`render_moves`, are
-the answer. A solve returns the solution path alone, and a detour is the
-texts of the moves it walks.
+puzzle has a solution of at least one move. The puzzle keeps the
+combination it drew as its moves, and a solve reads its path from them
+with no search. The moves, rendered as infix text by :func:`render_moves`,
+are the answer, and a detour is the texts of the moves it walks. Search
+serves only :func:`reachable`, which proves each detour's end dead: DFS
+over combine moves with dead-state memoization, where three-value states
+are settled by set lookup rather than searched.
 Answers are verified only by :func:`check`, through :func:`parse_answer`.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .core import (
@@ -46,13 +47,15 @@ PROMPT_TEMPLATE = (
 class CountdownPuzzle(NamedTuple):
     numbers: tuple
     target: int
+    # the drawn combination, as legal_moves tuples on the successive
+    # states; only the last move makes the target
+    moves: tuple
 
 
-# How many numbers a puzzle offers. With at most 6 the search needs no visit
-# budget: a pair has at most 4 moves, so a solve expands the root, at most
-# 60 five-value and 60 * 40 four-value states, and ends at the first
-# three-value state it enters, since a four-value state enters only those
-# that lookup settles. A wider range must re-check that bound.
+# How many numbers a puzzle offers. A detour leaves the path after at least
+# one move and walks up to MAX_DETOUR_DEPTH moves, so with at most 6 numbers
+# the state whose reachability it checks holds at most three values, which
+# lookup settles without a search. A wider range makes that check search.
 COUNT_RANGE = (4, 6)
 VALUE_RANGE = (1, 99)
 TARGET_RANGE = (10, 999)
@@ -63,7 +66,8 @@ MAX_GENERATE_ATTEMPTS = 500
 #
 # A move combines the values at positions i < j into one result. Orientation
 # for - and / is forced by positivity and exact division, so each (pair, op)
-# yields at most one move. Move order is the solver's child order: pairs
+# yields at most one move. Move order, which the generator's draws, the
+# detour candidates and the reachability search follow: pairs
 # lexicographic, operators + - * /. Determinism over speed.
 
 def legal_moves(values):
@@ -120,34 +124,38 @@ def _apply_move(values, move):
 
 def reachable(values, target) -> bool:
     """Exact reachability of ``target`` from a value multiset."""
-    return (target in values
-            or _find_solution(list(values), target) is not None)
+    return target in values or _find_solution(list(values), target)
 
 
 # --- generation --------------------------------------------------------------
 
-def _random_combine(rng: Rng, values) -> None:
-    """Merge two random values in place with a random legal operator."""
-    a, b = rng.sample(range(len(values)), 2)
-    va, vb = values[a], values[b]
-    # the draw below indexes this list, so its order (+ * - /) fixes which
-    # puzzle a seed gives
-    options = [va + vb, va * vb]
-    if va != vb:
-        options.append(abs(va - vb))
-    if va % vb == 0:
-        options.append(va // vb)
-    elif vb % va == 0:
-        options.append(vb // va)
-    value = options[rng.randrange(len(options))]
+def _random_combine(rng: Rng, state, slots):
+    """A random legal move on two random values of the combination.
+
+    ``slots`` holds the positions in ``state`` of the values the
+    combination has left. Returns the move as :func:`legal_moves` yields
+    it on ``state``, and updates ``slots`` to the positions those values
+    and the move's result take in the state :func:`_apply_move` leaves.
+    """
+    a, b = rng.sample(range(len(slots)), 2)
+    i, j = sorted((slots[a], slots[b]))
+    # the draw below indexes the pair's moves in move order, so that order
+    # fixes which puzzle a seed gives
+    options = list(_pair_moves(i, j, state[i], state[j]))
+    move = options[rng.randrange(len(options))]
     for pos in sorted((a, b), reverse=True):
-        values.pop(pos)
-    values.append(value)
+        slots.pop(pos)
+    slots[:] = [p - (p > i) - (p > j) for p in slots]
+    slots.append(len(state) - 2)
+    return move
 
 
 def generate(rng: Rng) -> CountdownPuzzle:
-    """Sample a puzzle whose target some combination of its numbers reaches.
+    """Sample a puzzle whose target a combination of its numbers reaches,
+    with that combination as its moves.
 
+    A combination takes at least two moves. Its target is the last move's
+    result, and the moves are cut after the first one that makes it.
     Targets that already appear among the puzzle numbers are rejected so no
     puzzle is solvable with zero moves.
     """
@@ -155,44 +163,38 @@ def generate(rng: Rng) -> CountdownPuzzle:
     for _ in range(MAX_GENERATE_ATTEMPTS):
         n = rng.randint(*COUNT_RANGE)
         numbers = tuple(rng.randint(*VALUE_RANGE) for _ in range(n))
-        ops = rng.randint(1, n - 1)
-        values = [numbers[i] for i in rng.sample(range(n), ops + 1)]
+        ops = rng.randint(2, n - 1)
+        slots = rng.sample(range(n), ops + 1)
+        state = list(numbers)
+        moves = []
         for _ in range(ops):
-            _random_combine(rng, values)
-        value = values[0]
+            moves.append(_random_combine(rng, state, slots))
+            state = _apply_move(state, moves[-1])
+        value = moves[-1][5]
         if not (lo_t <= value <= hi_t):
             continue
         if value in numbers:
             continue
-        return CountdownPuzzle(numbers, value)
+        cut = next(m for m, move in enumerate(moves) if move[5] == value)
+        return CountdownPuzzle(numbers, value, tuple(moves[:cut + 1]))
     raise GenerationError("could not sample a countdown puzzle within budget")
 
 
 # --- solving -----------------------------------------------------------------
 
-# (i, j, k, m): the pairs i < j of a four-value state in move order, each
-# with the positions k < m of the two values it leaves
-_SPLITS_OF_FOUR = tuple(
-    (i, j) + tuple(m for m in range(4) if m != i and m != j)
-    for i in range(3) for j in range(i + 1, 4))
-
-
-def _find_solution(values, target):
-    """First solution in move order, as the list of moves taken, or None.
+def _find_solution(values, target) -> bool:
+    """Whether some sequence of moves on ``values`` makes ``target``.
 
     Exhaustive DFS in :func:`legal_moves` order. A state of four or more
     values that fails is memoized as dead. A three-value state is settled
     by lookup instead of search: it reaches the target exactly when some
     pair's result lies in ``need`` of the third value, the target plus
     every value that one legal move with the third value takes to it.
-    A four-value node recurses only into the children that lookup
-    settles.
     """
     if target < 1:
-        return None  # every value a move makes is a positive integer
+        return False  # every value a move makes is a positive integer
     dead = set()
     needs = {}
-    steps = []
 
     def need(w):
         s = needs.get(w)
@@ -210,78 +212,27 @@ def _find_solution(values, target):
                 s.add(w // target)
         return s
 
-    def pair_hits(a, b, goals):
-        # whether some legal move on {a, b} has its result in goals; no
-        # goal is 0, so a - b needs no a != b test
-        if a + b in goals or a * b in goals or abs(a - b) in goals:
-            return True
-        if a % b == 0:
-            return a // b in goals
-        return b % a == 0 and b // a in goals
-
     def dfs(vals, key):
         n = len(vals)
         if n == 3:
-            for move in legal_moves(vals):
-                r = move[5]
-                w = vals[3 - move[0] - move[1]]
-                if r in need(w):
-                    steps.append(move)
-                    if r != target:
-                        steps.append(next(m for m in legal_moves((w, r))
-                                          if m[5] == target))
-                    return True
-            return False
+            return any(move[5] in need(vals[3 - move[0] - move[1]])
+                       for move in legal_moves(vals))
 
-        if n == 4:
-            # A child [p, q, r] is visited only when lookup settles it:
-            # some pair's result lies in the third value's need set.
-            for i, j, k, m in _SPLITS_OF_FOUR:
-                p, q = vals[k], vals[m]
-                need_p, need_q = need(p), need(q)
-                pq = {p + q, p * q, abs(p - q)}
-                if p % q == 0:
-                    pq.add(p // q)
-                elif q % p == 0:
-                    pq.add(q // p)
-                for move in _pair_moves(i, j, vals[i], vals[j]):
-                    r = move[5]
-                    if r == target:
-                        steps.append(move)
-                        return True
-                    if (pq.isdisjoint(need(r)) and not pair_hits(p, r, need_q)
-                            and not pair_hits(q, r, need_p)):
-                        continue
-                    # the test above is the three-value lookup's success
-                    # test (no need set holds 0), so this child is solved
-                    steps.append(move)
-                    return dfs([p, q, r], None)
-            dead.add(key)
-            return False
-
-        for move in legal_moves(vals):
-            i, j, _, _, _, r, _ = move
+        for i, j, _, _, _, r, _ in legal_moves(vals):
             if r == target:
-                steps.append(move)
                 return True
             if n == 2:
                 continue
             child = [vals[m] for m in range(n) if m != i and m != j]
             child.append(r)
             ckey = tuple(sorted(child))
-            if ckey in dead:
-                continue
-            steps.append(move)
-            if dfs(child, ckey):
+            if ckey not in dead and dfs(child, ckey):
                 return True
-            steps.pop()
         dead.add(key)
         return False
 
     start = list(values)
-    if dfs(start, tuple(sorted(start))):
-        return steps
-    return None
+    return dfs(start, tuple(sorted(start)))
 
 
 def _move_text(move) -> str:
@@ -290,42 +241,66 @@ def _move_text(move) -> str:
 
 
 def solve_dfs(puzzle: CountdownPuzzle):
-    """Solve a generated puzzle; returns the solution path and the answer.
+    """The solution path of a generated puzzle and its answer, read from
+    the moves it was drawn with; nothing is searched.
 
-    The path is that of :func:`_find_solution`: the root, then one node
-    per move, whose payload is the values it leaves and whose key is the
-    move. The answer is :func:`render_moves` of the moves.
+    The path is the root, then one node per move, whose payload is the
+    values it leaves and whose key is those values sorted. The answer is
+    :func:`render_moves` of the moves.
     """
     values = tuple(puzzle.numbers)
-    steps = _find_solution(values, puzzle.target)
     nodes = [SearchNode("", values)]
-    for step in steps:
-        values = tuple(_apply_move(values, step))
-        nodes.append(SearchNode(_move_text(step), values, step))
-    return nodes, render_moves(puzzle.numbers, steps)
+    for move in puzzle.moves:
+        values = tuple(_apply_move(values, move))
+        nodes.append(SearchNode(_move_text(move), values,
+                                tuple(sorted(values))))
+    return nodes, render_moves(puzzle.numbers, puzzle.moves)
 
 
 # --- traces ------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _branches(values: tuple, target: int) -> tuple:
+    """The branches from ``values``: for each multiset that a legal move
+    can leave without making the target, (that multiset sorted, the first
+    such move in move order, the values it leaves as :func:`_apply_move`
+    orders them). A trace asks for the same branch point once per detour
+    it hosts there, so the answer is cached."""
+    branches = {}
+    n = len(values)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            # what every move on the pair leaves, but for its result
+            rest = values[:i] + values[i + 1:j] + values[j + 1:]
+            for move in _pair_moves(i, j, values[i], values[j]):
+                if move[5] != target:
+                    end = rest + (move[5],)
+                    key = tuple(sorted(end))
+                    if key not in branches:
+                        branches[key] = (key, move, end)
+    return tuple(branches.values())
+
+
 def _extend(target: int, values, taken, rng):
     """Walk a wrong branch from ``values``, then insist it is dead.
 
-    The first move is one of the legal moves on ``values``, in move order,
-    that neither makes the target nor is in ``taken`` (the path's step or
-    an earlier detour's there), matched as the whole move tuple: with
-    repeated numbers, two moves can read alike. A walk is accepted only
-    when no value along it equals the target and the values remaining at
-    its end cannot reach the target at all, so the trace's claim of a dead
-    end is literally true. Returns (the first move, the walk's move texts,
-    an observation naming the value the last move made), or None when no
-    candidate's walk is dead. :func:`make_trace` binds ``target``.
+    A move is known by the sorted values it leaves, so moves that leave
+    the same multiset (with repeated numbers, two moves can read alike)
+    are one branch, taken by its first move in move order. The first move
+    is drawn from the :func:`_branches` whose multiset is not in ``taken``
+    (the path's step or an earlier detour's there). A walk is accepted
+    only when no value along it equals the target and the values remaining
+    at its end cannot reach the target at all, so the trace's claim of a
+    dead end is literally true. Returns (the multiset the first move
+    leaves, the walk's move texts, an observation naming the value the
+    last move made), or None when no candidate's walk is dead.
+    :func:`make_trace` binds ``target``.
     """
-    candidates = [m for m in legal_moves(values)
-                  if m[5] != target and m not in taken]
+    candidates = [b for b in _branches(tuple(values), target)
+                  if b[0] not in taken]
     rng.shuffle(candidates)
-    for first in candidates:
+    for key, first, end in candidates:
         moves = [first]
-        end = _apply_move(values, first)
         while len(moves) < MAX_DETOUR_DEPTH and len(end) >= 2:
             options = [m for m in legal_moves(end) if m[5] != target]
             if not options:
@@ -333,7 +308,7 @@ def _extend(target: int, values, taken, rng):
             moves.append(options[rng.randrange(len(options))])
             end = _apply_move(end, moves[-1])
         if not reachable(end, target):
-            return (first, [_move_text(m) for m in moves],
+            return (key, [_move_text(m) for m in moves],
                     f"{end[-1]} is not the correct answer.")
     return None
 

@@ -36,7 +36,9 @@ from .reward import CATEGORIES, pair_completions, score
 from .tasks import TASKS
 from .xtasks import read_list
 
-SCHEMA_VERSION = 1
+# 2: a countdown path is the combination its generator drew, and a
+# countdown detour starts from a distinct multiset
+SCHEMA_VERSION = 2
 
 # backtrack depths of the paper's traced files (see :func:`emit_layout`)
 LAYOUT_DEPTHS = (0, 1, 5, 10)

@@ -21,8 +21,8 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from traceforge import arc1d, countdown, pipeline, reward, sudoku
-from traceforge.core import TaskKind
+from traceforge import arc1d, countdown, pipeline, reward, search, sudoku
+from traceforge.core import Rng, TaskKind, derive_seed
 from traceforge.tasks import TASKS
 
 
@@ -128,8 +128,18 @@ def sudoku_solutions(grid, limit: int = 2) -> list:
 # rebuild such a puzzle from the instance written for it.
 
 def countdown_puzzle(instance) -> countdown.CountdownPuzzle:
-    return countdown.CountdownPuzzle(tuple(instance.meta["numbers"]),
-                                     instance.meta["target"])
+    """The puzzle with its moves: an instance does not write the moves, so
+    the generator runs again on the draws ``build_instance`` uses, then on
+    those of each ``build_traced`` attempt, until the numbers and target
+    are the instance's."""
+    seeds = [instance.seed] + [derive_seed(instance.seed, attempt)
+                               for attempt in range(search.MAX_TRACE_RETRIES)]
+    want = (tuple(instance.meta["numbers"]), instance.meta["target"])
+    for seed in seeds:
+        puzzle = countdown.generate(Rng(seed))
+        if (puzzle.numbers, puzzle.target) == want:
+            return puzzle
+    raise AssertionError(f"no draw of seed {instance.seed:#x} gives {want}")
 
 
 def sudoku_puzzle(instance) -> sudoku.SudokuPuzzle:

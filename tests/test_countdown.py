@@ -58,6 +58,20 @@ def test_generated_puzzles_solvable_by_independent_closure():
         assert countdown_solvable(puzzle.numbers, puzzle.target)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_generated_moves_replay_to_the_target(seed):
+    # each move is legal on the state before it, only the last one makes
+    # the target, and the moves' text is a correct answer
+    puzzle = cd.generate(Rng(seed))
+    values = list(puzzle.numbers)
+    for n, move in enumerate(puzzle.moves, 1):
+        assert move in cd.legal_moves(values)
+        assert (move[5] == puzzle.target) == (n == len(puzzle.moves))
+        values = cd._apply_move(values, move)
+    assert correct(puzzle, cd.render_moves(puzzle.numbers, puzzle.moves))
+
+
 def test_generate_deterministic():
     a = cd.generate(random.Random(99))
     b = cd.generate(random.Random(99))
@@ -112,42 +126,6 @@ def test_legal_moves_results_positive_integers():
 # --- solving -----------------------------------------------------------------
 
 
-def reference_first_solution(values, target):
-    """First solution in declared move order, straight off legal_moves."""
-    dead = set()
-    steps = []
-
-    def dfs(vals):
-        key = tuple(sorted(vals))
-        if key in dead:
-            return False
-        for move in cd.legal_moves(vals):
-            if move[5] == target:
-                steps.append(move)
-                return True
-            if len(vals) > 2:
-                steps.append(move)
-                if dfs(cd._apply_move(vals, move)):
-                    return True
-                steps.pop()
-        dead.add(key)
-        return False
-
-    if dfs(list(values)):
-        return steps
-    return None
-
-
-def test_find_solution_matches_reference_enumeration():
-    rng = random.Random(31)
-    for _ in range(150):
-        n = rng.randrange(4, 7)
-        vals = [rng.randrange(1, 100) for _ in range(n)]
-        target = rng.randrange(10, 1000)
-        fast = cd._find_solution(vals, target)
-        assert fast == reference_first_solution(vals, target)
-
-
 def test_solve_dfs_answer_is_verified_solution():
     for puzzle in sample_puzzles(30):
         _, answer = cd.solve_dfs(puzzle)
@@ -168,30 +146,38 @@ class ShuffleLog(random.Random):
 
 def extend_path_checked(puzzle):
     """Solve, check the solve is the bare path, one node per move keyed
-    by it, then let extend visit each branch point once with the path's
-    step taken. It must draw from every legal move there, in move order,
-    except the moves that make the target and the path's own step,
-    matched as a whole tuple, and return one of those as its first move,
-    that move's text first. Returns the texts of each branch point's
-    candidates."""
-    steps = cd._find_solution(puzzle.numbers, puzzle.target)
+    by the sorted values it leaves, then let extend visit each branch
+    point once with the path's step taken. It must draw from the first
+    legal move there, in move order, of every multiset a move leaves,
+    except the multisets that hold the target and the path step's, and
+    return one of those multisets with its move's text first. Returns
+    the texts of each branch point's candidates."""
     nodes, _ = cd.solve_dfs(puzzle)
-    assert [node.key for node in nodes] == [None] + steps
-    assert solution_path(nodes) == list(range(len(steps) + 1))
+    values = list(puzzle.numbers)
+    keys = [None]
+    for move in puzzle.moves:
+        values = cd._apply_move(values, move)
+        keys.append(tuple(sorted(values)))
+    assert [node.key for node in nodes] == keys
+    assert solution_path(nodes) == list(range(len(puzzle.moves) + 1))
     values = list(puzzle.numbers)
     levels = []
-    for node, step in zip(nodes, steps):
+    for node, step, key in zip(nodes, puzzle.moves, keys[1:]):
         assert node.payload == tuple(values)
         rng = ShuffleLog(0)
-        found = cd._extend(puzzle.target, node.payload, {step}, rng)
-        moves = [m for m in cd.legal_moves(values)
-                 if m != step and m[5] != puzzle.target]
-        assert rng.shuffled == [moves]
+        found = cd._extend(puzzle.target, node.payload, {key}, rng)
+        firsts = {}
+        for m in cd.legal_moves(values):
+            left = tuple(sorted(cd._apply_move(values, m)))
+            if m[5] != puzzle.target and left != key:
+                firsts.setdefault(left, m)
+        assert [[c[:2] for c in shuffled]
+                for shuffled in rng.shuffled] == [list(firsts.items())]
         if found is not None:
             first, texts, _ = found
-            assert first in moves
-            assert texts[0] == cd._move_text(first)
-        levels.append([f"{m[3]} {m[2]} {m[4]} = {m[5]}." for m in moves])
+            assert first in firsts
+            assert texts[0] == cd._move_text(firsts[first])
+        levels.append([cd._move_text(m) for m in firsts.values()])
         values = cd._apply_move(values, step)
     return levels
 
@@ -201,16 +187,21 @@ def test_solve_dfs_tree_is_the_path_until_extend_branches():
         extend_path_checked(puzzle)
 
 
-def test_expanded_branch_point_keeps_textually_identical_siblings():
+def test_expanded_branch_point_keeps_one_sibling_per_multiset():
     # after 49 - 18 = 31 the values are [6, 31, 31]: two moves read
-    # "6 * 31 = 186.", and only the path's one is not a candidate, while
-    # both moves reading "6 + 31 = 37." are
-    puzzle = cd.CountdownPuzzle((49, 6, 31, 18), 155)
+    # "6 * 31 = 186." and two read "6 + 31 = 37.", but each two leave one
+    # multiset, so "6 + 31 = 37." is one candidate, and "6 * 31 = 186.",
+    # which leaves what the path's step leaves, is none
+    puzzle = cd.CountdownPuzzle((49, 6, 31, 18), 155, (
+        (0, 3, "-", 49, 18, 31, False),
+        (0, 1, "*", 6, 31, 186, False),
+        (0, 1, "-", 186, 31, 155, True)))
     levels = extend_path_checked(puzzle)
     nodes, _ = cd.solve_dfs(puzzle)
     assert nodes[2].state_text == "6 * 31 = 186."
-    assert Counter(levels[1])["6 * 31 = 186."] == 1
-    assert Counter(levels[1])["6 + 31 = 37."] == 2
+    assert "6 * 31 = 186." not in levels[1]
+    assert len(levels[1]) == len(set(levels[1]))
+    assert "6 + 31 = 37." in levels[1]
 
 
 def test_reachable_agrees_with_closure_oracle():
@@ -228,14 +219,6 @@ dense_puzzles = st.lists(st.integers(1, 12), min_size=2, max_size=6).flatmap(
     lambda vals: st.tuples(
         st.just(vals),
         st.integers(1, 40).filter(lambda t: t not in vals)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(dense_puzzles)
-def test_find_solution_matches_reference_on_dense_inputs(puzzle):
-    vals, target = puzzle
-    assert (cd._find_solution(vals, target)
-            == reference_first_solution(vals, target))
 
 
 @settings(max_examples=300, deadline=None)
@@ -338,12 +321,14 @@ def test_parse_answer_pins_the_accepted_language(text, value):
 
 
 def test_verify_checks_multiset_usage():
-    puzzle = cd.CountdownPuzzle((5, 5, 3), 13)
+    puzzle = cd.CountdownPuzzle((5, 5, 3), 13, (
+        (0, 1, "+", 5, 5, 10, False), (0, 1, "+", 3, 10, 13, False)))
     assert cd.check(instance_of(puzzle), "5 + 5 + 3") == (True, True)
     # third 5 not available
     assert cd.check(instance_of(puzzle), "5 + 5 + 5 - 2") == (True, False)
-    assert cd.check(instance_of(cd.CountdownPuzzle((5, 5, 3), 15)),
-                    "5 + 5 + 5") == (True, False)
+    fifteen = cd.CountdownPuzzle((5, 5, 3), 15,
+                                 ((1, 2, "*", 5, 3, 15, False),))
+    assert cd.check(instance_of(fifteen), "5 + 5 + 5") == (True, False)
     # no 4 in the puzzle
     assert cd.check(instance_of(puzzle), "5 + 5 + 4") == (True, False)
     # wrong value
@@ -352,7 +337,8 @@ def test_verify_checks_multiset_usage():
 
 
 def test_check_over_count_answer_keeps_its_parse_label():
-    puzzle = cd.CountdownPuzzle((1, 2, 3, 4), 15)
+    puzzle = cd.CountdownPuzzle((1, 2, 3, 4), 15, (
+        (0, 3, "+", 1, 4, 5, False), (1, 2, "*", 3, 5, 15, False)))
     # one number more than the puzzle offers: an expression, so wrong
     assert cd.check(instance_of(puzzle), "1+2+3+4+5") == (True, False)
     # the same count with an unclosed parenthesis is no expression
@@ -438,7 +424,8 @@ def test_parse_answer_keeps_ints_until_a_division_is_inexact():
 
 
 def test_verify_allows_subset_of_numbers():
-    puzzle = cd.CountdownPuzzle((9, 4, 7, 2), 13)
+    puzzle = cd.CountdownPuzzle((9, 4, 7, 2), 13,
+                                ((0, 1, "+", 9, 4, 13, False),))
     assert correct(puzzle, "9 + 4")
 
 
@@ -481,6 +468,15 @@ def test_trace_exactly_one_step_reaches_target():
         assert len(hits) == 1
 
 
+def replay(values, text):
+    """The values left after the move that ``text`` states."""
+    x, _, y, _, result = text.rstrip(".").split()
+    values = list(values)
+    values.remove(int(x))
+    values.remove(int(y))
+    return values + [int(result)]
+
+
 def test_trace_detour_end_states_are_dead():
     # every value multiset left after a wrong branch must be unable to
     # reach the target, per the independent closure oracle
@@ -508,14 +504,28 @@ def test_trace_detour_end_states_are_dead():
         assert len(walks) == 3
         # replay each detour's move texts on the values it branched from
         for values, texts in walks:
-            values = list(values)
             for text in texts:
-                x, _, y, _, result = text.rstrip(".").split()
-                values.remove(int(x))
-                values.remove(int(y))
-                values.append(int(result))
+                values = replay(values, text)
                 assert puzzle.target not in values
             assert not countdown_solvable(values, puzzle.target)
+
+
+def test_detours_at_one_step_leave_distinct_multisets():
+    # no detour starts with a move that leaves what the path's step or an
+    # earlier detour from the same step leaves; with repeated numbers, two
+    # moves can read alike
+    for i in range(40):
+        inst, trace = cd.build_traced(i, derive_seed(0, i), 10)
+        states = [inst.meta["numbers"]]
+        for text in trace.steps:
+            states.append(replay(states[-1], text))
+        left = {}
+        for detour in trace.detours:
+            pos = detour.resume_step
+            seen = left.setdefault(pos, {tuple(sorted(states[pos + 1]))})
+            key = tuple(sorted(replay(states[pos], detour.steps[0])))
+            assert key not in seen
+            seen.add(key)
 
 
 def test_sft_bytes_at_200_ids_and_ten_detours():

@@ -48,7 +48,7 @@ def test_wrong_but_parseable_scores_format_only(cd_instance):
 
 def test_unparseable_answer_keeps_format_point(cd_instance):
     # tags are fine, but the countdown grammar rejects an equals sign
-    got = score(cd_instance, wrap(cd_instance.ground_truth + " = 167"))
+    got = score(cd_instance, wrap(cd_instance.ground_truth + " = 307"))
     assert got.format_score == 0.1
     assert got.answer_score == 0.0
     assert got.category == INCORRECT_FORMAT
@@ -92,7 +92,7 @@ def test_gated_totals_land_on_three_values(cd_instance):
 
 # a countdown answer the grammar reads and verifies, one it reads but is
 # wrong, and one it cannot read; around them, pieces of tags and text
-CD_ANSWERS = ("95 + 53 + 19", "1 + 2", "95 + 53 = 148")
+CD_ANSWERS = ("13 * 37 - 99 - 75", "1 + 2", "13 * 37 = 481")
 
 
 @settings(max_examples=300)
@@ -115,8 +115,8 @@ def test_score_equals_the_breakdown_built_field_by_field(cd_instance, text,
 
 
 def test_countdown_accepts_reordered_expression(cd_instance):
-    # numbers [95, 53, 75, 65, 22, 19], target 167
-    assert score(cd_instance, wrap("95 + 53 + 19")).category == CORRECT
+    # numbers [21, 99, 75, 23, 37, 13], target 307
+    assert score(cd_instance, wrap("13 * 37 - 99 - 75")).category == CORRECT
 
 
 def test_sudoku_answer_grammar():
