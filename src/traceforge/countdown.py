@@ -8,9 +8,9 @@ puzzle has a solution of at least one move. The puzzle keeps the
 combination it drew as its moves, and a solve reads its path from them
 with no search. The moves, rendered as infix text by :func:`render_moves`,
 are the answer, and a detour is the texts of the moves it walks. Search
-serves only :func:`reachable`, which proves each detour's end dead: DFS
-over combine moves with dead-state memoization, where three-value states
-are settled by set lookup rather than searched.
+serves only :func:`reachable`, which proves each detour's end dead by a
+plain DFS over combine moves; the states it is asked about hold at most
+three values.
 Answers are verified only by :func:`check`, through :func:`parse_answer`.
 """
 
@@ -55,7 +55,9 @@ class CountdownPuzzle(NamedTuple):
 # How many numbers a puzzle offers. A detour leaves the path after at least
 # one move and walks up to MAX_DETOUR_DEPTH moves, so with at most 6 numbers
 # the state whose reachability it checks holds at most three values, which
-# lookup settles without a search. A wider range makes that check search.
+# an unmemoized DFS settles in at most 60 moves. A wider range, or a shallower
+# detour, leaves more values and makes that search grow fast; a test pins
+# the three-value bound.
 COUNT_RANGE = (4, 6)
 VALUE_RANGE = (1, 99)
 TARGET_RANGE = (10, 999)
@@ -185,54 +187,16 @@ def generate(rng: Rng) -> CountdownPuzzle:
 def _find_solution(values, target) -> bool:
     """Whether some sequence of moves on ``values`` makes ``target``.
 
-    Exhaustive DFS in :func:`legal_moves` order. A state of four or more
-    values that fails is memoized as dead. A three-value state is settled
-    by lookup instead of search: it reaches the target exactly when some
-    pair's result lies in ``need`` of the third value, the target plus
-    every value that one legal move with the third value takes to it.
+    Plain DFS in :func:`legal_moves` order, with no memo: traces ask it
+    about states of at most three values (see COUNT_RANGE), which it
+    settles in at most 60 moves.
     """
-    if target < 1:
-        return False  # every value a move makes is a positive integer
-    dead = set()
-    needs = {}
-
-    def need(w):
-        s = needs.get(w)
-        if s is None:
-            # every r where r + w, |r - w|, r * w or an exact r / w or
-            # w / r is the target
-            s = needs[w] = {target, w + target, w * target}
-            if target > w:
-                s.add(target - w)
-            elif w > target:
-                s.add(w - target)
-            if target % w == 0:
-                s.add(target // w)
-            if w % target == 0:
-                s.add(w // target)
-        return s
-
-    def dfs(vals, key):
-        n = len(vals)
-        if n == 3:
-            return any(move[5] in need(vals[3 - move[0] - move[1]])
-                       for move in legal_moves(vals))
-
-        for i, j, _, _, _, r, _ in legal_moves(vals):
-            if r == target:
-                return True
-            if n == 2:
-                continue
-            child = [vals[m] for m in range(n) if m != i and m != j]
-            child.append(r)
-            ckey = tuple(sorted(child))
-            if ckey not in dead and dfs(child, ckey):
-                return True
-        dead.add(key)
-        return False
-
-    start = list(values)
-    return dfs(start, tuple(sorted(start)))
+    for move in legal_moves(values):
+        if move[5] == target or (
+                len(values) > 2
+                and _find_solution(_apply_move(values, move), target)):
+            return True
+    return False
 
 
 def _move_text(move) -> str:

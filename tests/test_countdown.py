@@ -214,8 +214,8 @@ def test_reachable_agrees_with_closure_oracle():
 
 
 # Dense small inputs: equal values, division by 1 and targets below a value
-# are common, which is where the three-value lookup could miss a solution.
-dense_puzzles = st.lists(st.integers(1, 12), min_size=2, max_size=6).flatmap(
+# are common, and so are single values, which traces ask about most often.
+dense_puzzles = st.lists(st.integers(1, 12), min_size=1, max_size=6).flatmap(
     lambda vals: st.tuples(
         st.just(vals),
         st.integers(1, 40).filter(lambda t: t not in vals)))
@@ -226,6 +226,26 @@ dense_puzzles = st.lists(st.integers(1, 12), min_size=2, max_size=6).flatmap(
 def test_reachable_matches_closure_oracle_on_dense_inputs(puzzle):
     vals, target = puzzle
     assert cd.reachable(vals, target) == countdown_solvable(vals, target)
+
+
+def test_traces_check_reachability_on_at_most_three_values(monkeypatch):
+    # reachable searches without a memo, which stays cheap only while a
+    # detour's end holds few values: at most COUNT_RANGE[1] - 1 -
+    # MAX_DETOUR_DEPTH = 3. Changing either constant so that ends hold
+    # more must fail here rather than make that search large.
+    sizes = []
+    reachable = cd.reachable
+
+    def counted(values, target):
+        sizes.append(len(values))
+        return reachable(values, target)
+
+    monkeypatch.setattr(cd, "reachable", counted)
+    for k in (1, 5, 10):
+        for i in range(300):
+            cd.build_traced(i, derive_seed(0, i), k)
+    assert sizes
+    assert max(sizes) <= 3
 
 
 # --- expression rendering and parsing ----------------------------------------

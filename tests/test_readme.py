@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from traceforge.core import MARKER_PHRASE
+from traceforge.core import MARKER_PHRASE, TaskKind
+from traceforge.pipeline import build_record
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,6 +17,16 @@ def test_python_api_block_runs():
                       README.read_text(encoding="utf-8"), re.M | re.S)
     assert block, "README has no Python API code block"
     exec(compile(block[1], str(README), "exec"), {})
+
+
+def test_trace_format_example_is_the_first_countdown_record():
+    # the README names the block the first record of
+    # `forge trace --task countdown --backtracks 1 --seed 0`
+    block = re.search(r"^## Trace format\n.*?^```\n(.*?)\n^```$",
+                      README.read_text(encoding="utf-8"), re.M | re.S)
+    assert block, "README has no Trace format code block"
+    record = build_record(TaskKind.COUNTDOWN, 0, 0, 1)
+    assert block[1] == record.completion
 
 
 def test_show_trace_script_runs():
