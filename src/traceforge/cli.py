@@ -1,9 +1,9 @@
 """The ``forge`` command line tool.
 
 Subcommands mirror the pipeline: generate instances, trace SFT datasets,
-build the paper's whole dataset layout, shuffle completions,
-score/classify/eval completions against instances, and summarize
-datasets. Exit codes: 0 on success, 1 on validation errors
+build the paper's whole dataset layout, show one traced record, shuffle
+completions, score/classify/eval completions against instances, and
+summarize datasets. Exit codes: 0 on success, 1 on validation errors
 (bad arguments, malformed content, impossible requests), 2 on I/O errors.
 The FORGE_SEED environment variable overrides any --seed argument.
 """
@@ -100,6 +100,16 @@ def _cmd_build(args) -> int:
     return 0
 
 
+def _cmd_show(args) -> int:
+    if not 0 <= args.instance_id < 1 << 64:  # derive_seed would alias it
+        raise ValueError(f"--id must be 0 to 2**64 - 1, got {args.instance_id}")
+    record = pipeline.build_record(TaskKind(args.task), args.instance_id,
+                                   _seed_from(args), args.backtracks)
+    print(f"=== prompt ===\n{record.prompt}\n\n"
+          f"=== completion ===\n{record.completion}")
+    return 0
+
+
 def _cmd_shuffle(args) -> int:
     manifest = pipeline.write_shuffled(args.in_path, args.out, _seed_from(args))
     _wrote(args.out, manifest, "shuffled records")
@@ -167,6 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default="0")
     p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(fn=_cmd_build)
+
+    p = sub.add_parser("show", help="print one traced record's prompt and "
+                       "completion")
+    p.add_argument("--task", required=True, choices=TRACE_TASKS)
+    p.add_argument("--backtracks", required=True, type=int)
+    p.add_argument("--seed", default="0")
+    p.add_argument("--id", type=int, default=0, dest="instance_id")
+    p.set_defaults(fn=_cmd_show)
 
     p = sub.add_parser("shuffle", help="derange completions across records")
     p.add_argument("--in", dest="in_path", required=True)

@@ -132,6 +132,20 @@ class ProblemInstance(NamedTuple):
     meta: dict
 
 
+def checked_text(name: str, value) -> str:
+    """``value``, once it is a str that UTF-8 can encode: JSON can spell a
+    lone surrogate (``"\\ud800"``), which no file can hold. Anything else
+    raises ValueError naming ``name``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{name} is not UTF-8 text: {exc.reason} at index "
+                         f"{exc.start}") from None
+    return value
+
+
 # --- digit grids -------------------------------------------------------------
 
 # byte v -> the ASCII digit of v for 0..9; every other byte -> 0x80, which

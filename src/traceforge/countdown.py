@@ -119,9 +119,7 @@ def render_moves(numbers, moves) -> str:
 
 def _apply_move(values, move):
     i, j, _, _, _, result, _ = move
-    nxt = [values[m] for m in range(len(values)) if m != i and m != j]
-    nxt.append(result)
-    return nxt
+    return [*values[:i], *values[i + 1:j], *values[j + 1:], result]
 
 
 def reachable(values, target) -> bool:
@@ -231,17 +229,12 @@ def _branches(values: tuple, target: int) -> tuple:
     orders them). A trace asks for the same branch point once per detour
     it hosts there, so the answer is cached."""
     branches = {}
-    n = len(values)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            # what every move on the pair leaves, but for its result
-            rest = values[:i] + values[i + 1:j] + values[j + 1:]
-            for move in _pair_moves(i, j, values[i], values[j]):
-                if move[5] != target:
-                    end = rest + (move[5],)
-                    key = tuple(sorted(end))
-                    if key not in branches:
-                        branches[key] = (key, move, end)
+    for move in legal_moves(values):
+        if move[5] != target:
+            end = tuple(_apply_move(values, move))
+            key = tuple(sorted(end))
+            if key not in branches:
+                branches[key] = (key, move, end)
     return tuple(branches.values())
 
 
@@ -452,8 +445,8 @@ def _instance(instance_id: int, seed: int, puzzle: CountdownPuzzle,
 
 def build_instance(instance_id: int, seed: int) -> ProblemInstance:
     puzzle = sample_named("countdown", instance_id, seed, generate, Rng(seed))
-    _, answer = solve_dfs(puzzle)
-    return _instance(instance_id, seed, puzzle, answer)
+    return _instance(instance_id, seed, puzzle,
+                     render_moves(puzzle.numbers, puzzle.moves))
 
 
 def build_traced(instance_id: int, seed: int, k: int):

@@ -29,6 +29,7 @@ from .core import (
     Rng,
     SftRecord,
     TaskKind,
+    checked_text,
     derive_seed,
     render_sft_record,
 )
@@ -94,8 +95,8 @@ def write_lines(path, lines) -> str:
 
 def read_jsonl(path, parse) -> list:
     """``parse`` of each non-blank line of a JSON-lines file. A line that is
-    not JSON, lacks a field or holds a bad value raises ValueError naming
-    the file and the line."""
+    not JSON (nested too deep for the decoder included), lacks a field or
+    holds a bad value raises ValueError naming the file and the line."""
     items = []
     with open(path, "rb") as fh:
         for n, raw in enumerate(fh, start=1):
@@ -103,7 +104,7 @@ def read_jsonl(path, parse) -> list:
                 line = raw.decode("utf-8")
                 if line.strip():
                     items.append(parse(line))
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, RecursionError) as exc:
                 raise ValueError(
                     f"{path}:{n}: {type(exc).__name__}: {exc}") from exc
     return items
@@ -147,7 +148,7 @@ def record_to_json(rec: SftRecord) -> str:
 
 def record_from_json(line: str) -> SftRecord:
     """One record line. ``instance_id`` and ``backtracks`` must be JSON
-    integers, ``prompt`` and ``completion`` strings, and
+    integers, ``prompt`` and ``completion`` strings that UTF-8 can encode,
     ``correctness_label`` null or a reward category, and ``seed`` 16
     lowercase hex digits; anything else raises ValueError."""
     obj = json.loads(line)
@@ -156,8 +157,7 @@ def record_from_json(line: str) -> SftRecord:
             raise ValueError(
                 f"{name} must be a JSON integer, got {obj[name]!r}")
     for name in ("prompt", "completion"):
-        if type(obj[name]) is not str:
-            raise ValueError(f"{name} must be a string, got {obj[name]!r}")
+        checked_text(name, obj[name])
     label = obj.get("correctness_label")
     if label is not None and label not in CATEGORIES:
         raise ValueError(f"correctness_label must be null or one of "
@@ -187,14 +187,14 @@ def instance_to_json(instance: ProblemInstance) -> str:
 
 
 def instance_from_json(line: str) -> ProblemInstance:
-    """One instance line: a JSON integer id, a string prompt, a seed of 16
-    lowercase hex digits, an object meta (default {}), and a string ground
-    truth, or for list_functions a list that :func:`read_list` reads."""
+    """One instance line: a JSON integer id, a prompt string that UTF-8 can
+    encode, a seed of 16 lowercase hex digits, an object meta (default {}),
+    and a string ground truth, or for list_functions a list that
+    :func:`read_list` reads."""
     obj = json.loads(line)
     if type(obj["id"]) is not int:
         raise ValueError(f"id must be a JSON integer, got {obj['id']!r}")
-    if type(obj["prompt"]) is not str:
-        raise ValueError(f"prompt must be a string, got {obj['prompt']!r}")
+    checked_text("prompt", obj["prompt"])
     meta = obj.get("meta", {})
     if type(meta) is not dict:
         raise ValueError(f"meta must be a JSON object, got {meta!r}")

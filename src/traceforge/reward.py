@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import ProblemInstance, extract_tags
+from .core import ProblemInstance, checked_text, extract_tags
 from .tasks import TASKS
 
 CORRECT = "correct"
@@ -109,12 +109,13 @@ COLUMN_ORDER = ("AG", "CD", "ARC", "SDK", "CCR", "ZP", "LF", "SR")
 
 def checked_completion(item):
     """A {"instance_id", "completion"} item, once its id is an int (not a
-    bool) and its completion a str; anything else raises ValueError."""
-    iid, text = item["instance_id"], item["completion"]
+    bool) and its completion a str that UTF-8 can encode (see
+    :func:`~traceforge.core.checked_text`); anything else raises
+    ValueError."""
+    iid = item["instance_id"]
     if type(iid) is not int:
         raise ValueError(f"instance_id must be a JSON integer, got {iid!r}")
-    if not isinstance(text, str):
-        raise ValueError(f"completion must be a string, got {text!r}")
+    checked_text("completion", item["completion"])
     return item
 
 

@@ -3,7 +3,9 @@ uniqueness, and trace construction. Only puzzles sampled here are solved,
 so each one comes with its unique solution.
 
 Cells are indexed 0..80 row-major; digits are 1..9 with 0 for blanks.
-Solvers keep one 9-bit candidate mask per row, column and box. One
+Solvers keep one 9-bit candidate mask per row, column and box, and read a
+mask's digits from ``DIGITS``, in ascending order; the random draws index
+those tuples, so that order fixes which puzzle and trace a seed gives. One
 propagating core counts completions: it places naked and hidden singles
 until none is left, and only then branches on the cell with the fewest
 candidates. Hole digging proves uniqueness removal by removal: a swap of
@@ -33,6 +35,17 @@ from .search import (
 FULL = 0x3FE  # candidate bits for digits 1..9
 # (row, column, box) per cell
 UNITS = tuple((i // 9, i % 9, i // 27 * 3 + i % 9 // 3) for i in range(81))
+
+
+def _digit_table() -> tuple:
+    """For each mask up to FULL, the digits whose bits it sets, ascending."""
+    table = [(), ()]  # bit 0 is no digit
+    for d in range(1, 10):
+        table += [digits + (d,) for digits in table]  # the masks with bit d
+    return tuple(table)
+
+
+DIGITS = _digit_table()
 
 PROMPT_TEMPLATE = (
     "Solve this Sudoku puzzle. Empty cells are shown as 0:\n"
@@ -142,9 +155,8 @@ def _count(rows, cols, boxes, empties, limit) -> int:
         rest = empties[:best] + empties[best + 1:]
         r, c, b = UNITS[i]
         total = 0
-        while m:
-            bit = m & -m
-            m ^= bit
+        for d in DIGITS[m]:
+            bit = 1 << d
             rs, cs, bs = rows[:], cols[:], boxes[:]
             rs[r] |= bit
             cs[c] |= bit
@@ -180,20 +192,14 @@ def generate_full(rng: Rng) -> tuple:
             if steps > FILL_RESTART_STEPS:
                 return False
             r, c, b = UNITS[i]
-            m = FULL & ~(rows[r] | cols[c] | boxes[b])
-            if not m:
-                return False
-            bits = []
-            while m:
-                bit = m & -m
-                m ^= bit
-                bits.append(bit)
-            rng.shuffle(bits)
-            for bit in bits:
+            digits = list(DIGITS[FULL & ~(rows[r] | cols[c] | boxes[b])])
+            rng.shuffle(digits)
+            for d in digits:
+                bit = 1 << d
                 rows[r] |= bit
                 cols[c] |= bit
                 boxes[b] |= bit
-                grid[i] = bit.bit_length() - 1
+                grid[i] = d
                 if fill(i + 1):
                     return True
                 rows[r] ^= bit
@@ -285,8 +291,7 @@ def dig_holes(solution, blanks: int, rng: Rng) -> SudokuPuzzle:
         rows[r] ^= bit
         cols[c] ^= bit
         boxes[b] ^= bit
-        others = FULL & ~(rows[r] | cols[c] | boxes[b] | bit)
-        alts = [d for d in range(1, 10) if others >> d & 1]
+        alts = DIGITS[FULL & ~(rows[r] | cols[c] | boxes[b] | bit)]
         for d in alts:
             if _swap_group(solution, grid, cell, d, where) is not None:
                 break
@@ -375,16 +380,11 @@ def _extend(grid, taken, rng):
     wrong = [_place_text(grid, first)]
     for cell in empties[:MAX_DETOUR_DEPTH - 1]:
         r, c, b = UNITS[cell]
-        mask = FULL & ~(rows[r] | cols[c] | boxes[b])
-        if not mask:
+        digits = DIGITS[FULL & ~(rows[r] | cols[c] | boxes[b])]
+        if not digits:
             break
-        bits = []
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            bits.append(bit)
-        bit = bits[rng.randrange(len(bits))]
-        grid[cell] = bit.bit_length() - 1
+        grid[cell] = digits[rng.randrange(len(digits))]
+        bit = 1 << grid[cell]
         wrong.append(_place_text(grid, cell))
         rows[r] |= bit
         cols[c] |= bit

@@ -96,6 +96,17 @@ _SUDOKU_PEERS = tuple(_sudoku_peers(cell) for cell in range(81))
 _DIGITS = frozenset(range(1, 10))
 
 
+def sudoku_mask_digits(mask) -> list:
+    """The digits of a candidate mask (bit ``d`` for digit ``d``), lowest
+    bit first, taken off one bit at a time."""
+    digits = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        digits.append(bit.bit_length() - 1)
+    return digits
+
+
 def sudoku_solutions(grid, limit: int = 2) -> list:
     """Completions of ``grid`` (at most ``limit``) by naive backtracking.
 

@@ -349,9 +349,14 @@ def test_truncated_record_line_names_file_and_line(tmp_path, capsys):
     ("seed", "00000000000000AB",
      "seed must be 16 lowercase hex digits, got '00000000000000AB'"),
     ("seed", 5, "seed must be 16 lowercase hex digits, got 5"),
+    ("completion", "\ud800", "completion is not UTF-8 text: surrogates not "
+     "allowed at index 0"),
+    ("prompt", "a\udfff", "prompt is not UTF-8 text: surrogates not allowed "
+     "at index 1"),
 ], ids=["null_completion", "int_prompt", "float_id", "bool_id",
         "string_backtracks", "float_backtracks", "unknown_label",
-        "signed_seed", "padded_seed", "upper_seed", "int_seed"])
+        "signed_seed", "padded_seed", "upper_seed", "int_seed",
+        "surrogate_completion", "surrogate_prompt"])
 @pytest.mark.parametrize("command", ["stats", "shuffle"])
 def test_record_field_of_wrong_type_names_file_and_line(tmp_path, capsys,
                                                         command, field, value,
@@ -392,7 +397,11 @@ def test_completion_line_without_text_names_file_and_line(tmp_path, capsys):
      "ValueError: instance_id must be a JSON integer, got 1.7"),
     ({"instance_id": True, "completion": "x"},
      "ValueError: instance_id must be a JSON integer, got True"),
-], ids=["int_completion", "string_id", "float_id", "bool_id"])
+    ({"instance_id": 0, "completion": "\ud800"},
+     "ValueError: completion is not UTF-8 text: surrogates not allowed at "
+     "index 0"),
+], ids=["int_completion", "string_id", "float_id", "bool_id",
+        "surrogate_completion"])
 def test_completion_line_of_wrong_type_names_file_and_line(tmp_path, capsys,
                                                           item, message):
     run(capsys, "generate", "--task", "countdown", "--count", "2",
@@ -439,6 +448,80 @@ def test_instance_prompt_that_is_not_a_string_is_rejected(tmp_path, capsys):
     assert err == (f"error: {inst_path}:1: ValueError: prompt must be a "
                    f"string, got 123\n")
     assert not out_dir.exists()
+
+
+def test_completion_nested_past_the_decoder_names_file_and_line(tmp_path,
+                                                                capsys):
+    run(capsys, "generate", "--task", "countdown", "--count", "2",
+        "--seed", "1", "--out", str(tmp_path))
+    comp_path = tmp_path / "completions.jsonl"
+    comp_path.write_text("[" * 100_000 + "]" * 100_000 + "\n",
+                         encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--instances",
+                         str(tmp_path / "countdown_instances.jsonl"),
+                         "--completions", str(comp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {comp_path}:1: RecursionError: ")
+    assert "Traceback" not in err
+
+
+def test_unencodable_completion_fails_classify_before_any_write(tmp_path,
+                                                                 capsys):
+    run(capsys, "generate", "--task", "countdown", "--count", "2",
+        "--seed", "1", "--out", str(tmp_path))
+    comp_path = tmp_path / "completions.jsonl"
+    # the second line's lone surrogate would stop the writes after the
+    # correct and incorrect buckets if it got that far
+    write_jsonl(comp_path, [{"instance_id": 1, "completion": wrap("1")},
+                            {"instance_id": 0, "completion": "\ud800"}])
+    out_dir = tmp_path / "buckets"
+    out_dir.mkdir()
+    code, _, err = run(capsys, "classify", "--task", "countdown",
+                       "--instances",
+                       str(tmp_path / "countdown_instances.jsonl"),
+                       "--completions", str(comp_path), "--out", str(out_dir))
+    assert code == 1
+    assert err == (f"error: {comp_path}:2: ValueError: completion is not "
+                   f"UTF-8 text: surrogates not allowed at index 0\n")
+    assert list(out_dir.iterdir()) == []
+
+
+def test_unencodable_instance_prompt_is_rejected(tmp_path, capsys):
+    inst_path = tmp_path / "instances.jsonl"
+    write_jsonl(inst_path, [{"id": 0, "task": "countdown", "prompt": "\udc00?",
+                             "ground_truth": "1 + 2", "seed": "0" * 16,
+                             "meta": {"numbers": [1, 2], "target": 3}}])
+    comp_path = tmp_path / "completions.jsonl"
+    write_jsonl(comp_path, [{"instance_id": 0, "completion": wrap("1 + 2")}])
+    code, _, err = run(capsys, "eval", "--instances", str(inst_path),
+                       "--completions", str(comp_path))
+    assert code == 1
+    assert err == (f"error: {inst_path}:1: ValueError: prompt is not UTF-8 "
+                   f"text: surrogates not allowed at index 0\n")
+
+
+def test_escaped_surrogate_pair_still_loads(tmp_path, capsys):
+    # json.dumps escapes the emoji as the pair "\ud83d\ude00", which decodes
+    # to one character that UTF-8 encodes
+    emoji = "\N{GRINNING FACE}"
+    inst_path = tmp_path / "instances.jsonl"
+    write_jsonl(inst_path, [{"id": 0, "task": "countdown",
+                             "prompt": f"{emoji} 1, 2 -> 3",
+                             "ground_truth": "1 + 2", "seed": "0" * 16,
+                             "meta": {"numbers": [1, 2], "target": 3}}])
+    assert "\\ud83d\\ude00" in inst_path.read_text(encoding="utf-8")
+    comp_path = tmp_path / "completions.jsonl"
+    write_jsonl(comp_path, [{"instance_id": 0,
+                             "completion": wrap("1 + 2") + emoji}])
+    out_dir = tmp_path / "buckets"
+    code, _, err = run(capsys, "classify", "--task", "countdown",
+                       "--instances", str(inst_path),
+                       "--completions", str(comp_path), "--out", str(out_dir))
+    assert code == 0, err
+    records = pipeline.load_records(out_dir / "correct.jsonl")
+    assert records[0].prompt.startswith(emoji)
+    assert records[0].completion.endswith(emoji)
 
 
 @pytest.mark.parametrize("seed", ["-1", " 1_f ", "0" * 17, 0],

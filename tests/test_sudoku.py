@@ -3,8 +3,8 @@ import re
 
 import pytest
 from helpers import golden_pins, moved, sudoku_grid_valid, \
-    sudoku_parse_reference, sudoku_puzzle, sudoku_render_reference, \
-    sudoku_solutions
+    sudoku_mask_digits, sudoku_parse_reference, sudoku_puzzle, \
+    sudoku_render_reference, sudoku_solutions
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +34,13 @@ def no_solution_grid():
 
 
 # --- generation --------------------------------------------------------------
+
+
+def test_digits_table_lists_each_mask_ascending():
+    # the draws index these tuples, so their order is part of the bytes;
+    # bit 0 is no digit, and no candidate mask sets it
+    for mask in range(sd.FULL + 1):
+        assert list(sd.DIGITS[mask]) == sudoku_mask_digits(mask & sd.FULL)
 
 
 def test_generate_full_is_valid_grid():
